@@ -18,10 +18,9 @@ from meirl.kinematics import PastTrack
 from meirl.maps import save_map_csv, save_map_pgm
 from meirl.mdp import state_distribution, value_iteration
 from meirl.metrics import terminal_entropy
-from meirl.reward_net import net_from_store, reward_forward
+from meirl.reward_net import forward, net_from_store
 from meirl.synthetic import (DEMO_BETA, Demonstration, WorldSpec,
                              generate_world, junction_cells, trail_mask)
-from meirl.trainer import demo_stack
 
 
 def parse_args():
@@ -108,7 +107,7 @@ def main():
             past=straight_past(start, heading, speed, world.resolution),
             future=np.array([start]), expert_speed=speed, seed=0,
             tag="intersection")
-        reward = reward_forward(net, demo_stack(net, demo))
+        reward = forward(net, demo)[0]
         policy = value_iteration(reward, gamma=0.95, epsilon=1e-4,
                                  beta=args.beta)
         entropies[label] = terminal_entropy(policy, start, args.horizon)

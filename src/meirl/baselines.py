@@ -19,11 +19,11 @@ import numpy as np
 from . import config as configio
 from .errors import ConfigError, ConvergenceError
 from .kinematics import PastTrack
-from .mdp import GridWorld, Policy, annealed_softmax, uniform_policy
+from .mdp import GridWorld, Policy, actions_from_cells, annealed_softmax, uniform_policy
 from .nn import ParameterStore, update_parameters
-from .reward_net import action_head_backward, action_logits, build_net
+from .reward_net import backward, build_net, forward
 from .synthetic import Demonstration
-from .trainer import TrainConfig, demo_stack, train
+from .trainer import TrainConfig, train
 
 WHEELBASE = 1.8
 
@@ -231,15 +231,13 @@ class BcConfig:
 
 def bc_policy(net, demo: Demonstration) -> Policy:
     """Per-cell action distribution of the cloning head for one demo context."""
-    logits = action_logits(net, demo_stack(net, demo))
+    logits = forward(net, demo)[0]
     return Policy(probs=annealed_softmax(logits, 1.0, axis=0))
 
 
-def _bc_demo_loss_and_grad(net, demo: Demonstration):
-    from .mdp import actions_from_cells
-
-    stack = demo_stack(net, demo)
-    logits = action_logits(net, stack)
+def _bc_logit_loss(logits, demo: Demonstration):
+    """Mean cross-entropy of the demo's actions under the logits, and its
+    gradient with respect to the logits."""
     probs = annealed_softmax(logits, 1.0, axis=0)
     cells = demo.future
     actions = actions_from_cells(cells, demo.world.rows, demo.world.cols)
@@ -250,11 +248,17 @@ def _bc_demo_loss_and_grad(net, demo: Demonstration):
         loss -= math.log(probs[a, r, c])
         grad_logits[:, r, c] += probs[:, r, c] / n_pairs
         grad_logits[a, r, c] -= 1.0 / n_pairs
-    return loss / n_pairs, stack, grad_logits
+    return loss / n_pairs, grad_logits
+
+
+def _bc_demo_loss_and_grad(net, demo: Demonstration):
+    logits, acts = forward(net, demo)
+    loss, grad_logits = _bc_logit_loss(logits, demo)
+    return loss, backward(net, acts, grad_logits)
 
 
 def _bc_val_loss(net, demos) -> float:
-    return float(np.mean([_bc_demo_loss_and_grad(net, d)[0] for d in demos]))
+    return float(np.mean([_bc_logit_loss(forward(net, d)[0], d)[0] for d in demos]))
 
 
 def bc_train(demos, config: BcConfig | None = None):
@@ -288,9 +292,8 @@ def bc_train(demos, config: BcConfig | None = None):
         total = {name: np.zeros_like(p) for name, p in net.parameters().items()}
         losses = []
         for demo in fit:
-            loss, stack, grad_logits = _bc_demo_loss_and_grad(net, demo)
+            loss, grads = _bc_demo_loss_and_grad(net, demo)
             losses.append(loss)
-            grads = action_head_backward(net, stack, grad_logits)
             for name in total:
                 total[name] += grads[name]
         for name in total:

@@ -14,6 +14,7 @@ then the values as little-endian float64, row-major.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -64,17 +65,27 @@ def save_checkpoint(path, store: ParameterStore, meta: dict | None = None,
         "step": store.step,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(store.params)))
-        for name, arr in store.params.items():
-            _write_array(fh, name, arr)
-        fh.write(struct.pack("<B", 1))
-        for name in store.params:
-            _write_array(fh, name, store.m[name])
-            _write_array(fh, name, store.v[name])
+    # write a sibling file and rename it over the target, so a crash mid-write
+    # leaves the previous checkpoint intact
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(store.params)))
+            for name, arr in store.params.items():
+                _write_array(fh, name, arr)
+            fh.write(struct.pack("<B", 1))
+            for name in store.params:
+                _write_array(fh, name, store.m[name])
+                _write_array(fh, name, store.v[name])
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path):

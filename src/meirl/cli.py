@@ -33,9 +33,9 @@ from .metrics import (METHOD_ORDER, EvalResult, cells_to_xy, export_csv,
                       export_json, hausdorff, mean_sampled_hd, nll,
                       terminal_entropy)
 from .nn import ParameterStore
-from .reward_net import net_from_store, reward_forward, reward_from_env
+from .reward_net import forward, net_from_store
 from .synthetic import DEMO_BETA, TAGS, Demonstration
-from .trainer import TrainConfig, demo_stack, train, write_report, write_timings
+from .trainer import TrainConfig, train, write_report, write_timings
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +238,10 @@ def _policy_from_checkpoint(checkpoint_path, demo: Demonstration, beta: float):
     """Policy plus (when the net defines one) the reward map behind it."""
     store, meta, iteration = load_checkpoint(checkpoint_path)
     net = net_from_store(meta, store.params)
-    if net.kind == "action_head":
+    if net.kind == "action_head":  # the cloning head is a policy; no planner runs
         return bc_policy(net, demo), None
     tcfg = TrainConfig.from_dict(meta.get("config") or {})
-    if net.kind == "two_stage":
-        reward = reward_forward(net, demo_stack(net, demo))
-    else:
-        reward = reward_from_env(net, demo.world.env)
+    reward = forward(net, demo)[0]
     policy = value_iteration(reward, gamma=tcfg.gamma, epsilon=tcfg.epsilon,
                              beta=beta)
     return policy, reward
@@ -383,10 +380,7 @@ def _eval_method(method, demos, cfg: EvalConfig, nets, beta: float):
             policy = bc_policy(nets["bc"][0], demo)
         else:
             net, tcfg, iteration = nets[method]
-            if net.kind == "two_stage":
-                reward = reward_forward(net, demo_stack(net, demo))
-            else:
-                reward = reward_from_env(net, demo.world.env)
+            reward = forward(net, demo)[0]
             policy = value_iteration(reward, gamma=tcfg.gamma,
                                      epsilon=tcfg.epsilon, beta=beta)
         hd = mean_sampled_hd(policy, demo, n_samples=cfg.samples,

@@ -148,14 +148,13 @@ def positional_channels(world: GridWorld, vehicle_cell) -> np.ndarray:
 
 @dataclass
 class InputStack:
-    """The 30-channel network input plus what is needed to re-run stage 1.
+    """The 30-channel stage-2 input of one demonstration.
 
     Channel order: 25 learned feature maps, positional x, positional y, then
     dx, dy, kappa broadcast as constant planes.
     """
 
     channels: np.ndarray        # (30, rows, cols)
-    env: np.ndarray             # (5, rows, cols), stage-1 input
     vehicle_cell: tuple
     context: KinematicContext
 
@@ -184,6 +183,6 @@ def build_input_stack(stage1_features: np.ndarray, world: GridWorld, vehicle_cel
     const[1] = context.dy
     const[2] = context.kappa
     channels = np.concatenate([feats, pos, const], axis=0)
-    return InputStack(channels=channels, env=world.env,
+    return InputStack(channels=channels,
                       vehicle_cell=(int(vehicle_cell[0]), int(vehicle_cell[1])),
                       context=context)

@@ -36,16 +36,3 @@ def save_map_pgm(path, grid: np.ndarray) -> None:
         fh.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n65535\n".encode("ascii"))
         fh.write(img.tobytes())
 
-
-def load_map_pgm(path) -> np.ndarray:
-    """Reads back a 16-bit P5 file as raw sample values (no un-scaling)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5":
-        raise ConfigError(f"{path} is not a binary PGM")
-    w, h = (int(tok) for tok in parts[1].split())
-    maxval = int(parts[2])
-    dtype = ">u2" if maxval > 255 else "u1"
-    img = np.frombuffer(parts[3], dtype=dtype, count=w * h).reshape(h, w)
-    return img.astype(np.float64)

@@ -7,6 +7,8 @@ plus positional and kinematic channels) through three 3x3 layers down to the
 scalar reward map. Variants reuse the same machinery: an env-only net that
 drops stage 2 and ends in a 1-channel head, and an action head with 4 output
 channels for direct policy cloning.
+Every variant is run by one pair: `forward` on a demonstration, keeping each
+layer's activations, and `backward`, which reuses them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .kinematics import InputStack, N_STACK_CHANNELS
+from .kinematics import InputStack, N_STACK_CHANNELS, build_input_stack, kinematic_context
 from .nn import ConvLayer, conv2d_backward, conv2d_forward, kaiming_conv, leaky_relu, leaky_relu_grad
 
 STAGE1_WIDTHS = (16, 24, 24, 25)
@@ -110,11 +112,10 @@ def net_from_store(meta: dict, params: dict) -> RewardNet:
 
 
 # ---------------------------------------------------------------------------
-# forward / backward over a list of layers
+# forward / backward
 
-def _stack_forward(layers, acts, x):
+def _stack_forward(layers, acts, h):
     caches = []
-    h = x
     for layer, act in zip(layers, acts):
         z = conv2d_forward(h, layer)
         caches.append((h, z if act else None))
@@ -122,103 +123,115 @@ def _stack_forward(layers, acts, x):
     return h, caches
 
 
-def _stack_backward(layers, acts, caches, grad):
+def _stack_backward(layers, acts, caches, g, prefix):
     grads = {}
-    g = grad
     for i in reversed(range(len(layers))):
         x_in, z = caches[i]
         if acts[i]:
             g = leaky_relu_grad(z, g)
         g, gk, gb = conv2d_backward(x_in, layers[i], g)
-        grads[f"{i}.kernel"] = gk
-        grads[f"{i}.bias"] = gb
+        grads[f"{prefix}.{i}.kernel"] = gk
+        grads[f"{prefix}.{i}.bias"] = gb
     return g, grads
 
 
-def _prefixed(grads: dict, prefix: str) -> dict:
-    return {f"{prefix}.{k}": v for k, v in grads.items()}
+def _require(net: RewardNet, kind: str, step: str) -> None:
+    if net.kind != kind:
+        raise ConfigError(f"{step} needs a {kind} net, got {net.kind!r}")
 
 
-def stage1_forward(net: RewardNet, env: np.ndarray) -> np.ndarray:
+@dataclass
+class Activations:
+    """Per layer, its input and (if activated) its pre-activation."""
+
+    stage1: list
+    stage2: list | None = None       # None when the kind has no second stage
+    stack: InputStack | None = None  # the stage-2 input
+
+
+def forward(net: RewardNet, demo) -> tuple:
+    """(output, activations) of the net on one demonstration; the one place
+    that decides which stages a kind runs. env_only runs stage 1, whose
+    1-channel head is the reward map. two_stage and action_head run stage 1,
+    stack its features with the demo's positional and kinematic channels, and
+    run stage 2 for the (rows, cols) reward map or (4, rows, cols) logits."""
+    env = demo.world.env
+    if net.kind == "env_only":
+        reward, s1 = reward_from_env(net, env)
+        return reward, Activations(stage1=s1)
+    feats, s1 = stage1_forward(net, env)
+    stack = build_input_stack(feats, demo.world, tuple(demo.future[0]),
+                              kinematic_context(demo.past))
+    head = reward_forward if net.kind == "two_stage" else action_logits
+    out, s2 = head(net, stack)
+    return out, Activations(stage1=s1, stage2=s2, stack=stack)
+
+
+def backward(net: RewardNet, acts: Activations, grad_out: np.ndarray) -> dict:
+    """Parameter gradients for d(loss)/d(forward output) = grad_out, from the
+    activations forward kept; no forward pass is re-run. Walks stage 2 if there
+    is one, passes on the gradient of the learned feature channels only (the
+    positional and kinematic ones hold no parameters), then walks stage 1. A
+    grad_out that does not fit the output raises ConfigError."""
+    g = np.asarray(grad_out, dtype=np.float64)
+    g = g.reshape((-1,) + g.shape[-2:])  # a reward map is one output channel
+    s2_grads = {}
+    if acts.stage2 is not None:
+        stage2_backward = reward_backward if net.kind == "two_stage" else action_head_backward
+        g, s2_grads = stage2_backward(net, acts.stage2, g)
+        g = g[:STAGE1_WIDTHS[-1]]
+    if net.kind == "env_only":
+        _, grads = reward_backward_env(net, acts.stage1, g)
+    else:
+        _, grads = _stack_backward(net.stage1, net.stage1_acts, acts.stage1, g, "s1")
+    grads.update(s2_grads)
+    return grads
+
+
+# Per-kind steps of forward and backward. Each returns its stage's output (or
+# input gradient) with that stage's layer caches (or parameter gradients).
+
+def stage1_forward(net: RewardNet, env: np.ndarray) -> tuple:
+    """Stage-1 feature maps of the terrain channels."""
     env = np.asarray(env, dtype=np.float64)
     if env.ndim != 3 or env.shape[0] != net.stage1[0].in_channels:
         raise ConfigError(f"env input must be ({net.stage1[0].in_channels}, rows, cols), got {env.shape}")
-    out, _ = _stack_forward(net.stage1, net.stage1_acts, env)
-    return out
+    return _stack_forward(net.stage1, net.stage1_acts, env)
 
 
-def reward_forward(net: RewardNet, stack: InputStack) -> np.ndarray:
+def reward_forward(net: RewardNet, stack: InputStack) -> tuple:
     """Stage-2 reward map from an already-built input stack."""
-    if net.kind != "two_stage":
-        raise ConfigError(f"reward_forward needs a two_stage net, got {net.kind!r}")
-    out, _ = _stack_forward(net.stage2, net.stage2_acts, stack.channels)
-    return out[0]
+    _require(net, "two_stage", "reward_forward")
+    out, caches = _stack_forward(net.stage2, net.stage2_acts, stack.channels)
+    return out[0], caches
 
 
-def reward_backward(net: RewardNet, stack: InputStack, grad_reward: np.ndarray) -> dict:
-    """Parameter gradients for d(loss)/d(reward map) = grad_reward.
-
-    Re-runs both stages to rebuild activations, then backpropagates through
-    stage 2 and on through the 25 learned channels into stage 1. The positional
-    and kinematic channels absorb no parameters, so their slice of the gradient
-    is dropped.
-    """
-    if net.kind != "two_stage":
-        raise ConfigError(f"reward_backward needs a two_stage net, got {net.kind!r}")
-    grad_reward = np.asarray(grad_reward, dtype=np.float64)
-    rows, cols = stack.channels.shape[1:]
-    if grad_reward.shape != (rows, cols):
-        raise ConfigError(f"grad shape {grad_reward.shape} != reward map ({rows}, {cols})")
-    _, s2_caches = _stack_forward(net.stage2, net.stage2_acts, stack.channels)
-    g_channels, s2_grads = _stack_backward(net.stage2, net.stage2_acts, s2_caches,
-                                           grad_reward[None, :, :])
-    _, s1_caches = _stack_forward(net.stage1, net.stage1_acts, stack.env)
-    _, s1_grads = _stack_backward(net.stage1, net.stage1_acts, s1_caches, g_channels[:25])
-    out = _prefixed(s1_grads, "s1")
-    out.update(_prefixed(s2_grads, "s2"))
-    return out
+def reward_backward(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:
+    """Walks the two_stage net's stage 2: (gradient w.r.t. the stack, grads)."""
+    _require(net, "two_stage", "reward_backward")
+    return _stack_backward(net.stage2, net.stage2_acts, caches, grad, "s2")
 
 
-def reward_from_env(net: RewardNet, env: np.ndarray) -> np.ndarray:
+def reward_from_env(net: RewardNet, env: np.ndarray) -> tuple:
     """Env-only variant: the stage-1 head is the reward map."""
-    if net.kind != "env_only":
-        raise ConfigError(f"reward_from_env needs an env_only net, got {net.kind!r}")
-    out, _ = _stack_forward(net.stage1, net.stage1_acts, env)
-    return out[0]
+    _require(net, "env_only", "reward_from_env")
+    out, caches = _stack_forward(net.stage1, net.stage1_acts, env)
+    return out[0], caches
 
 
-def reward_backward_env(net: RewardNet, env: np.ndarray, grad_reward: np.ndarray) -> dict:
-    if net.kind != "env_only":
-        raise ConfigError(f"reward_backward_env needs an env_only net, got {net.kind!r}")
-    grad_reward = np.asarray(grad_reward, dtype=np.float64)
-    _, caches = _stack_forward(net.stage1, net.stage1_acts, env)
-    _, grads = _stack_backward(net.stage1, net.stage1_acts, caches, grad_reward[None, :, :])
-    return _prefixed(grads, "s1")
+def reward_backward_env(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:
+    """Walks the env_only net's stage 1: (gradient w.r.t. the env, grads)."""
+    _require(net, "env_only", "reward_backward_env")
+    return _stack_backward(net.stage1, net.stage1_acts, caches, grad, "s1")
 
 
-def action_logits(net: RewardNet, stack: InputStack) -> np.ndarray:
+def action_logits(net: RewardNet, stack: InputStack) -> tuple:
     """(4, rows, cols) logits of the cloning head."""
-    if net.kind != "action_head":
-        raise ConfigError(f"action_logits needs an action_head net, got {net.kind!r}")
-    out, _ = _stack_forward(net.stage2, net.stage2_acts, stack.channels)
-    return out
+    _require(net, "action_head", "action_logits")
+    return _stack_forward(net.stage2, net.stage2_acts, stack.channels)
 
 
-def action_head_backward(net: RewardNet, stack: InputStack, grad_logits: np.ndarray) -> dict:
-    if net.kind != "action_head":
-        raise ConfigError(f"action_head_backward needs an action_head net, got {net.kind!r}")
-    grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    _, s2_caches = _stack_forward(net.stage2, net.stage2_acts, stack.channels)
-    g_channels, s2_grads = _stack_backward(net.stage2, net.stage2_acts, s2_caches, grad_logits)
-    _, s1_caches = _stack_forward(net.stage1, net.stage1_acts, stack.env)
-    _, s1_grads = _stack_backward(net.stage1, net.stage1_acts, s1_caches, g_channels[:25])
-    out = _prefixed(s1_grads, "s1")
-    out.update(_prefixed(s2_grads, "s2"))
-    return out
-
-
-def zero_kinematic_input_weights(net: RewardNet) -> None:
-    """Ablation hook: silence the dx/dy/kappa channels at the stage-2 entry, in place."""
-    if not net.stage2:
-        raise ConfigError("net has no second stage")
-    net.stage2[0].kernel[:, 27:, :, :] = 0.0
+def action_head_backward(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:
+    """Walks the action head's stage 2: (gradient w.r.t. the stack, grads)."""
+    _require(net, "action_head", "action_head_backward")
+    return _stack_backward(net.stage2, net.stage2_acts, caches, grad, "s2")

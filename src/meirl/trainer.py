@@ -25,12 +25,10 @@ import numpy as np
 from . import config as configio
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, ConvergenceError
-from .kinematics import build_input_stack, kinematic_context
 from .mdp import compute_svf, value_iteration
 from .metrics import nll
 from .nn import ParameterStore, update_parameters
-from .reward_net import (build_net, net_from_store, reward_backward, reward_backward_env,
-                         reward_forward, reward_from_env, stage1_forward)
+from .reward_net import backward, build_net, forward, net_from_store
 from .synthetic import Demonstration, augment_rotations
 
 REPORT_COLUMNS = ("iteration", "nll", "grad_norm", "vi_sweeps", "svf_l1")
@@ -84,29 +82,19 @@ def demo_svf(demo: Demonstration) -> np.ndarray:
 
 
 def demo_stack(net, demo: Demonstration):
-    """The 30-channel input stack for one demo. BC shares this exact path."""
-    feats = stage1_forward(net, demo.world.env)
-    context = kinematic_context(demo.past)
-    return build_input_stack(feats, demo.world, tuple(demo.future[0]), context)
+    """The 30-channel input stack that `forward` feeds to stage 2 for one demo;
+    BC and IRL share it because both run `forward`."""
+    return forward(net, demo)[1].stack
 
 
 def _demo_gradient(net, demo: Demonstration, beta: float, config: TrainConfig):
     start = tuple(demo.future[0])
-    if net.kind == "two_stage":
-        stack = demo_stack(net, demo)
-        reward = reward_forward(net, stack)
-    elif net.kind == "env_only":
-        reward = reward_from_env(net, demo.world.env)
-    else:
-        raise ConfigError(f"cannot train a {net.kind!r} net with the IRL loop")
+    reward, acts = forward(net, demo)
     policy = value_iteration(reward, gamma=config.gamma, epsilon=config.epsilon, beta=beta)
     mu_demo = demo_svf(demo)
     mu_expected = compute_svf(policy, start, demo.horizon)
     diff = mu_demo - mu_expected
-    if net.kind == "two_stage":
-        grads = reward_backward(net, stack, -diff)
-    else:
-        grads = reward_backward_env(net, demo.world.env, -diff)
+    grads = backward(net, acts, -diff)
     return grads, nll(policy, demo), policy.sweeps, float(np.abs(diff).sum())
 
 
@@ -116,6 +104,8 @@ def train_step(net, batch, config: TrainConfig, iteration: int, workers: int = 1
     batch = list(batch)
     if not batch:
         raise ConfigError("empty training batch")
+    if net.kind == "action_head":
+        raise ConfigError("the IRL loop plans on a reward map; an action_head net has none")
     beta = training_beta(config, iteration)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -28,12 +28,11 @@ from meirl.mdp import (GridWorld, compute_svf, enumerate_trajectory_distribution
                        sample_trajectories, state_distribution, value_iteration,
                        ACTION_DELTAS)
 from meirl.metrics import cells_to_xy, hausdorff, nll, terminal_entropy
-from meirl.reward_net import build_net, net_from_store, reward_backward, reward_forward
+from meirl.reward_net import backward, build_net, forward, net_from_store
 from meirl.synthetic import (DEMO_BETA, Demonstration, WorldSpec, generate_world,
                              ground_truth_reward, trail_mask)
 from meirl.baselines import ekf_forecast_cells, random_policy
 from meirl.kinematics import kinematic_context
-from meirl.trainer import demo_stack
 
 
 def run(*argv):
@@ -110,9 +109,10 @@ def test_1_gradient_exactness_end_to_end():
     weights = rng.normal(size=(12, 12))
 
     def loss():
-        return float((reward_forward(net, demo_stack(net, demo)) * weights).sum())
+        return float((forward(net, demo)[0] * weights).sum())
 
-    grads = reward_backward(net, demo_stack(net, demo), weights)
+    _, acts = forward(net, demo)
+    grads = backward(net, acts, weights)
     params = net.parameters()
     h = 1e-4
 
@@ -273,7 +273,7 @@ def test_7_speed_conditioned_junction_forecast(benchmark_run):
     results = {}
     for label, speed in (("slow", 2.0), ("fast", 8.0)):
         demo = point_demo(world, start, heading, speed)
-        reward = reward_forward(net, demo_stack(net, demo))
+        reward, _ = forward(net, demo)
         policy = value_iteration(reward, gamma=0.95, epsilon=1e-4,
                                  beta=DEMO_BETA)
         entropy = terminal_entropy(policy, start, horizon)

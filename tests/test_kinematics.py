@@ -232,13 +232,12 @@ def test_build_input_stack_layout(rng):
     assert np.all(stack.channels[27] == 0.5)
     assert np.all(stack.channels[28] == 0.0)
     assert np.all(stack.channels[29] == -0.2)
-    assert np.array_equal(stack.env, world.env)
 
 
 def test_input_stack_requires_constant_kinematic_planes(rng):
     channels = rng.normal(size=(30, 8, 8))
     with pytest.raises(ConfigError, match="constant"):
-        InputStack(channels=channels, env=rng.normal(size=(5, 8, 8)),
+        InputStack(channels=channels,
                    vehicle_cell=(4, 4), context=KinematicContext(0.0, 0.0, 0.0))
 
 

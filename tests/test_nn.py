@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from meirl import checkpoint
 from meirl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from meirl.errors import ConfigError
 from meirl.nn import (ConvLayer, ParameterStore, conv2d_backward, conv2d_forward,
@@ -259,6 +260,29 @@ def test_checkpoint_truncated(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-17])
     with pytest.raises(ConfigError):
         load_checkpoint(trunc)
+
+
+def test_checkpoint_crash_mid_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.ckpt"
+    save_checkpoint(path, ParameterStore.create({"w": np.ones(30)}, 0.1), iteration=1)
+    before = path.read_bytes()
+
+    real_write = checkpoint._write_array
+    written = []
+
+    def crash_on_third(fh, name, arr):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(name)
+        real_write(fh, name, arr)
+
+    monkeypatch.setattr(checkpoint, "_write_array", crash_on_third)
+    with pytest.raises(OSError):
+        save_checkpoint(path, ParameterStore.create({"w": np.zeros(30)}, 0.1), iteration=2)
+    assert path.read_bytes() == before
+    store, _, iteration = load_checkpoint(path)
+    assert iteration == 1 and np.array_equal(store.params["w"], np.ones(30))
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.ckpt"]
 
 
 @settings(max_examples=25, deadline=None,

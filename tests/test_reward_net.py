@@ -1,25 +1,53 @@
 """Architecture shape/receptive-field checks and finite-difference gradient audits."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_world, rand_env
 from meirl.checkpoint import load_checkpoint, save_checkpoint
 from meirl.errors import ConfigError
-from meirl.kinematics import InputStack, KinematicContext, build_input_stack
+from meirl.kinematics import (KAPPA_MAX, SPEED_NORM, InputStack, KinematicContext, PastTrack,
+                              build_input_stack, kinematic_context)
+from meirl.mdp import GridWorld
 from meirl.nn import ParameterStore, leaky_relu
-from meirl.reward_net import (STAGE1_DILATIONS, STAGE1_WIDTHS, action_head_backward,
-                              action_logits, build_net, net_from_store, reward_backward,
-                              reward_backward_env, reward_forward, reward_from_env,
-                              stage1_forward, zero_kinematic_input_weights)
+from meirl.reward_net import (KINDS, STAGE1_DILATIONS, STAGE1_WIDTHS, action_logits, backward,
+                              build_net, forward, net_from_store, reward_forward,
+                              reward_from_env, stage1_forward)
+from meirl.synthetic import Demonstration, cell_center
 
 CTX0 = KinematicContext(dx=0.0, dy=0.0, kappa=0.0)
 
 
 def two_stage_reward(net, world, cell, ctx):
-    feats = stage1_forward(net, world.env)
+    feats, _ = stage1_forward(net, world.env)
     stack = build_input_stack(feats, world, cell, ctx)
-    return reward_forward(net, stack)
+    return reward_forward(net, stack)[0]
+
+
+def context_demo(world, cell, ctx):
+    """A one-cell demo whose past is an arc at the speed, heading and
+    curvature of ctx ending at the cell centre. Its kinematic context is ctx
+    up to the speed lost between arc and chords (about 1e-4)."""
+    speed = SPEED_NORM * max(abs(ctx.dx), abs(ctx.dy))
+    heading = math.atan2(ctx.dy, ctx.dx)
+    k = ctx.kappa * KAPPA_MAX
+    t = np.linspace(-0.4, 0.0, 5)
+    s = speed * t  # arc length, zero at the cell
+    if k:
+        offset = np.stack([np.sin(heading + k * s) - math.sin(heading),
+                           math.cos(heading) - np.cos(heading + k * s)], axis=1) / k
+    else:
+        offset = s[:, None] * np.array([math.cos(heading), math.sin(heading)])
+    past = PastTrack(t=t, xy=cell_center(cell, world.resolution) + offset)
+    return Demonstration(world=world, past=past, future=np.array([cell]),
+                         expert_speed=1.0, seed=0, tag="intersection")
+
+
+def zero_kinematic_input_weights(net):
+    """Ablation: silence the dx/dy/kappa channels at the stage-2 entry, in place."""
+    net.stage2[0].kernel[:, 27:, :, :] = 0.0
 
 
 def constant_plane_oracle(layers, acts, c_in):
@@ -68,24 +96,25 @@ def test_build_net_seeded():
 def test_forward_shapes(rng):
     world = make_world(rows=12, cols=14)
     net = build_net("two_stage", seed=3)
-    feats = stage1_forward(net, world.env)
+    feats, _ = stage1_forward(net, world.env)
     assert feats.shape == (25, 12, 14)
     r = two_stage_reward(net, world, (6, 6), CTX0)
     assert r.shape == (12, 14)
     env_net = build_net("env_only", seed=3)
-    assert reward_from_env(env_net, world.env).shape == (12, 14)
+    assert reward_from_env(env_net, world.env)[0].shape == (12, 14)
     act_net = build_net("action_head", seed=3)
-    feats = stage1_forward(act_net, world.env)
+    feats, _ = stage1_forward(act_net, world.env)
     stack = build_input_stack(feats, world, (6, 6), CTX0)
-    assert action_logits(act_net, stack).shape == (4, 12, 14)
+    assert action_logits(act_net, stack)[0].shape == (4, 12, 14)
+    demo = context_demo(world, (6, 6), CTX0)
+    assert [forward(build_net(kind, seed=3), demo)[0].shape for kind in KINDS] \
+        == [(12, 14), (12, 14), (4, 12, 14)]
 
 
 def test_kind_mismatch_raises(rng):
-    world = make_world()
     net = build_net("env_only", seed=0)
     with pytest.raises(ConfigError):
-        stack = InputStack(channels=np.zeros((30, 8, 8)), env=world.env,
-                           vehicle_cell=(4, 4), context=CTX0)
+        stack = InputStack(channels=np.zeros((30, 8, 8)), vehicle_cell=(4, 4), context=CTX0)
         reward_forward(net, stack)
 
 
@@ -97,7 +126,7 @@ def test_zero_env_interior_matches_bias_recurrence():
     rng = np.random.default_rng(55)
     for layer in net.stage1:
         layer.bias[:] = rng.normal(scale=0.5, size=layer.bias.shape)
-    out = stage1_forward(net, np.zeros((5, 40, 40)))
+    out, _ = stage1_forward(net, np.zeros((5, 40, 40)))
     expect = constant_plane_oracle(net.stage1, net.stage1_acts, np.zeros(5))
     interior = out[:, 12:28, 12:28]
     assert np.allclose(interior, expect[:, None, None], atol=1e-12)
@@ -110,9 +139,8 @@ def test_constant_stack_interior_matches_recurrence():
     rng = np.random.default_rng(0)
     c = rng.normal(size=30)
     channels = np.broadcast_to(c[:, None, None], (30, 16, 16)).copy()
-    stack = InputStack(channels=channels, env=np.zeros((5, 16, 16)),
-                       vehicle_cell=(8, 8), context=CTX0)
-    out = reward_forward(net, stack)
+    stack = InputStack(channels=channels, vehicle_cell=(8, 8), context=CTX0)
+    out, _ = reward_forward(net, stack)
     expect = constant_plane_oracle(net.stage2, net.stage2_acts, c)
     assert np.allclose(out[4:-4, 4:-4], expect[0], atol=1e-12)
 
@@ -134,20 +162,20 @@ def test_zero_kernels_give_constant_bias_reward(rng):
 def test_stage1_receptive_field_radius_ten():
     net = build_net("env_only", seed=8)
     env = rand_env(np.random.default_rng(3), 24, 24)
-    base = reward_from_env(net, env)[12, 12]
+    base = reward_from_env(net, env)[0][12, 12]
     bumped = env.copy()
     bumped[:, 1, 12] += 1.0  # 11 rows away: outside the 21x21 window
-    assert reward_from_env(net, bumped)[12, 12] == base
+    assert reward_from_env(net, bumped)[0][12, 12] == base
     bumped = env.copy()
     bumped[:, 2, 12] += 1.0  # 10 rows away: on the window edge
-    assert reward_from_env(net, bumped)[12, 12] != base
+    assert reward_from_env(net, bumped)[0][12, 12] != base
 
 
 def test_stage1_interior_translation_equivariance():
     net = build_net("two_stage", seed=11)
     env = rand_env(np.random.default_rng(5), 40, 40)
-    out1 = stage1_forward(net, env)
-    out2 = stage1_forward(net, np.roll(env, shift=(3, 2), axis=(1, 2)))
+    out1, _ = stage1_forward(net, env)
+    out2, _ = stage1_forward(net, np.roll(env, shift=(3, 2), axis=(1, 2)))
     assert np.allclose(out2[:, 13:27, 12:26], out1[:, 10:24, 10:24], atol=1e-12)
 
 
@@ -181,9 +209,8 @@ def test_ablated_net_ignores_kinematics_but_not_position():
 def test_zero_grad_gives_zero_param_grads():
     world = make_world(rows=10, cols=10, seed=1)
     net = build_net("two_stage", seed=13)
-    feats = stage1_forward(net, world.env)
-    stack = build_input_stack(feats, world, (5, 5), CTX0)
-    grads = reward_backward(net, stack, np.zeros((10, 10)))
+    reward, acts = forward(net, context_demo(world, (5, 5), CTX0))
+    grads = backward(net, acts, np.zeros_like(reward))
     assert set(grads) == set(net.parameters())
     for g in grads.values():
         assert not np.any(g)
@@ -211,60 +238,41 @@ def spot_check(net, loss_fn, grads, rng, per_array=3, tol=1e-5):
             assert abs(fd - an.reshape(-1)[idx]) / ref < tol, (name, idx)
 
 
-def test_two_stage_gradients_match_finite_differences():
-    world = make_world(rows=12, cols=12, seed=3)
-    net = build_net("two_stage", seed=14)
-    rng = np.random.default_rng(21)
-    w = rng.normal(size=(12, 12))
-    ctx = KinematicContext(0.5, 0.0, -0.2)
+# kind: (net seed, rng seed, world seed or None for terrain drawn from the rng, context)
+FD_CASES = {
+    "two_stage": (14, 21, 3, KinematicContext(0.5, 0.0, -0.2)),
+    "env_only": (15, 22, None, CTX0),
+    "action_head": (16, 23, 6, KinematicContext(0.0, -0.3, 0.1)),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gradients_match_finite_differences(kind):
+    net_seed, rng_seed, world_seed, ctx = FD_CASES[kind]
+    net = build_net(kind, seed=net_seed)
+    rng = np.random.default_rng(rng_seed)
+    if world_seed is None:
+        world = GridWorld(rows=12, cols=12, resolution=1.0, env=rand_env(rng, 12, 12))
+    else:
+        world = make_world(rows=12, cols=12, seed=world_seed)
+    demo = context_demo(world, (6, 6), ctx)
+    got = kinematic_context(demo.past)
+    assert [got.dx, got.dy, got.kappa] == pytest.approx([ctx.dx, ctx.dy, ctx.kappa], abs=1e-4)
+    out, acts = forward(net, demo)
+    w = rng.normal(size=out.shape)
 
     def loss():
-        return float((two_stage_reward(net, world, (6, 6), ctx) * w).sum())
+        return float((forward(net, demo)[0] * w).sum())
 
-    feats = stage1_forward(net, world.env)
-    stack = build_input_stack(feats, world, (6, 6), ctx)
-    grads = reward_backward(net, stack, w)
-    spot_check(net, loss, grads, rng)
-
-
-def test_env_only_gradients_match_finite_differences():
-    net = build_net("env_only", seed=15)
-    rng = np.random.default_rng(22)
-    env = rand_env(rng, 12, 12)
-    w = rng.normal(size=(12, 12))
-
-    def loss():
-        return float((reward_from_env(net, env) * w).sum())
-
-    grads = reward_backward_env(net, env, w)
-    spot_check(net, loss, grads, rng)
-
-
-def test_action_head_gradients_match_finite_differences():
-    world = make_world(rows=12, cols=12, seed=6)
-    net = build_net("action_head", seed=16)
-    rng = np.random.default_rng(23)
-    w = rng.normal(size=(4, 12, 12))
-    ctx = KinematicContext(0.0, -0.3, 0.1)
-
-    def loss():
-        feats = stage1_forward(net, world.env)
-        stack = build_input_stack(feats, world, (6, 6), ctx)
-        return float((action_logits(net, stack) * w).sum())
-
-    feats = stage1_forward(net, world.env)
-    stack = build_input_stack(feats, world, (6, 6), ctx)
-    grads = action_head_backward(net, stack, w)
-    spot_check(net, loss, grads, rng)
+    spot_check(net, loss, backward(net, acts, w), rng)
 
 
 def test_grad_shape_mismatch_raises():
     world = make_world(rows=10, cols=10)
     net = build_net("two_stage", seed=17)
-    feats = stage1_forward(net, world.env)
-    stack = build_input_stack(feats, world, (5, 5), CTX0)
+    _, acts = forward(net, context_demo(world, (5, 5), CTX0))
     with pytest.raises(ConfigError):
-        reward_backward(net, stack, np.zeros((9, 10)))
+        backward(net, acts, np.zeros((9, 10)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import pytest
 
 from meirl.checkpoint import load_checkpoint
 from meirl.errors import ConfigError, ConvergenceError
-from meirl.kinematics import PastTrack, kinematic_context, build_input_stack
+from meirl import reward_net
+from meirl.baselines import BcConfig, bc_train
+from meirl.kinematics import PastTrack
 from meirl.mdp import ACTION_DELTAS, GridWorld, value_iteration
 from meirl.metrics import nll
-from meirl.reward_net import build_net, reward_backward, reward_forward, stage1_forward
+from meirl.reward_net import backward, build_net, forward
 from meirl.synthetic import Demonstration
-from meirl.trainer import (REPORT_COLUMNS, TrainConfig, demo_stack, demo_svf, train,
+from meirl.trainer import (REPORT_COLUMNS, TrainConfig, demo_svf, train,
                            train_step, training_beta, write_report, write_timings)
 
 
@@ -97,10 +99,9 @@ def test_gradient_vanishes_at_fixed_point():
                       gamma=0.9, epsilon=1e-6)
     beta = training_beta(cfg, 1)
     past = past_to((5, 2))
-    stack = build_input_stack(stage1_forward(net, w.env), w, (5, 2),
-                              kinematic_context(past))
-    policy = value_iteration(reward_forward(net, stack), gamma=0.9,
-                             epsilon=1e-6, beta=beta)
+    reward, _ = forward(net, Demonstration(world=w, past=past, future=[(5, 2)],
+                                           expert_speed=3.0, seed=0, tag="straight"))
+    policy = value_iteration(reward, gamma=0.9, epsilon=1e-6, beta=beta)
     future = greedy_rollout(policy, (5, 2), 8)
     demo = Demonstration(world=w, past=past, future=future, expert_speed=3.0,
                          seed=0, tag="straight")
@@ -115,12 +116,11 @@ def test_train_step_batch_of_one_matches_manual_pipeline():
     cfg = TrainConfig(gamma=0.9, epsilon=1e-4, beta0=1.5, tau=40.0)
     demo = straight_demo(w)
     beta = training_beta(cfg, 2)
-    stack = demo_stack(net, demo)
-    policy = value_iteration(reward_forward(net, stack), gamma=0.9,
-                             epsilon=1e-4, beta=beta)
+    reward, acts = forward(net, demo)
+    policy = value_iteration(reward, gamma=0.9, epsilon=1e-4, beta=beta)
     from meirl.mdp import compute_svf
     diff = demo_svf(demo) - compute_svf(policy, (5, 2), demo.horizon)
-    manual = reward_backward(net, stack, -diff)
+    manual = backward(net, acts, -diff)
 
     grads, report = train_step(net, [demo], cfg, iteration=2)
     assert set(grads) == set(manual)
@@ -138,8 +138,7 @@ def test_visitation_gap_positive_on_far_demo_cells():
     w = grid(rows=12, cols=12, seed=4)
     net = build_net("two_stage", seed=9)
     demo = demo_from_future(w, [(6, c) for c in range(2, 10)])
-    stack = demo_stack(net, demo)
-    policy = value_iteration(reward_forward(net, stack), gamma=0.95,
+    policy = value_iteration(forward(net, demo)[0], gamma=0.95,
                              epsilon=1e-4, beta=1.0)
     from meirl.mdp import compute_svf
     diff = demo_svf(demo) - compute_svf(policy, (6, 2), demo.horizon)
@@ -154,17 +153,15 @@ def test_directional_derivative_matches_probe():
     net = build_net("two_stage", seed=13)
     demo = demo_from_future(w, [(6, c) for c in range(2, 10)])
 
-    stack0 = demo_stack(net, demo)
-    policy = value_iteration(reward_forward(net, stack0), gamma=0.9,
-                             epsilon=1e-4, beta=1.0)
+    reward0, acts0 = forward(net, demo)
+    policy = value_iteration(reward0, gamma=0.9, epsilon=1e-4, beta=1.0)
     from meirl.mdp import compute_svf
     diff = demo_svf(demo) - compute_svf(policy, (6, 2), demo.horizon)
 
     def loss():
-        stack = demo_stack(net, demo)
-        return -float((diff * reward_forward(net, stack)).sum())
+        return -float((diff * forward(net, demo)[0]).sum())
 
-    analytic = reward_backward(net, stack0, -diff)
+    analytic = backward(net, acts0, -diff)
     rng = np.random.default_rng(0)
     params = net.parameters()
     direction = {k: rng.normal(size=v.shape) for k, v in params.items()}
@@ -184,6 +181,40 @@ def test_directional_derivative_matches_probe():
     fd = (up - down) / (2 * h)
     dd = sum(float((analytic[k] * direction[k]).sum()) for k in params)
     assert abs(fd - dd) < 0.01 * max(abs(fd), 1e-12)
+
+
+def conv_calls(monkeypatch):
+    """Count the conv layer passes the reward net makes."""
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(reward_net, "conv2d_forward",
+                        counted("forward", reward_net.conv2d_forward))
+    monkeypatch.setattr(reward_net, "conv2d_backward",
+                        counted("backward", reward_net.conv2d_backward))
+    return calls
+
+
+@pytest.mark.parametrize("kind, layers", [("two_stage", 7), ("env_only", 4)])
+def test_training_demo_runs_each_layer_forward_once(monkeypatch, kind, layers):
+    calls = conv_calls(monkeypatch)
+    net = build_net(kind, seed=1)
+    train_step(net, [straight_demo(grid(seed=6))], TrainConfig(batch_size=1), iteration=1)
+    assert calls == {"forward": layers, "backward": layers}
+
+
+def test_bc_demo_runs_each_layer_forward_once(monkeypatch):
+    calls = conv_calls(monkeypatch)
+    demos = [straight_demo(grid(seed=6))]
+    bc_train(demos, BcConfig(epochs=0))  # one validation pass only
+    assert calls == {"forward": 7, "backward": 0}
+    bc_train(demos, BcConfig(epochs=1, patience=1))  # validation, one training demo, validation
+    assert calls == {"forward": 7 + 21, "backward": 7}
 
 
 def test_workers_do_not_change_the_gradient():
