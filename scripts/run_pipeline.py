@@ -32,7 +32,6 @@ def parse_args():
     p.add_argument("--bc-epochs", type=int, default=200)
     p.add_argument("--samples", type=int, default=1000,
                    help="rollouts per demo for the Hausdorff column")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--quick", action="store_true",
                    help="tiny sizes for a fast end-to-end smoke run")
     return p.parse_args()
@@ -65,7 +64,7 @@ def main():
             print(f"reusing {method} checkpoint")
             continue
         base = ["train", "--dataset", ds, "--out", run_dir,
-                "--batch-size", args.batch_size, "--workers", args.workers]
+                "--batch-size", args.batch_size]
         if method != "bc":
             base += ["--iterations", args.iterations]
         run(base + extra)
@@ -74,7 +73,7 @@ def main():
          "--checkpoint", ckpts["ours"],
          "--checkpoint-nokin", ckpts["irl_nokin"],
          "--checkpoint-bc", ckpts["bc"],
-         "--samples", args.samples, "--workers", args.workers])
+         "--samples", args.samples])
     print(f"\nfull table: {out / 'eval' / 'table.csv'}")
 
 

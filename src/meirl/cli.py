@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,19 +52,6 @@ def _overlay(data: dict, overrides: dict) -> dict:
     merged = dict(data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return merged
-
-
-def _effective_workers(configured: int) -> int:
-    raw = os.environ.get("MEIRL_WORKERS")
-    if raw is None:
-        return configured
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"MEIRL_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError("MEIRL_WORKERS must be at least 1")
-    return workers
 
 
 def _write_resolved(out_dir: Path, command: str, payload: dict) -> None:
@@ -165,11 +150,10 @@ def cmd_train(args) -> None:
         "iterations": args.iterations, "batch_size": args.batch_size,
         "learning_rate": args.learning_rate, "gamma": args.gamma,
         "epsilon": args.epsilon, "beta0": args.beta0, "tau": args.tau,
-        "seed": args.seed, "workers": args.workers,
+        "seed": args.seed,
         "checkpoint_every": args.checkpoint_every, "augment": args.augment,
     }
     cfg = TrainConfig.from_dict(_overlay(_file_data(args.config), overrides))
-    cfg = dataclasses.replace(cfg, workers=_effective_workers(cfg.workers))
     runner = irl_no_kinematics if args.method == "irl_nokin" else train
     _, _, reports, timings = runner(train_demos, cfg, out_dir=out,
                                     resume=args.resume)
@@ -234,13 +218,22 @@ def _forecast_beta(manifest: dict) -> float:
     return float((manifest.get("config") or {}).get("demo_beta", DEMO_BETA))
 
 
+def _checkpoint_train_config(meta: dict) -> TrainConfig:
+    """The TrainConfig an IRL checkpoint was trained with. Checkpoints written
+    while training could run on a thread pool also hold a "workers" entry,
+    which no longer means anything and is dropped."""
+    data = dict(meta.get("config") or {})
+    data.pop("workers", None)
+    return TrainConfig.from_dict(data)
+
+
 def _policy_from_checkpoint(checkpoint_path, demo: Demonstration, beta: float):
     """Policy plus (when the net defines one) the reward map behind it."""
     store, meta, iteration = load_checkpoint(checkpoint_path)
     net = net_from_store(meta, store.params)
     if net.kind == "action_head":  # the cloning head is a policy; no planner runs
         return bc_policy(net, demo), None
-    tcfg = TrainConfig.from_dict(meta.get("config") or {})
+    tcfg = _checkpoint_train_config(meta)
     reward = forward(net, demo)[0]
     policy = value_iteration(reward, gamma=tcfg.gamma, epsilon=tcfg.epsilon,
                              beta=beta)
@@ -332,7 +325,6 @@ class EvalConfig:
     methods: tuple = METHOD_ORDER
     samples: int = 1000
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
@@ -345,8 +337,6 @@ class EvalConfig:
             raise ConfigError("duplicate methods requested")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalConfig":
@@ -365,15 +355,17 @@ def _demo_seed(base: int, index: int) -> int:
 
 
 def _eval_method(method, demos, cfg: EvalConfig, nets, beta: float):
-    """One EvalResult; per-demo work is order-stable under any worker count."""
-    def ekf_case(item):
-        i, demo = item
-        cells = ekf_forecast_cells(demo)
-        res = demo.world.resolution
-        return hausdorff(cells_to_xy(cells, res), cells_to_xy(demo.future, res))
+    """One EvalResult over the demos, in order."""
+    if method == "ekf":
+        hds = []
+        for demo in demos:
+            res = demo.world.resolution
+            hds.append(hausdorff(cells_to_xy(ekf_forecast_cells(demo), res),
+                                 cells_to_xy(demo.future, res)))
+        return EvalResult(method="ekf", hd_per_demo=hds)
 
-    def policy_case(item):
-        i, demo = item
+    nlls, hds, entropies = [], [], []
+    for i, demo in enumerate(demos):
         if method == "random":
             policy = random_policy(demo.world)
         elif method == "bc":
@@ -383,34 +375,19 @@ def _eval_method(method, demos, cfg: EvalConfig, nets, beta: float):
             reward = forward(net, demo)[0]
             policy = value_iteration(reward, gamma=tcfg.gamma,
                                      epsilon=tcfg.epsilon, beta=beta)
-        hd = mean_sampled_hd(policy, demo, n_samples=cfg.samples,
-                             seed=_demo_seed(cfg.seed, i))
-        return (nll(policy, demo), hd,
-                terminal_entropy(policy, tuple(demo.future[0]), demo.horizon))
-
-    job = ekf_case if method == "ekf" else policy_case
-    items = list(enumerate(demos))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outs = list(pool.map(job, items))
-    else:
-        outs = [job(item) for item in items]
-
-    if method == "ekf":
-        return EvalResult(method="ekf", hd_per_demo=list(outs))
-    return EvalResult(method=method,
-                      nll_per_demo=[o[0] for o in outs],
-                      hd_per_demo=[o[1] for o in outs],
-                      terminal_entropies=[o[2] for o in outs])
+        hds.append(mean_sampled_hd(policy, demo, n_samples=cfg.samples,
+                                   seed=_demo_seed(cfg.seed, i)))
+        nlls.append(nll(policy, demo))
+        entropies.append(terminal_entropy(policy, tuple(demo.future[0]), demo.horizon))
+    return EvalResult(method=method, nll_per_demo=nlls, hd_per_demo=hds,
+                      terminal_entropies=entropies)
 
 
 def cmd_eval(args) -> None:
-    overrides = {"samples": args.samples, "seed": args.seed,
-                 "workers": args.workers}
+    overrides = {"samples": args.samples, "seed": args.seed}
     if args.methods is not None:
         overrides["methods"] = tuple(s.strip() for s in args.methods.split(","))
     cfg = EvalConfig.from_dict(_overlay(_file_data(args.config), overrides))
-    cfg = dataclasses.replace(cfg, workers=_effective_workers(cfg.workers))
 
     # every required artifact is checked before any work happens
     missing = []
@@ -446,8 +423,7 @@ def cmd_eval(args) -> None:
         if net.kind == "action_head":
             nets[method] = (net, None, iteration)
         else:
-            nets[method] = (net, TrainConfig.from_dict(meta.get("config") or {}),
-                            iteration)
+            nets[method] = (net, _checkpoint_train_config(meta), iteration)
 
     results = [_eval_method(m, test_demos, cfg, nets, beta) for m in cfg.methods]
 
@@ -512,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--beta0", type=float)
     t.add_argument("--tau", type=float)
     t.add_argument("--seed", type=int)
-    t.add_argument("--workers", type=int)
+    # runs are serial; "--workers 1" is still accepted so existing command lines parse
+    t.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
     t.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
     t.add_argument("--augment", action=argparse.BooleanOptionalAction,
                    default=None)
@@ -542,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--methods", help="comma-separated subset to evaluate")
     ev.add_argument("--samples", type=int)
     ev.add_argument("--seed", type=int)
-    ev.add_argument("--workers", type=int)
+    # runs are serial; "--workers 1" is still accepted so existing command lines parse
+    ev.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
     ev.set_defaults(fn=cmd_eval)
     return p
 

@@ -22,7 +22,8 @@ CURVATURE_RADIUS_CUTOFF = 1e4  # fits flatter than this count as straight
 PAST_WINDOW = 5.0  # seconds
 PAST_RATE = 10.0   # Hz
 
-N_STACK_CHANNELS = 30  # 25 learned + 2 positional + dx, dy, kappa
+N_FEATURE_CHANNELS = 25  # learned stage-1 feature maps
+N_STACK_CHANNELS = N_FEATURE_CHANNELS + 5  # + 2 positional + dx, dy, kappa
 
 
 @dataclass
@@ -164,7 +165,7 @@ class InputStack:
             raise ConfigError(
                 f"input stack must have {N_STACK_CHANNELS} channels, got {self.channels.shape}"
             )
-        for idx, name in ((27, "dx"), (28, "dy"), (29, "kappa")):
+        for idx, name in enumerate(("dx", "dy", "kappa"), start=N_FEATURE_CHANNELS + 2):
             plane = self.channels[idx]
             if plane.max() != plane.min():
                 raise ConfigError(f"stack channel {idx} ({name}) must be spatially constant")
@@ -173,9 +174,10 @@ class InputStack:
 def build_input_stack(stage1_features: np.ndarray, world: GridWorld, vehicle_cell,
                       context: KinematicContext) -> InputStack:
     feats = np.asarray(stage1_features, dtype=np.float64)
-    if feats.shape != (25, world.rows, world.cols):
+    if feats.shape != (N_FEATURE_CHANNELS, world.rows, world.cols):
         raise ConfigError(
-            f"stage-1 features must be (25, {world.rows}, {world.cols}), got {feats.shape}"
+            f"stage-1 features must be {(N_FEATURE_CHANNELS, world.rows, world.cols)}, "
+            f"got {feats.shape}"
         )
     pos = positional_channels(world, vehicle_cell)
     const = np.empty((3, world.rows, world.cols))

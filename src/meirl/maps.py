@@ -14,11 +14,6 @@ def save_map_csv(path, grid: np.ndarray) -> None:
     np.savetxt(path, grid, delimiter=",", fmt="%.17g")
 
 
-def load_map_csv(path) -> np.ndarray:
-    grid = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return grid
-
-
 def save_map_pgm(path, grid: np.ndarray) -> None:
     """Min-max scaled 16-bit binary PGM (sample values big-endian per the format)."""
     grid = np.asarray(grid, dtype=np.float64)

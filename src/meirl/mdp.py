@@ -223,12 +223,6 @@ def sample_trajectories(policy: Policy, start, horizon: int, n: int,
     return out
 
 
-def sample_trajectory(policy: Policy, start, horizon: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """One seeded rollout: (horizon, 2) array of cells, start included."""
-    return sample_trajectories(policy, start, horizon, 1, rng)[0]
-
-
 def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Recover the action sequence behind a cell path.
 
@@ -255,21 +249,6 @@ def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:
         else:
             raise ConfigError(f"cell path step {step} at index {t} is not a cardinal move")
     return actions
-
-
-def apply_actions(start, actions, rows: int, cols: int) -> np.ndarray:
-    """Replay actions through the transition model; returns the full cell path."""
-    r, c = _check_cell(start, rows, cols)
-    nr, nc = transition_table(rows, cols)
-    cells = np.empty((len(actions) + 1, 2), dtype=np.int64)
-    cells[0] = (r, c)
-    for t, a in enumerate(actions):
-        a = int(a)
-        if not 0 <= a < N_ACTIONS:
-            raise ConfigError(f"action {a} out of range")
-        r, c = int(nr[a, r, c]), int(nc[a, r, c])
-        cells[t + 1] = (r, c)
-    return cells
 
 
 def enumerate_trajectory_distribution(reward: np.ndarray, start, horizon: int,

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .kinematics import InputStack, N_STACK_CHANNELS, build_input_stack, kinematic_context
+from .kinematics import (InputStack, N_FEATURE_CHANNELS, N_STACK_CHANNELS,
+                         build_input_stack, kinematic_context)
 from .nn import ConvLayer, conv2d_backward, conv2d_forward, kaiming_conv, leaky_relu, leaky_relu_grad
 
-STAGE1_WIDTHS = (16, 24, 24, 25)
+STAGE1_WIDTHS = (16, 24, 24, N_FEATURE_CHANNELS)
 STAGE1_DILATIONS = (1, 2, 3, 4)
 STAGE2_WIDTHS = (16, 8)
 ENV_CHANNELS = 5
@@ -179,7 +180,7 @@ def backward(net: RewardNet, acts: Activations, grad_out: np.ndarray) -> dict:
     if acts.stage2 is not None:
         stage2_backward = reward_backward if net.kind == "two_stage" else action_head_backward
         g, s2_grads = stage2_backward(net, acts.stage2, g)
-        g = g[:STAGE1_WIDTHS[-1]]
+        g = g[:N_FEATURE_CHANNELS]
     if net.kind == "env_only":
         _, grads = reward_backward_env(net, acts.stage1, g)
     else:

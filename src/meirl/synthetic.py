@@ -386,8 +386,7 @@ def _past_track_from_cells(cells, resolution: float, speed: float) -> PastTrack:
     return PastTrack(t=t, xy=xy)
 
 
-def generate_demonstration(world: GridWorld, base_reward: Optional[np.ndarray] = None,
-                           speed: float = 4.0, seed: int = 0, *,
+def generate_demonstration(world: GridWorld, speed: float = 4.0, seed: int = 0, *,
                            start=None, past_direction: Optional[int] = None,
                            horizon: Optional[int] = None,
                            demo_beta: float = DEMO_BETA, gamma: float = 0.95,
@@ -398,12 +397,6 @@ def generate_demonstration(world: GridWorld, base_reward: Optional[np.ndarray] =
     annealed-softmax policy of the ground-truth reward forward."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mask = trail_mask(world)
-    if base_reward is None:
-        base_reward = np.where(mask, 0.0, float(off_trail))
-    else:
-        base_reward = np.asarray(base_reward, dtype=np.float64)
-        if base_reward.shape != (world.rows, world.cols):
-            raise ConfigError(f"reward shape {base_reward.shape} does not match the world")
     candidates = np.argwhere(mask & (_neighbor_counts(mask) >= 1))
     if len(candidates) == 0:
         raise ConfigError("world has no usable trail cells to start from")
@@ -421,18 +414,7 @@ def generate_demonstration(world: GridWorld, base_reward: Optional[np.ndarray] =
     past = _past_track_from_cells(walked, world.resolution, speed)
     context = kinematic_context(past)
 
-    reward = base_reward.copy()
-    step = _heading_delta(context)
-    if max(abs(context.dx), abs(context.dy)) > FAST_THRESHOLD and step is not None:
-        r, c = start
-        k = 0
-        while True:
-            r, c = r + step[0], c + step[1]
-            if not (0 <= r < world.rows and 0 <= c < world.cols) or not mask[r, c]:
-                break
-            k += 1
-            reward[r, c] += ray_rate * k
-
+    reward = ground_truth_reward(world, start, context, off_trail=off_trail, ray_rate=ray_rate)
     policy = value_iteration(reward, gamma=gamma, epsilon=epsilon, beta=demo_beta)
     if horizon is None:
         horizon = int(rng.integers(15, 26))

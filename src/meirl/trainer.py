@@ -4,9 +4,9 @@ Each iteration samples a demonstration batch, plans under the current reward
 with an annealed-softmax policy, and ascends the visitation-matching gradient:
 the derivative of the objective with respect to the reward map is the demo
 visitation count minus the expected visitation under the planner, so the
-descent direction handed to Adam is its negation. Per-demonstration work can
-run on a thread pool; gradients are summed in batch order regardless of worker
-count, keeping runs bitwise reproducible.
+descent direction handed to Adam is its negation. Gradients are summed in
+batch order, keeping runs bitwise reproducible. A reward map that is not
+finite stops the run with the demo's batch position.
 
 Wall-clock timings go to a separate file from the per-iteration report, so the
 report CSV is byte-identical across runs of the same config and seed.
@@ -15,7 +15,6 @@ report CSV is byte-identical across runs of the same config and seed.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -45,7 +44,6 @@ class TrainConfig:
     tau: float = 50.0
     seed: int = 0
     use_kinematics: bool = True
-    workers: int = 1
     checkpoint_every: int = 50
     augment: bool = False
 
@@ -62,8 +60,6 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
         if not 0 <= self.gamma < 1:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -87,9 +83,12 @@ def demo_stack(net, demo: Demonstration):
     return forward(net, demo)[1].stack
 
 
-def _demo_gradient(net, demo: Demonstration, beta: float, config: TrainConfig):
+def _demo_gradient(net, demo: Demonstration, beta: float, config: TrainConfig,
+                   position: int):
     start = tuple(demo.future[0])
     reward, acts = forward(net, demo)
+    if not np.isfinite(reward).all():
+        raise ConvergenceError(f"batch demo {position}: reward map contains non-finite values")
     policy = value_iteration(reward, gamma=config.gamma, epsilon=config.epsilon, beta=beta)
     mu_demo = demo_svf(demo)
     mu_expected = compute_svf(policy, start, demo.horizon)
@@ -98,7 +97,7 @@ def _demo_gradient(net, demo: Demonstration, beta: float, config: TrainConfig):
     return grads, nll(policy, demo), policy.sweeps, float(np.abs(diff).sum())
 
 
-def train_step(net, batch, config: TrainConfig, iteration: int, workers: int = 1):
+def train_step(net, batch, config: TrainConfig, iteration: int):
     """Batch gradient (already divided by batch size) plus the report row.
     Parameters are left untouched; the caller applies the update."""
     batch = list(batch)
@@ -107,15 +106,10 @@ def train_step(net, batch, config: TrainConfig, iteration: int, workers: int = 1
     if net.kind == "action_head":
         raise ConfigError("the IRL loop plans on a reward map; an action_head net has none")
     beta = training_beta(config, iteration)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda demo: _demo_gradient(net, demo, beta, config), batch))
-    else:
-        results = [_demo_gradient(net, demo, beta, config) for demo in batch]
+    results = [_demo_gradient(net, demo, beta, config, k) for k, demo in enumerate(batch)]
 
     total = {name: np.zeros_like(p) for name, p in net.parameters().items()}
-    for grads, _, _, _ in results:  # fixed batch order, independent of workers
+    for grads, _, _, _ in results:
         for name in total:
             total[name] += grads[name]
     for name in total:
@@ -177,7 +171,7 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None):
         batch = [demos[int(j)] for j in picks]
         started = time.perf_counter()
         try:
-            grads, row = train_step(net, batch, config, i, workers=config.workers)
+            grads, row = train_step(net, batch, config, i)
         except ConvergenceError as e:
             raise ConvergenceError(f"training iteration {i}: {e}") from e
         update_parameters(store, grads)

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from meirl.cli import main
-from meirl.checkpoint import load_checkpoint
+from meirl.checkpoint import load_checkpoint, save_checkpoint
 from meirl.dataset import load_dataset
-from meirl.maps import load_map_csv
 from meirl.mdp import compute_svf, uniform_policy
 from meirl.reward_net import build_net
 
 GEN_ARGS = ["--demos", "8", "--rows", "16", "--cols", "16", "--split", "0.75",
             "--seed", "3", "--horizon-min", "15", "--horizon-max", "16"]
+
+
+def load_map_csv(path):
+    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def run(*argv):
@@ -157,6 +160,42 @@ def test_train_bc_rejects_resume(dataset_dir, ours_ckpt, tmp_path, capsys):
     assert "resume" in capsys.readouterr().err
 
 
+def test_train_non_finite_reward_exits_3_with_iteration_and_demo(
+        dataset_dir, ours_ckpt, tmp_path, capsys):
+    store, meta, iteration = load_checkpoint(ours_ckpt)
+    store.params["s2.2.bias"] = np.full_like(store.params["s2.2.bias"], np.nan)
+    diverged = tmp_path / "diverged.ckpt"
+    save_checkpoint(diverged, store, meta=meta, iteration=iteration)
+    rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "d",
+             "--iterations", "1", "--batch-size", "2", "--resume", diverged)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "training iteration 4: batch demo 0: reward map contains non-finite values" in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", ("--iterations", "0")),
+    ("eval", ("--methods", "random", "--samples", "5")),
+], ids=["train", "eval"])
+def test_workers_flag_accepts_only_1(dataset_dir, tmp_path, capsys, command, extra):
+    base = (command, "--dataset", dataset_dir, *extra)
+    assert run(*base, "--out", tmp_path / "one", "--workers", "1") == 0
+    resolved = json.loads((tmp_path / "one" / "resolved_config.json").read_text())
+    assert "workers" not in resolved["config"]
+    with pytest.raises(SystemExit) as exited:
+        run(*base, "--out", tmp_path / "two", "--workers", "2")
+    assert exited.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_train_config_file_with_workers_rejected(dataset_dir, tmp_path, capsys):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"iterations": 0, "workers": 1}))
+    assert run("train", "--dataset", dataset_dir, "--out", tmp_path / "x",
+               "--config", cfg) == 2
+    assert "workers" in capsys.readouterr().err
+
+
 def test_train_nonconvergence_exits_3(dataset_dir, tmp_path, capsys):
     rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "nc",
              "--iterations", "1", "--batch-size", "1",
@@ -279,33 +318,20 @@ def test_eval_tables_byte_identical_across_runs(dataset_dir, ours_ckpt, tmp_path
     assert (a / "table.json").read_bytes() == (b / "table.json").read_bytes()
 
 
-def test_eval_worker_count_does_not_change_bytes(dataset_dir, ours_ckpt, tmp_path):
-    a, b = tmp_path / "w1", tmp_path / "w4"
-    assert run("eval", "--dataset", dataset_dir, "--out", a, "--checkpoint",
-               ours_ckpt, "--methods", "ours", "--samples", "25",
-               "--workers", "1") == 0
-    assert run("eval", "--dataset", dataset_dir, "--out", b, "--checkpoint",
-               ours_ckpt, "--methods", "ours", "--samples", "25",
-               "--workers", "4") == 0
-    assert (a / "table.csv").read_bytes() == (b / "table.csv").read_bytes()
-
-
-def test_workers_env_var_overrides_flag(dataset_dir, tmp_path, monkeypatch):
-    out = tmp_path / "envw"
-    monkeypatch.setenv("MEIRL_WORKERS", "2")
-    assert run("eval", "--dataset", dataset_dir, "--out", out,
-               "--methods", "random", "--samples", "10", "--workers", "1") == 0
-    resolved = json.loads((out / "resolved_config.json").read_text())
-    assert resolved["config"]["workers"] == 2
-
-
-def test_workers_env_var_must_be_integer(dataset_dir, tmp_path, monkeypatch,
-                                         capsys):
-    monkeypatch.setenv("MEIRL_WORKERS", "lots")
-    rc = run("eval", "--dataset", dataset_dir, "--out", tmp_path / "x",
-             "--methods", "random")
-    assert rc == 2
-    assert "MEIRL_WORKERS" in capsys.readouterr().err
+def test_eval_and_predict_accept_checkpoint_with_retired_workers_key(
+        dataset_dir, ours_ckpt, tmp_path):
+    # checkpoints written while training had a thread pool carry "workers": 1
+    store, meta, iteration = load_checkpoint(ours_ckpt)
+    meta["config"]["workers"] = 1
+    legacy = tmp_path / "legacy.ckpt"
+    save_checkpoint(legacy, store, meta=meta, iteration=iteration)
+    for ckpt, name in ((ours_ckpt, "now"), (legacy, "legacy")):
+        assert run("eval", "--dataset", dataset_dir, "--out", tmp_path / f"ev_{name}",
+                   "--checkpoint", ckpt, "--methods", "ours", "--samples", "10") == 0
+        assert run("predict", "--dataset", dataset_dir, "--out", tmp_path / f"pr_{name}",
+                   "--checkpoint", ckpt, "--samples", "5") == 0
+    assert dir_bytes(tmp_path / "ev_legacy") == dir_bytes(tmp_path / "ev_now")
+    assert dir_bytes(tmp_path / "pr_legacy") == dir_bytes(tmp_path / "pr_now")
 
 
 def test_eval_unknown_method_rejected(dataset_dir, tmp_path, capsys):

@@ -10,10 +10,21 @@ from hypothesis import strategies as st
 from conftest import make_world
 from meirl.errors import ConfigError, ConvergenceError
 from meirl.mdp import (ACTION_DELTAS, GridWorld, Policy, actions_from_cells,
-                       annealed_softmax, apply_actions, compute_svf,
+                       annealed_softmax, compute_svf,
                        enumerate_trajectory_distribution, sample_trajectories,
-                       sample_trajectory, state_distribution, uniform_policy,
-                       value_iteration)
+                       state_distribution, uniform_policy, value_iteration)
+
+
+def apply_actions(start, actions, rows, cols):
+    """Reference replay: the cell path of an action sequence, each move clipped
+    to the grid so that moving off it leaves the state unchanged."""
+    r, c = start
+    cells = [(r, c)]
+    for a in actions:
+        dr, dc = ACTION_DELTAS[a]
+        r, c = min(max(r + dr, 0), rows - 1), min(max(c + dc, 0), cols - 1)
+        cells.append((r, c))
+    return np.array(cells, dtype=np.int64)
 
 
 def mc_svf_naive(probs, start, horizon, n, rng):
@@ -193,9 +204,9 @@ def test_state_distribution_uniform_interior():
 
 def test_sample_trajectory_seeded_deterministic(rng):
     pol = Policy(probs=random_policy_probs(rng, 6, 6))
-    a = sample_trajectory(pol, (3, 3), 10, np.random.default_rng(5))
-    b = sample_trajectory(pol, (3, 3), 10, np.random.default_rng(5))
-    c = sample_trajectory(pol, (3, 3), 10, np.random.default_rng(6))
+    a = sample_trajectories(pol, (3, 3), 10, 1, np.random.default_rng(5))[0]
+    b = sample_trajectories(pol, (3, 3), 10, 1, np.random.default_rng(5))[0]
+    c = sample_trajectories(pol, (3, 3), 10, 1, np.random.default_rng(6))[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

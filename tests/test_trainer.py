@@ -5,7 +5,7 @@ import pytest
 
 from meirl.checkpoint import load_checkpoint
 from meirl.errors import ConfigError, ConvergenceError
-from meirl import reward_net
+from meirl import reward_net, trainer
 from meirl.baselines import BcConfig, bc_train
 from meirl.kinematics import PastTrack
 from meirl.mdp import ACTION_DELTAS, GridWorld, value_iteration
@@ -217,17 +217,19 @@ def test_bc_demo_runs_each_layer_forward_once(monkeypatch):
     assert calls == {"forward": 7 + 21, "backward": 7}
 
 
-def test_workers_do_not_change_the_gradient():
+def test_non_finite_reward_names_the_batch_position(monkeypatch):
     w = grid(seed=6)
-    net = build_net("two_stage", seed=1)
-    cfg1 = TrainConfig(workers=1)
-    cfg4 = TrainConfig(workers=4)
     batch = [straight_demo(w, row=r, c0=1, n=5) for r in (2, 5, 7)]
-    g1, r1 = train_step(net, batch, cfg1, iteration=1, workers=1)
-    g4, r4 = train_step(net, batch, cfg4, iteration=1, workers=4)
-    for name in g1:
-        assert np.array_equal(g1[name], g4[name])
-    assert r1 == r4
+    real_forward = trainer.forward
+
+    def forward(net, demo):
+        reward, acts = real_forward(net, demo)
+        return (reward * np.nan if demo is batch[1] else reward), acts
+
+    monkeypatch.setattr(trainer, "forward", forward)
+    with pytest.raises(ConvergenceError,
+                       match="batch demo 1: reward map contains non-finite values"):
+        train_step(build_net("two_stage", seed=1), batch, TrainConfig(), iteration=1)
 
 
 def test_env_only_gradient_ignores_past_speed():
@@ -395,8 +397,6 @@ def test_config_validation():
         TrainConfig(gamma=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(iterations=-1)
-    with pytest.raises(ConfigError):
-        TrainConfig(workers=0)
 
 
 def test_config_from_dict():
@@ -404,3 +404,5 @@ def test_config_from_dict():
     assert cfg.iterations == 5 and cfg.batch_size == 2
     with pytest.raises(ConfigError, match="stepsize"):
         TrainConfig.from_dict({"stepsize": 0.1})
+    with pytest.raises(ConfigError, match="workers"):  # retired with the thread pool
+        TrainConfig.from_dict({"workers": 1})
