@@ -63,10 +63,9 @@ def main():
         if ckpts[method].is_file():
             print(f"reusing {method} checkpoint")
             continue
-        base = ["train", "--dataset", ds, "--out", run_dir,
-                "--batch-size", args.batch_size]
+        base = ["train", "--dataset", ds, "--out", run_dir]
         if method != "bc":
-            base += ["--iterations", args.iterations]
+            base += ["--iterations", args.iterations, "--batch-size", args.batch_size]
         run(base + extra)
 
     run(["eval", "--dataset", ds, "--out", out / "eval",

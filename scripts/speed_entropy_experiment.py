@@ -3,7 +3,8 @@
 
 Loads a trained two-stage checkpoint, synthesizes two straight approaches to
 the same junction that differ only in speed, and reports terminal entropy and
-per-branch mass of each forecast. A speed-aware model should commit to the
+per-branch mass of each forecast, planned at the discount and tolerance the
+checkpoint was trained with. A speed-aware model should commit to the
 straight-through branch when approaching fast and hedge across both branches
 when approaching slowly.
 """
@@ -12,13 +13,12 @@ import sys
 
 import numpy as np
 
-from meirl.checkpoint import load_checkpoint
+from meirl.cli import forecast, load_model
 from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
 from meirl.maps import save_map_csv, save_map_pgm
-from meirl.mdp import state_distribution, value_iteration
+from meirl.mdp import state_distribution
 from meirl.metrics import terminal_entropy
-from meirl.reward_net import forward, net_from_store
 from meirl.synthetic import (DEMO_BETA, Demonstration, WorldSpec,
                              generate_world, junction_cells, trail_mask)
 
@@ -89,8 +89,7 @@ def straight_past(start, heading, speed, resolution):
 
 def main():
     args = parse_args()
-    store, meta, _ = load_checkpoint(args.checkpoint)
-    net = net_from_store(meta, store.params)
+    net, settings = load_model(args.checkpoint)
     if net.kind != "two_stage":
         sys.exit("error: this experiment needs a kinematics-aware checkpoint")
 
@@ -107,9 +106,7 @@ def main():
             past=straight_past(start, heading, speed, world.resolution),
             future=np.array([start]), expert_speed=speed, seed=0,
             tag="intersection")
-        reward = forward(net, demo)[0]
-        policy = value_iteration(reward, gamma=0.95, epsilon=1e-4,
-                                 beta=args.beta)
+        policy, _ = forecast(net, settings, demo, args.beta)
         entropies[label] = terminal_entropy(policy, start, args.horizon)
         dist = state_distribution(policy, start, args.horizon - 1)
         masses = {name: sum(dist[rc] for rc in cells)

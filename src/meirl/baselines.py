@@ -1,16 +1,15 @@
-"""Comparison predictors: bicycle-model EKF, behavior cloning, uniform random,
-and the kinematics-free IRL ablation.
+"""Comparison predictors: bicycle-model EKF, behavior cloning and uniform
+random.
 
 The EKF estimates (x, y, heading, speed, steering) from position measurements
 alone and forecasts by freezing speed and steering. Behavior cloning reuses the
 exact IRL input stack (same code path) but trains a 4-channel action head with
-cross-entropy instead of a reward. The ablation is the IRL trainer with the
-kinematic second stage removed.
+cross-entropy instead of a reward. The kinematics-free IRL ablation is the
+trainer run on an `env_only` net.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +22,6 @@ from .mdp import GridWorld, Policy, actions_from_cells, annealed_softmax, unifor
 from .nn import ParameterStore, update_parameters
 from .reward_net import backward, build_net, forward
 from .synthetic import Demonstration
-from .trainer import TrainConfig, train
 
 WHEELBASE = 1.8
 
@@ -319,13 +317,8 @@ def bc_train(demos, config: BcConfig | None = None):
 
 
 # ---------------------------------------------------------------------------
-# the remaining two baselines
+# the random baseline
 
 def random_policy(world: GridWorld) -> Policy:
     return uniform_policy(world.rows, world.cols)
 
-
-def irl_no_kinematics(demos, config: TrainConfig, out_dir=None, resume=None):
-    """The ablation: same trainer, env-only reward head, no kinematic stage."""
-    stripped = dataclasses.replace(config, use_kinematics=False)
-    return train(demos, stripped, out_dir=out_dir, resume=resume)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config as configio
 from .baselines import (BcConfig, bc_policy, bc_train, ekf_forecast_cells,
-                        irl_no_kinematics, random_policy)
+                        random_policy)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import GenerateConfig, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ConvergenceError
@@ -111,22 +111,28 @@ def cmd_generate(args) -> None:
 # ---------------------------------------------------------------------------
 # train
 
-def _bc_report_csv(rows, path) -> None:
-    lines = ["epoch,train_loss,val_loss"]
-    for row in rows:
-        lines.append(f"{row['epoch']},{row['train_loss']:.17g},{row['val_loss']:.17g}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+# the net each trainable method fits; --method is the only switch between them
+METHOD_KIND = {"ours": "two_stage", "irl_nokin": "env_only", "bc": "action_head"}
+
+# train flags only the IRL loop reads
+_IRL_ONLY = ("batch_size", "gamma", "epsilon", "beta0", "tau", "checkpoint_every",
+             "augment")
 
 
 def cmd_train(args) -> None:
+    if args.method == "bc":
+        if args.resume is not None:
+            raise ConfigError("behavior cloning does not support --resume")
+        given = [f"--{name.replace('_', '-')}" for name in _IRL_ONLY
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"behavior cloning does not take {', '.join(given)}")
+
     train_demos, _, _ = load_dataset(args.dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.method == "bc":
-        if args.resume is not None:
-            raise ConfigError("behavior cloning does not support --resume")
         overrides = {"epochs": args.iterations, "learning_rate": args.learning_rate,
                      "seed": args.seed}
         cfg = BcConfig.from_dict(_overlay(_file_data(args.config), overrides))
@@ -136,7 +142,7 @@ def cmd_train(args) -> None:
                         meta={"arch": net.arch_meta(), "method": "bc",
                               "config": configio.to_dict(cfg)},
                         iteration=len(rows))
-        _bc_report_csv(rows, out / "report.csv")
+        write_report(rows, out / "report.csv", ("epoch", "train_loss", "val_loss"))
         _write_resolved(out, "train", {"method": "bc", "dataset": str(args.dataset),
                                        "out": str(out),
                                        "config": configio.to_dict(cfg)})
@@ -146,17 +152,11 @@ def cmd_train(args) -> None:
         print(f"checkpoint: {out / 'checkpoint.ckpt'}")
         return
 
-    overrides = {
-        "iterations": args.iterations, "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate, "gamma": args.gamma,
-        "epsilon": args.epsilon, "beta0": args.beta0, "tau": args.tau,
-        "seed": args.seed,
-        "checkpoint_every": args.checkpoint_every, "augment": args.augment,
-    }
+    overrides = {name: getattr(args, name)
+                 for name in ("iterations", "learning_rate", "seed") + _IRL_ONLY}
     cfg = TrainConfig.from_dict(_overlay(_file_data(args.config), overrides))
-    runner = irl_no_kinematics if args.method == "irl_nokin" else train
-    _, _, reports, timings = runner(train_demos, cfg, out_dir=out,
-                                    resume=args.resume)
+    _, _, reports, timings = train(train_demos, cfg, out_dir=out, resume=args.resume,
+                                   kind=METHOD_KIND[args.method])
     write_report(reports, out / "report.csv")
     write_timings(timings, out / "timings.csv")
     _write_resolved(out, "train", {"method": args.method,
@@ -218,24 +218,28 @@ def _forecast_beta(manifest: dict) -> float:
     return float((manifest.get("config") or {}).get("demo_beta", DEMO_BETA))
 
 
-def _checkpoint_train_config(meta: dict) -> TrainConfig:
-    """The TrainConfig an IRL checkpoint was trained with. Checkpoints written
-    while training could run on a thread pool also hold a "workers" entry,
-    which no longer means anything and is dropped."""
-    data = dict(meta.get("config") or {})
-    data.pop("workers", None)
-    return TrainConfig.from_dict(data)
-
-
-def _policy_from_checkpoint(checkpoint_path, demo: Demonstration, beta: float):
-    """Policy plus (when the net defines one) the reward map behind it."""
-    store, meta, iteration = load_checkpoint(checkpoint_path)
+def load_model(path):
+    """The net a checkpoint holds and the TrainConfig it was trained with, whose
+    gamma and epsilon the planner reuses; None for a cloning head."""
+    store, meta, _ = load_checkpoint(path)
     net = net_from_store(meta, store.params)
+    if net.kind == "action_head":
+        return net, None
+    data = dict(meta.get("config") or {})
+    # older checkpoints also hold "workers" (the retired thread pool) and
+    # "use_kinematics" (which the net's kind now says); neither is a setting now
+    data.pop("workers", None)
+    data.pop("use_kinematics", None)
+    return net, TrainConfig.from_dict(data)
+
+
+def forecast(net, settings: TrainConfig | None, demo: Demonstration, beta: float):
+    """Forecast policy for one demo at temperature `beta`, plus the reward map
+    behind it when the net defines one."""
     if net.kind == "action_head":  # the cloning head is a policy; no planner runs
         return bc_policy(net, demo), None
-    tcfg = _checkpoint_train_config(meta)
     reward = forward(net, demo)[0]
-    policy = value_iteration(reward, gamma=tcfg.gamma, epsilon=tcfg.epsilon,
+    policy = value_iteration(reward, gamma=settings.gamma, epsilon=settings.epsilon,
                              beta=beta)
     return policy, reward
 
@@ -285,8 +289,8 @@ def cmd_predict(args) -> None:
         if cfg.method == "ours":
             if args.checkpoint is None:
                 raise ConfigError("--checkpoint is required for method 'ours'")
-            policy, reward = _policy_from_checkpoint(args.checkpoint, demo,
-                                                     _forecast_beta(manifest))
+            policy, reward = forecast(*load_model(args.checkpoint), demo,
+                                      _forecast_beta(manifest))
         else:
             policy, reward = random_policy(demo.world), None
         if reward is not None:
@@ -345,8 +349,6 @@ class EvalConfig:
 
 _CKPT_ARG = {"ours": "checkpoint", "irl_nokin": "checkpoint_nokin",
              "bc": "checkpoint_bc"}
-_CKPT_KIND = {"ours": ("two_stage", "env_only"), "irl_nokin": ("env_only",),
-              "bc": ("action_head",)}
 
 
 def _demo_seed(base: int, index: int) -> int:
@@ -368,13 +370,8 @@ def _eval_method(method, demos, cfg: EvalConfig, nets, beta: float):
     for i, demo in enumerate(demos):
         if method == "random":
             policy = random_policy(demo.world)
-        elif method == "bc":
-            policy = bc_policy(nets["bc"][0], demo)
         else:
-            net, tcfg, iteration = nets[method]
-            reward = forward(net, demo)[0]
-            policy = value_iteration(reward, gamma=tcfg.gamma,
-                                     epsilon=tcfg.epsilon, beta=beta)
+            policy = forecast(*nets[method], demo, beta)[0]
         hds.append(mean_sampled_hd(policy, demo, n_samples=cfg.samples,
                                    seed=_demo_seed(cfg.seed, i)))
         nlls.append(nll(policy, demo))
@@ -415,15 +412,11 @@ def cmd_eval(args) -> None:
         arg_name = _CKPT_ARG.get(method)
         if arg_name is None:
             continue
-        store, meta, iteration = load_checkpoint(getattr(args, arg_name))
-        net = net_from_store(meta, store.params)
-        if net.kind not in _CKPT_KIND[method]:
+        net, settings = load_model(getattr(args, arg_name))
+        if net.kind != METHOD_KIND[method]:
             raise ConfigError(f"checkpoint for {method!r} holds a {net.kind!r} "
-                              f"net, expected one of {_CKPT_KIND[method]}")
-        if net.kind == "action_head":
-            nets[method] = (net, None, iteration)
-        else:
-            nets[method] = (net, _checkpoint_train_config(meta), iteration)
+                              f"net, expected a {METHOD_KIND[method]!r} net")
+        nets[method] = (net, settings)
 
     results = [_eval_method(m, test_demos, cfg, nets, beta) for m in cfg.methods]
 
@@ -526,7 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed why; hand its code back
+        return e.code
     try:
         args.fn(args)
     except ConfigError as e:

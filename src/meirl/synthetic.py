@@ -33,6 +33,16 @@ RAY_RATE = 0.25          # per-cell increment of the straight-ahead ramp
 MARGIN = 2               # trail inset from the border, keeps boundary clipping out of play
 DEMO_BETA = 2.5
 
+# terrain palette: (low, high) bands drawn per cell; the two variance bands must
+# not straddle VAR_THRESHOLD, so the trail stays recoverable by thresholding
+TRAIL_VAR = (0.004, 0.02)
+OFF_VAR = (0.15, 0.35)
+TRAIL_HEIGHT = (0.02, 0.10)
+OFF_HEIGHT = (0.25, 0.60)
+TRAIL_RGB = (0.42, 0.36, 0.30)
+OFF_RGB = (0.25, 0.55, 0.20)
+RGB_JITTER = 0.04
+
 TAGS = ("straight", "curve", "intersection")
 TAG_CODES = {t: i for i, t in enumerate(TAGS)}
 LAYOUTS = ("straight", "curve", "tee", "cross", "random")
@@ -40,37 +50,24 @@ LAYOUTS = ("straight", "curve", "tee", "cross", "random")
 
 @dataclass
 class WorldSpec:
-    """Knobs for one generated world. Palette bands must not straddle VAR_THRESHOLD."""
+    """Knobs for one generated world."""
 
     seed: int = 0
     rows: int = 32
     cols: int = 32
     resolution: float = 1.0
     layout: str = "random"
-    n_trails: int = 1
     trail_width: int = 1
-    n_intersections: int = 0
-    trail_var: tuple = (0.004, 0.02)
-    off_var: tuple = (0.15, 0.35)
-    trail_height: tuple = (0.02, 0.10)
-    off_height: tuple = (0.25, 0.60)
-    trail_rgb: tuple = (0.42, 0.36, 0.30)
-    off_rgb: tuple = (0.25, 0.55, 0.20)
-    rgb_jitter: float = 0.04
 
     def __post_init__(self):
         if self.layout not in LAYOUTS:
             raise ConfigError(f"unknown layout {self.layout!r}, expected one of {LAYOUTS}")
-        if self.n_trails < 1:
-            raise ConfigError("need at least one trail")
         if self.trail_width < 1 or self.trail_width % 2 == 0:
             raise ConfigError("trail width must be odd and >= 1")
-        if self.trail_var[1] >= VAR_THRESHOLD or self.off_var[0] <= VAR_THRESHOLD:
-            raise ConfigError("variance bands must separate cleanly at the trail threshold")
         interior = min(self.rows, self.cols) - 2 * MARGIN
-        if self.n_trails * (self.trail_width + 1) > interior:
+        if self.trail_width + 1 > interior:
             raise ConfigError(
-                f"{self.n_trails} trails of width {self.trail_width} do not fit a "
+                f"a trail of width {self.trail_width} does not fit a "
                 f"{self.rows}x{self.cols} grid"
             )
 
@@ -133,22 +130,6 @@ def _cross_cells(rng, rows, cols):
     return horiz + vert
 
 
-def _branch_cells(rng, mask, rows, cols):
-    """A perpendicular spur grafted onto the existing network."""
-    anchors = np.argwhere(mask)
-    for _ in range(32):
-        ar, ac = anchors[rng.integers(len(anchors))]
-        d = ACTION_DELTAS[rng.integers(4)]
-        cells = []
-        r, c = ar + d[0], ac + d[1]
-        while MARGIN <= r < rows - MARGIN and MARGIN <= c < cols - MARGIN and not mask[r, c]:
-            cells.append((int(r), int(c)))
-            r, c = r + d[0], c + d[1]
-        if len(cells) >= 3:
-            return cells
-    return []
-
-
 def _dilate(mask, radius):
     if radius == 0:
         return mask
@@ -185,10 +166,7 @@ def generate_world(spec: WorldSpec) -> GridWorld:
     rows, cols = spec.rows, spec.cols
     layout = spec.layout
     if layout == "random":
-        if spec.n_intersections > 0:
-            layout = ("tee", "cross")[rng.integers(2)]
-        else:
-            layout = ("straight", "curve")[rng.integers(2)]
+        layout = ("straight", "curve")[rng.integers(2)]
     centerline = {
         "straight": _straight_cells,
         "curve": _curve_cells,
@@ -198,25 +176,20 @@ def generate_world(spec: WorldSpec) -> GridWorld:
     mask = np.zeros((rows, cols), dtype=bool)
     for r, c in centerline:
         mask[r, c] = True
-    extra = max(spec.n_trails - 1,
-                spec.n_intersections - (1 if layout in ("tee", "cross") else 0))
-    for _ in range(extra):
-        for r, c in _branch_cells(rng, mask, rows, cols):
-            mask[r, c] = True
     mask = _dilate(mask, (spec.trail_width - 1) // 2)
     assert _connected(mask)
 
     size = (rows, cols)
     env = np.empty((5, rows, cols))
-    on_h = rng.uniform(*spec.trail_height, size=size)
-    off_h = rng.uniform(*spec.off_height, size=size)
+    on_h = rng.uniform(*TRAIL_HEIGHT, size=size)
+    off_h = rng.uniform(*OFF_HEIGHT, size=size)
     env[0] = np.where(mask, on_h, off_h)
-    on_v = rng.uniform(*spec.trail_var, size=size)
-    off_v = rng.uniform(*spec.off_var, size=size)
+    on_v = rng.uniform(*TRAIL_VAR, size=size)
+    off_v = rng.uniform(*OFF_VAR, size=size)
     env[1] = np.where(mask, on_v, off_v)
     for i in range(3):
-        noise = rng.normal(scale=spec.rgb_jitter, size=size)
-        env[2 + i] = np.where(mask, spec.trail_rgb[i], spec.off_rgb[i]) + noise
+        noise = rng.normal(scale=RGB_JITTER, size=size)
+        env[2 + i] = np.where(mask, TRAIL_RGB[i], OFF_RGB[i]) + noise
     np.clip(env, 0.0, 1.0, out=env)
     return GridWorld(rows=rows, cols=cols, resolution=spec.resolution, env=env)
 

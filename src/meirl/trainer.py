@@ -43,7 +43,6 @@ class TrainConfig:
     beta0: float = 1.0
     tau: float = 50.0
     seed: int = 0
-    use_kinematics: bool = True
     checkpoint_every: int = 50
     augment: bool = False
 
@@ -130,8 +129,11 @@ def _save(path, store, net, config: TrainConfig, iteration: int) -> None:
     save_checkpoint(path, store, meta=meta, iteration=iteration)
 
 
-def train(demos, config: TrainConfig, out_dir=None, resume=None):
-    """Run the IRL loop. Returns (net, store, report rows, timing rows).
+def train(demos, config: TrainConfig, out_dir=None, resume=None,
+          kind: str = "two_stage"):
+    """Run the IRL loop on a reward net of `kind` (`two_stage`, or `env_only`
+    for the ablation without kinematics). Returns (net, store, report rows,
+    timing rows).
 
     With an output directory, checkpoints land there every checkpoint_every
     iterations and at the end. Resuming continues the iteration counter and
@@ -146,15 +148,13 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None):
     if resume is not None:
         store, meta, stored_iter = load_checkpoint(resume)
         net = net_from_store(meta, store.params)
-        want = "two_stage" if config.use_kinematics else "env_only"
-        if net.kind != want:
+        if net.kind != kind:
             raise ConfigError(
-                f"checkpoint holds a {net.kind!r} net but the config asks for {want!r}")
+                f"checkpoint holds a {net.kind!r} net but the run asks for {kind!r}")
         store.learning_rate = config.learning_rate
         start_iter = stored_iter + 1
     else:
-        net = build_net("two_stage" if config.use_kinematics else "env_only",
-                        seed=config.seed)
+        net = build_net(kind, seed=config.seed)
         store = ParameterStore.create(net.parameters(), learning_rate=config.learning_rate)
         start_iter = 1
 
@@ -186,12 +186,13 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None):
     return net, store, reports, timings
 
 
-def write_report(rows, path) -> None:
-    lines = [",".join(REPORT_COLUMNS)]
+def write_report(rows, path, columns=REPORT_COLUMNS) -> None:
+    """One CSV line per row: the first column as an integer, the rest as
+    round-trip floats."""
+    first, *rest = columns
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(
-            str(row["iteration"]) if c == "iteration" else f"{row[c]:.17g}"
-            for c in REPORT_COLUMNS))
+        lines.append(",".join([str(row[first])] + [f"{row[c]:.17g}" for c in rest]))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

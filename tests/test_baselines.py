@@ -6,7 +6,7 @@ import pytest
 from meirl.baselines import (BcConfig, EkfNoise, EkfState, WHEELBASE, bc_policy,
                              bc_train, ekf_forecast_cells, ekf_init,
                              ekf_predict_trajectory, ekf_run, ekf_update,
-                             irl_no_kinematics, random_policy, rasterize_positions,
+                             random_policy, rasterize_positions,
                              wrap_angle)
 from meirl.errors import ConfigError, ConvergenceError
 from meirl.kinematics import PastTrack
@@ -14,7 +14,7 @@ from meirl.mdp import GridWorld
 from meirl.metrics import cells_to_xy, hausdorff, nll
 from meirl.reward_net import build_net
 from meirl.synthetic import Demonstration
-from meirl.trainer import TrainConfig, demo_stack
+from meirl.trainer import TrainConfig, demo_stack, train
 
 QUIET = EkfNoise(process=(1e-10,) * 5, measurement=(1e-8, 1e-8))
 
@@ -268,9 +268,8 @@ def test_random_policy_uniform_and_ln4(right_dataset):
 
 
 def test_irl_no_kinematics_strips_the_second_stage(right_dataset):
-    cfg = TrainConfig(iterations=2, batch_size=2, gamma=0.9, epsilon=1e-3,
-                      use_kinematics=True)  # flag overridden inside
-    net, _, reports, _ = irl_no_kinematics(right_dataset[:3], cfg)
+    cfg = TrainConfig(iterations=2, batch_size=2, gamma=0.9, epsilon=1e-3)
+    net, _, reports, _ = train(right_dataset[:3], cfg, kind="env_only")
     assert net.kind == "env_only"
     assert len(reports) == 2
     fresh = build_net("env_only", seed=cfg.seed)

@@ -160,6 +160,17 @@ def test_train_bc_rejects_resume(dataset_dir, ours_ckpt, tmp_path, capsys):
     assert "resume" in capsys.readouterr().err
 
 
+def test_train_bc_rejects_irl_only_flags(dataset_dir, tmp_path, capsys):
+    rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "b",
+             "--method", "bc", "--batch-size", "2", "--gamma", "0.9", "--no-augment")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--batch-size, --gamma, --augment" in err
+    assert not (tmp_path / "b").exists()
+    assert run("train", "--dataset", dataset_dir, "--out", tmp_path / "ok",
+               "--method", "bc", "--iterations", "1", "--workers", "1") == 0
+
+
 def test_train_non_finite_reward_exits_3_with_iteration_and_demo(
         dataset_dir, ours_ckpt, tmp_path, capsys):
     store, meta, iteration = load_checkpoint(ours_ckpt)
@@ -182,9 +193,7 @@ def test_workers_flag_accepts_only_1(dataset_dir, tmp_path, capsys, command, ext
     assert run(*base, "--out", tmp_path / "one", "--workers", "1") == 0
     resolved = json.loads((tmp_path / "one" / "resolved_config.json").read_text())
     assert "workers" not in resolved["config"]
-    with pytest.raises(SystemExit) as exited:
-        run(*base, "--out", tmp_path / "two", "--workers", "2")
-    assert exited.value.code == 2
+    assert run(*base, "--out", tmp_path / "two", "--workers", "2") == 2
     assert "--workers" in capsys.readouterr().err
 
 
@@ -318,11 +327,13 @@ def test_eval_tables_byte_identical_across_runs(dataset_dir, ours_ckpt, tmp_path
     assert (a / "table.json").read_bytes() == (b / "table.json").read_bytes()
 
 
-def test_eval_and_predict_accept_checkpoint_with_retired_workers_key(
+def test_eval_and_predict_accept_checkpoint_with_retired_config_keys(
         dataset_dir, ours_ckpt, tmp_path):
-    # checkpoints written while training had a thread pool carry "workers": 1
+    # older checkpoints carry "use_kinematics": true, and those written while
+    # training had a thread pool also "workers": 1
     store, meta, iteration = load_checkpoint(ours_ckpt)
-    meta["config"]["workers"] = 1
+    assert "use_kinematics" not in meta["config"]
+    meta["config"].update(workers=1, use_kinematics=True)
     legacy = tmp_path / "legacy.ckpt"
     save_checkpoint(legacy, store, meta=meta, iteration=iteration)
     for ckpt, name in ((ours_ckpt, "now"), (legacy, "legacy")):
@@ -332,6 +343,15 @@ def test_eval_and_predict_accept_checkpoint_with_retired_workers_key(
                    "--checkpoint", ckpt, "--samples", "5") == 0
     assert dir_bytes(tmp_path / "ev_legacy") == dir_bytes(tmp_path / "ev_now")
     assert dir_bytes(tmp_path / "pr_legacy") == dir_bytes(tmp_path / "pr_now")
+
+
+def test_eval_rejects_checkpoint_of_another_method(dataset_dir, nokin_ckpt, tmp_path,
+                                                  capsys):
+    rc = run("eval", "--dataset", dataset_dir, "--out", tmp_path / "x",
+             "--checkpoint", nokin_ckpt, "--methods", "ours", "--samples", "5")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'env_only'" in err and "'two_stage'" in err
 
 
 def test_eval_unknown_method_rejected(dataset_dir, tmp_path, capsys):

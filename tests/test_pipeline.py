@@ -1,23 +1,64 @@
-"""Smoke run of scripts/run_pipeline.py, so a stale flag in it fails here."""
+"""Smoke runs of the scripts, so a stale flag or import in one fails here."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import meirl
+import numpy as np
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline.py"
+import meirl
+from meirl.cli import forecast, load_model, main
+from meirl.mdp import state_distribution
+from meirl.synthetic import DEMO_BETA, Demonstration, WorldSpec, generate_world
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def script_env():
+    src = str(Path(meirl.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_run_pipeline_quick_writes_five_row_table(tmp_path):
-    src = str(Path(meirl.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "run"
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--out", str(out), "--quick"],
-                          env=env, capture_output=True, text=True, timeout=600)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_pipeline.py"),
+                           "--out", str(out), "--quick"],
+                          env=script_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = (out / "eval" / "table.csv").read_text().splitlines()
     assert [ln.split(",")[0] for ln in lines[1:]] == \
         ["ekf", "bc", "random", "irl_nokin", "ours"]
+
+
+def test_speed_entropy_experiment_plans_at_the_checkpoint_gamma(tmp_path):
+    data, run_dir, maps = tmp_path / "data", tmp_path / "ours", tmp_path / "maps"
+    assert main(["generate", "--out", str(data), "--demos", "4", "--rows", "16",
+                 "--cols", "16", "--seed", "2"]) == 0
+    assert main(["train", "--dataset", str(data), "--out", str(run_dir),
+                 "--iterations", "1", "--batch-size", "2", "--gamma", "0.8"]) == 0
+    ckpt = run_dir / "checkpoint.ckpt"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "speed_entropy_experiment.py"),
+                           "--checkpoint", str(ckpt), "--out", str(maps)],
+                          env=script_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "entropy gap (slow - fast):" in proc.stdout
+
+    # the slow-approach terminal map, recomputed at the checkpoint's gamma
+    spec = importlib.util.spec_from_file_location(
+        "speed_entropy_experiment", SCRIPTS / "speed_entropy_experiment.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    net, settings = load_model(ckpt)
+    assert settings.gamma == 0.8
+    world = generate_world(WorldSpec(seed=0, rows=16, cols=16, layout="tee"))
+    start, heading, _ = script.scenario(world, 3)
+    demo = Demonstration(world=world, past=script.straight_past(start, heading, 2.0, 1.0),
+                         future=np.array([start]), expert_speed=2.0, seed=0,
+                         tag="intersection")
+    policy, _ = forecast(net, settings, demo, DEMO_BETA)
+    expected = state_distribution(policy, start, 14)
+    written = np.loadtxt(maps / "terminal_slow.csv", delimiter=",")
+    assert np.array_equal(written, expected)

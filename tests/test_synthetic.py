@@ -90,18 +90,11 @@ def test_tee_and_cross_junctions():
 
 def test_unsatisfiable_spec():
     with pytest.raises(ConfigError):
-        WorldSpec(rows=8, cols=8, n_trails=3)
+        WorldSpec(rows=8, cols=8, trail_width=5)
     with pytest.raises(ConfigError):
         WorldSpec(layout="spiral")
     with pytest.raises(ConfigError):
         WorldSpec(trail_width=2)
-
-
-def test_extra_trails_stay_connected():
-    world = world_for("tee", seed=7, rows=24, cols=24, n_trails=3)
-    mask = trail_mask(world)
-    # already asserted connected inside the generator; spot-check arm count grew
-    assert mask.sum() > trail_mask(world_for("tee", seed=7, rows=24, cols=24)).sum()
 
 
 # ---------------------------------------------------------------------------

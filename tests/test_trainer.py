@@ -237,7 +237,7 @@ def test_env_only_gradient_ignores_past_speed():
     future = [(5, c) for c in range(2, 8)]
     slow = demo_from_future(w, future, speed=2.0)
     fast = demo_from_future(w, future, speed=8.0)
-    cfg = TrainConfig(use_kinematics=False)
+    cfg = TrainConfig()
     net = build_net("env_only", seed=2)
     g_slow, _ = train_step(net, [slow], cfg, iteration=1)
     g_fast, _ = train_step(net, [fast], cfg, iteration=1)
@@ -338,9 +338,9 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
 
 def test_resume_kind_mismatch_rejected(tmp_path):
     train(small_dataset(), quick_config(iterations=1), out_dir=tmp_path)
-    with pytest.raises(ConfigError):
-        train(small_dataset(), quick_config(iterations=1, use_kinematics=False),
-              resume=tmp_path / "checkpoint.ckpt")
+    with pytest.raises(ConfigError, match="'two_stage' net but the run asks for 'env_only'"):
+        train(small_dataset(), quick_config(iterations=1),
+              resume=tmp_path / "checkpoint.ckpt", kind="env_only")
 
 
 def test_augmented_training_runs():
@@ -406,3 +406,5 @@ def test_config_from_dict():
         TrainConfig.from_dict({"stepsize": 0.1})
     with pytest.raises(ConfigError, match="workers"):  # retired with the thread pool
         TrainConfig.from_dict({"workers": 1})
+    with pytest.raises(ConfigError, match="use_kinematics"):  # the net's kind says it
+        TrainConfig.from_dict({"use_kinematics": False})
