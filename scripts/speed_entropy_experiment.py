@@ -107,7 +107,7 @@ def main():
             future=np.array([start]), expert_speed=speed, seed=0,
             tag="intersection")
         policy, _ = forecast(net, settings, demo, args.beta)
-        entropies[label] = terminal_entropy(policy, start, args.horizon)
+        entropies[label] = terminal_entropy(policy, start, args.horizon - 1)
         dist = state_distribution(policy, start, args.horizon - 1)
         masses = {name: sum(dist[rc] for rc in cells)
                   for name, cells in regions.items()}

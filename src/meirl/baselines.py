@@ -11,11 +11,10 @@ trainer run on an `env_only` net.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import config as configio
 from .errors import ConfigError, ConvergenceError
 from .kinematics import PastTrack
 from .mdp import GridWorld, Policy, actions_from_cells, annealed_softmax, uniform_policy
@@ -47,10 +46,6 @@ class EkfNoise:
         if any(v < 0 for v in self.process + self.measurement):
             raise ConfigError("noise variances must be nonnegative")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EkfNoise":
-        return configio.from_dict(cls, data)
-
 
 @dataclass
 class EkfState:
@@ -60,7 +55,6 @@ class EkfState:
     v: float
     delta: float
     cov: np.ndarray
-    wheelbase: float = WHEELBASE
 
     def __post_init__(self):
         self.theta = wrap_angle(float(self.theta))
@@ -81,10 +75,10 @@ def _check_psd(cov: np.ndarray) -> None:
         raise ConvergenceError("EKF covariance is not positive semi-definite")
 
 
-def _motion_step(x, y, theta, v, delta, dt, wheelbase):
+def _motion_step(x, y, theta, v, delta, dt):
     """Constant speed and steering over dt. Exact along the resulting arc, with
     the straight-line limit handled explicitly."""
-    omega = v * math.tan(delta) / wheelbase
+    omega = v * math.tan(delta) / WHEELBASE
     if abs(omega * dt) < 1e-9:
         return x + v * dt * math.cos(theta), y + v * dt * math.sin(theta), theta
     radius = v / omega
@@ -94,15 +88,15 @@ def _motion_step(x, y, theta, v, delta, dt, wheelbase):
             theta2)
 
 
-def _motion_jacobian(theta, v, delta, dt, wheelbase):
+def _motion_jacobian(theta, v, delta, dt):
     # first-order linearization of the bicycle kinematics
     F = np.eye(5)
     F[0, 2] = -v * math.sin(theta) * dt
     F[0, 3] = math.cos(theta) * dt
     F[1, 2] = v * math.cos(theta) * dt
     F[1, 3] = math.sin(theta) * dt
-    F[2, 3] = math.tan(delta) / wheelbase * dt
-    F[2, 4] = v / (wheelbase * math.cos(delta) ** 2) * dt
+    F[2, 3] = math.tan(delta) / WHEELBASE * dt
+    F[2, 4] = v / (WHEELBASE * math.cos(delta) ** 2) * dt
     return F
 
 
@@ -110,13 +104,11 @@ def ekf_predict(state: EkfState, dt: float, noise: EkfNoise | None = None) -> Ek
     if dt <= 0:
         raise ConfigError("EKF time step must be positive")
     noise = noise or EkfNoise()
-    x, y, theta = _motion_step(state.x, state.y, state.theta, state.v, state.delta,
-                               dt, state.wheelbase)
-    F = _motion_jacobian(state.theta, state.v, state.delta, dt, state.wheelbase)
+    x, y, theta = _motion_step(state.x, state.y, state.theta, state.v, state.delta, dt)
+    F = _motion_jacobian(state.theta, state.v, state.delta, dt)
     cov = F @ state.cov @ F.T + np.diag(noise.process)
     cov = 0.5 * (cov + cov.T)
-    return EkfState(x=x, y=y, theta=theta, v=state.v, delta=state.delta,
-                    cov=cov, wheelbase=state.wheelbase)
+    return EkfState(x=x, y=y, theta=theta, v=state.v, delta=state.delta, cov=cov)
 
 
 def ekf_update(state: EkfState, measurement, dt: float,
@@ -136,8 +128,7 @@ def ekf_update(state: EkfState, measurement, dt: float,
     mean = pred.mean + K @ innovation
     cov = (np.eye(5) - K @ H) @ pred.cov
     cov = 0.5 * (cov + cov.T)
-    return EkfState(x=mean[0], y=mean[1], theta=mean[2], v=mean[3], delta=mean[4],
-                    cov=cov, wheelbase=pred.wheelbase)
+    return EkfState(x=mean[0], y=mean[1], theta=mean[2], v=mean[3], delta=mean[4], cov=cov)
 
 
 def ekf_init(track: PastTrack) -> EkfState:
@@ -172,8 +163,7 @@ def ekf_predict_trajectory(state: EkfState, horizon_steps: int, dt: float) -> np
     out = np.empty((horizon_steps, 2))
     x, y, theta = state.x, state.y, state.theta
     for k in range(horizon_steps):
-        x, y, theta = _motion_step(x, y, theta, state.v, state.delta, dt,
-                                   state.wheelbase)
+        x, y, theta = _motion_step(x, y, theta, state.v, state.delta, dt)
         out[k] = (x, y)
     return out
 
@@ -221,10 +211,6 @@ class BcConfig:
             raise ConfigError("patience must be at least 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BcConfig":
-        return configio.from_dict(cls, data)
 
 
 def bc_policy(net, demo: Demonstration) -> Policy:

@@ -45,7 +45,10 @@ def _read_exact(fh, n: int) -> bytes:
 
 def _read_array(fh):
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-    name = _read_exact(fh, name_len).decode("utf-8")
+    try:
+        name = _read_exact(fh, name_len).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"checkpoint parameter name is not UTF-8: {e}") from e
     (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
     shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1
@@ -97,7 +100,13 @@ def load_checkpoint(path):
         if _read_exact(fh, len(MAGIC)) != MAGIC:
             raise ConfigError(f"{path} is not a checkpoint (bad magic)")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
+        try:  # UnicodeDecodeError and JSONDecodeError are both ValueErrors
+            meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
+        except ValueError as e:
+            raise ConfigError(f"{path}: checkpoint meta block is not UTF-8 JSON: {e}") from e
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path}: checkpoint meta block must be a JSON object, "
+                              f"got {type(meta).__name__}")
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
         params = {}
         for _ in range(n_params):

@@ -92,7 +92,7 @@ def cmd_generate(args) -> None:
         lo, hi = data.get("speeds", (2.0, 8.0))
         data["speeds"] = (lo if args.speed_min is None else args.speed_min,
                           hi if args.speed_max is None else args.speed_max)
-    cfg = GenerateConfig.from_dict(data)
+    cfg = configio.from_dict(GenerateConfig, data)
 
     out = Path(args.out)
     train_demos, test_demos = generate_dataset(cfg)
@@ -135,7 +135,7 @@ def cmd_train(args) -> None:
     if args.method == "bc":
         overrides = {"epochs": args.iterations, "learning_rate": args.learning_rate,
                      "seed": args.seed}
-        cfg = BcConfig.from_dict(_overlay(_file_data(args.config), overrides))
+        cfg = configio.from_dict(BcConfig, _overlay(_file_data(args.config), overrides))
         net, rows = bc_train(train_demos, cfg)
         store = ParameterStore.create(net.parameters(), cfg.learning_rate)
         save_checkpoint(out / "checkpoint.ckpt", store,
@@ -154,7 +154,7 @@ def cmd_train(args) -> None:
 
     overrides = {name: getattr(args, name)
                  for name in ("iterations", "learning_rate", "seed") + _IRL_ONLY}
-    cfg = TrainConfig.from_dict(_overlay(_file_data(args.config), overrides))
+    cfg = configio.from_dict(TrainConfig, _overlay(_file_data(args.config), overrides))
     _, _, reports, timings = train(train_demos, cfg, out_dir=out, resume=args.resume,
                                    kind=METHOD_KIND[args.method])
     write_report(reports, out / "report.csv")
@@ -195,10 +195,6 @@ class PredictConfig:
         if self.samples < 0:
             raise ConfigError("samples must be nonnegative")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PredictConfig":
-        return configio.from_dict(cls, data)
-
 
 def _constant_env_world(world: GridWorld) -> GridWorld:
     # Fig-style ablation input: every channel flattened to its spatial mean
@@ -230,7 +226,7 @@ def load_model(path):
     # "use_kinematics" (which the net's kind now says); neither is a setting now
     data.pop("workers", None)
     data.pop("use_kinematics", None)
-    return net, TrainConfig.from_dict(data)
+    return net, configio.from_dict(TrainConfig, data)
 
 
 def forecast(net, settings: TrainConfig | None, demo: Demonstration, beta: float):
@@ -257,7 +253,7 @@ def cmd_predict(args) -> None:
     overrides = {"method": args.method, "demo": args.demo, "which": args.which,
                  "samples": args.samples, "seed": args.seed,
                  "zero_lidar": args.zero_lidar}
-    cfg = PredictConfig.from_dict(_overlay(_file_data(args.config), overrides))
+    cfg = configio.from_dict(PredictConfig, _overlay(_file_data(args.config), overrides))
 
     train_demos, test_demos, manifest = load_dataset(args.dataset)
     pool = test_demos if cfg.which == "test" else train_demos
@@ -306,7 +302,7 @@ def cmd_predict(args) -> None:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
             rollouts = sample_trajectories(policy, start, horizon, cfg.samples, rng)
             _write_samples_csv(out / "samples.csv", rollouts)
-        entropy = terminal_entropy(policy, start, horizon)
+        entropy = terminal_entropy(policy, start, horizon - 1)
         summary = {
             "method": cfg.method, "horizon": horizon, "start": list(start),
             "svf_mass": float(svf.sum()), "terminal_entropy": entropy,
@@ -342,10 +338,6 @@ class EvalConfig:
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalConfig":
-        return configio.from_dict(cls, data)
-
 
 _CKPT_ARG = {"ours": "checkpoint", "irl_nokin": "checkpoint_nokin",
              "bc": "checkpoint_bc"}
@@ -375,7 +367,7 @@ def _eval_method(method, demos, cfg: EvalConfig, nets, beta: float):
         hds.append(mean_sampled_hd(policy, demo, n_samples=cfg.samples,
                                    seed=_demo_seed(cfg.seed, i)))
         nlls.append(nll(policy, demo))
-        entropies.append(terminal_entropy(policy, tuple(demo.future[0]), demo.horizon))
+        entropies.append(terminal_entropy(policy, tuple(demo.future[0]), demo.horizon - 1))
     return EvalResult(method=method, nll_per_demo=nlls, hd_per_demo=hds,
                       terminal_entropies=entropies)
 
@@ -384,7 +376,7 @@ def cmd_eval(args) -> None:
     overrides = {"samples": args.samples, "seed": args.seed}
     if args.methods is not None:
         overrides["methods"] = tuple(s.strip() for s in args.methods.split(","))
-    cfg = EvalConfig.from_dict(_overlay(_file_data(args.config), overrides))
+    cfg = configio.from_dict(EvalConfig, _overlay(_file_data(args.config), overrides))
 
     # every required artifact is checked before any work happens
     missing = []

@@ -12,7 +12,6 @@ Each record is self-contained and little-endian:
 
 from __future__ import annotations
 
-import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -25,9 +24,8 @@ from . import config as configio
 from .errors import ConfigError
 from .kinematics import PastTrack
 from .mdp import GridWorld
-from .synthetic import (DEMO_BETA, LAYOUTS, OFF_TRAIL_PENALTY, RAY_RATE, TAG_CODES, TAGS,
-                        Demonstration, WorldSpec, balance_dataset, generate_demonstration,
-                        generate_world)
+from .synthetic import (DEMO_BETA, LAYOUTS, TAG_CODES, TAGS, Demonstration, WorldSpec,
+                        balance_dataset, generate_demonstration, generate_world)
 
 FORMAT_NAME = "meirl-demos-v1"
 
@@ -46,9 +44,6 @@ class GenerateConfig:
     horizon_min: int = 15
     horizon_max: int = 25
     demo_beta: float = DEMO_BETA
-    gamma: float = 0.95
-    off_trail: float = OFF_TRAIL_PENALTY
-    ray_rate: float = RAY_RATE
     balance: Optional[dict] = None
 
     def __post_init__(self):
@@ -65,10 +60,6 @@ class GenerateConfig:
             raise ConfigError("horizon range must satisfy 15 <= min <= max <= 40")
         if any(s <= 0 for s in self.speeds):
             raise ConfigError("speeds must be positive")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenerateConfig":
-        return configio.from_dict(cls, data)
 
 
 def split_counts(n: int, split: float) -> int:
@@ -89,9 +80,7 @@ def generate_dataset(config: GenerateConfig):
                                          resolution=config.resolution, layout=layout,
                                          trail_width=config.trail_width))
         demos.append(generate_demonstration(
-            world, speed=speed, seed=demo_seed, horizon=horizon,
-            demo_beta=config.demo_beta, gamma=config.gamma,
-            off_trail=config.off_trail, ray_rate=config.ray_rate))
+            world, speed=speed, seed=demo_seed, horizon=horizon, demo_beta=config.demo_beta))
     if config.balance is not None:
         demos = balance_dataset(demos, config.balance)
     shuffle_rng = np.random.default_rng(
@@ -165,6 +154,9 @@ def save_dataset(root, train, test, config: GenerateConfig, overwrite: bool = Fa
     manifest_path = root / "manifest.json"
     if manifest_path.exists() and not overwrite:
         raise ConfigError(f"dataset already exists at {root} (manifest.json present)")
+    # without a manifest, a write that stops partway leaves no loadable mix of
+    # new and old records behind
+    manifest_path.unlink(missing_ok=True)
     for split_name, demos in (("train", train), ("test", test)):
         sub = root / split_name
         sub.mkdir(parents=True, exist_ok=True)

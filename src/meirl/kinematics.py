@@ -68,12 +68,12 @@ class KinematicContext:
             raise ConfigError("velocity must lie on one cardinal axis")
 
 
-def extract_velocity(track: PastTrack, speed_norm: float = SPEED_NORM):
+def extract_velocity(track: PastTrack):
     """Discretized mean velocity (dx, dy).
 
     Speed is arc length over elapsed time; direction is the net displacement
     projected to its dominant cardinal axis (ties break toward x). Magnitude is
-    min(speed / speed_norm, 1).
+    min(speed / SPEED_NORM, 1).
     """
     if len(track) < 2:
         raise ConfigError("velocity needs at least 2 track samples")
@@ -82,7 +82,7 @@ def extract_velocity(track: PastTrack, speed_norm: float = SPEED_NORM):
     speed = float(np.hypot(seg[:, 0], seg[:, 1]).sum() / elapsed)
     if speed == 0.0:
         return 0.0, 0.0
-    mag = min(speed / speed_norm, 1.0)
+    mag = min(speed / SPEED_NORM, 1.0)
     ux, uy = track.xy[-1] - track.xy[0]
     if ux == 0.0 and uy == 0.0:
         return 0.0, 0.0
@@ -91,12 +91,12 @@ def extract_velocity(track: PastTrack, speed_norm: float = SPEED_NORM):
     return 0.0, math.copysign(mag, uy)
 
 
-def fit_curvature(track: PastTrack, radius_cutoff: float = CURVATURE_RADIUS_CUTOFF) -> float:
+def fit_curvature(track: PastTrack) -> float:
     """Signed curvature 1/R from an algebraic least-squares circle fit.
 
     Solves x^2 + y^2 + a x + b y + c = 0 in the least-squares sense; the sign is
     positive for a counterclockwise (left-turning) track. Collinear tracks and
-    fits flatter than radius_cutoff return 0.
+    fits flatter than CURVATURE_RADIUS_CUTOFF return 0.
     """
     if len(track) < 3:
         raise ConfigError("curvature needs at least 3 track samples")
@@ -111,7 +111,7 @@ def fit_curvature(track: PastTrack, radius_cutoff: float = CURVATURE_RADIUS_CUTO
     if r_sq <= 0.0:
         return 0.0
     radius = math.sqrt(r_sq)
-    if radius > radius_cutoff:
+    if radius > CURVATURE_RADIUS_CUTOFF:
         return 0.0
     # turn direction from accumulated cross products of successive headings
     seg = np.diff(track.xy, axis=0)
@@ -122,11 +122,9 @@ def fit_curvature(track: PastTrack, radius_cutoff: float = CURVATURE_RADIUS_CUTO
     return math.copysign(1.0 / radius, turn)
 
 
-def kinematic_context(track: PastTrack, speed_norm: float = SPEED_NORM,
-                      kappa_max: float = KAPPA_MAX) -> KinematicContext:
-    dx, dy = extract_velocity(track, speed_norm)
-    kappa = fit_curvature(track)
-    kappa = max(-kappa_max, min(kappa_max, kappa)) / kappa_max
+def kinematic_context(track: PastTrack) -> KinematicContext:
+    dx, dy = extract_velocity(track)
+    kappa = max(-KAPPA_MAX, min(KAPPA_MAX, fit_curvature(track))) / KAPPA_MAX
     return KinematicContext(dx=dx, dy=dy, kappa=kappa)
 
 
@@ -147,32 +145,11 @@ def positional_channels(world: GridWorld, vehicle_cell) -> np.ndarray:
     return out
 
 
-@dataclass
-class InputStack:
-    """The 30-channel stage-2 input of one demonstration.
-
-    Channel order: 25 learned feature maps, positional x, positional y, then
-    dx, dy, kappa broadcast as constant planes.
-    """
-
-    channels: np.ndarray        # (30, rows, cols)
-    vehicle_cell: tuple
-    context: KinematicContext
-
-    def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.float64)
-        if self.channels.ndim != 3 or self.channels.shape[0] != N_STACK_CHANNELS:
-            raise ConfigError(
-                f"input stack must have {N_STACK_CHANNELS} channels, got {self.channels.shape}"
-            )
-        for idx, name in enumerate(("dx", "dy", "kappa"), start=N_FEATURE_CHANNELS + 2):
-            plane = self.channels[idx]
-            if plane.max() != plane.min():
-                raise ConfigError(f"stack channel {idx} ({name}) must be spatially constant")
-
-
 def build_input_stack(stage1_features: np.ndarray, world: GridWorld, vehicle_cell,
-                      context: KinematicContext) -> InputStack:
+                      context: KinematicContext) -> np.ndarray:
+    """The (30, rows, cols) stage-2 input of one demonstration: the 25 learned
+    feature maps, positional x, positional y, then dx, dy, kappa broadcast as
+    constant planes."""
     feats = np.asarray(stage1_features, dtype=np.float64)
     if feats.shape != (N_FEATURE_CHANNELS, world.rows, world.cols):
         raise ConfigError(
@@ -184,7 +161,4 @@ def build_input_stack(stage1_features: np.ndarray, world: GridWorld, vehicle_cel
     const[0] = context.dx
     const[1] = context.dy
     const[2] = context.kappa
-    channels = np.concatenate([feats, pos, const], axis=0)
-    return InputStack(channels=channels,
-                      vehicle_cell=(int(vehicle_cell[0]), int(vehicle_cell[1])),
-                      context=context)
+    return np.concatenate([feats, pos, const], axis=0)

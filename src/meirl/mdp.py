@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 
 N_ACTIONS = 4
-ACTION_NAMES = ("up", "down", "left", "right")
 ACTION_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 VALUE_SENTINEL = -1e9
 
@@ -78,7 +77,6 @@ class Policy:
     """Per-state action distribution, rows of probs sum to one."""
 
     probs: np.ndarray  # (4, rows, cols)
-    q: np.ndarray | None = None
     value: np.ndarray | None = None
     sweeps: int = 0
 
@@ -146,7 +144,7 @@ def value_iteration(reward: np.ndarray, gamma: float = 0.95, epsilon: float = 1e
             f"(residual {residual:.3e}, epsilon {epsilon:.1e})"
         )
     q = reward[None, :, :] + gamma * value[nr, nc]
-    return Policy(probs=annealed_softmax(q, beta, axis=0), q=q, value=value, sweeps=sweeps)
+    return Policy(probs=annealed_softmax(q, beta, axis=0), value=value, sweeps=sweeps)
 
 
 def _check_cell(cell, rows: int, cols: int):

@@ -2,8 +2,9 @@
 
 NLL is normalized per transition, so the uniform policy scores exactly ln 4 on
 every demonstration. Hausdorff distances are symmetric and measured in meters
-on cell centers. Terminal entropy is computed on the exactly-propagated state
-distribution, not on samples.
+on cell centers. Terminal entropy is that of the forecast's last cell, whose
+state distribution (`horizon - 1` moves from the start cell) is propagated
+exactly, not sampled.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ def mean_sampled_hd(policy: Policy, demo: Demonstration,
     return total / n_samples
 
 
-def terminal_entropy(policy: Policy, start, horizon: int) -> float:
-    mu = state_distribution(policy, start, horizon)
+def terminal_entropy(policy: Policy, start, steps: int) -> float:
+    """Entropy in nats of the state distribution `steps` moves from `start`."""
+    mu = state_distribution(policy, start, steps)
     p = mu[mu > 0.0]
     return float(-(p * np.log(p)).sum())
 

@@ -114,12 +114,12 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     return grad_input, grad_kernel, grad_bias
 
 
-def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    return np.where(x > 0.0, x, slope * x)
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, LEAKY_SLOPE * x)
 
 
-def leaky_relu_grad(x: np.ndarray, grad_out: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    return np.where(x > 0.0, 1.0, slope) * grad_out
+def leaky_relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, 1.0, LEAKY_SLOPE) * grad_out
 
 
 def kaiming_conv(rng: np.random.Generator, in_ch: int, out_ch: int, k: int = 3,

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .kinematics import (InputStack, N_FEATURE_CHANNELS, N_STACK_CHANNELS,
-                         build_input_stack, kinematic_context)
+from .kinematics import N_FEATURE_CHANNELS, N_STACK_CHANNELS, build_input_stack, kinematic_context
 from .nn import ConvLayer, conv2d_backward, conv2d_forward, kaiming_conv, leaky_relu, leaky_relu_grad
 
 STAGE1_WIDTHS = (16, 24, 24, N_FEATURE_CHANNELS)
@@ -58,7 +57,7 @@ class RewardNet:
         }
 
 
-def build_net(kind: str = "two_stage", seed: int = 0, env_channels: int = ENV_CHANNELS) -> RewardNet:
+def build_net(kind: str = "two_stage", seed: int = 0) -> RewardNet:
     """Seeded Kaiming init of one of the three architecture variants."""
     if kind not in KINDS:
         raise ConfigError(f"unknown net kind {kind!r}, expected one of {KINDS}")
@@ -68,7 +67,7 @@ def build_net(kind: str = "two_stage", seed: int = 0, env_channels: int = ENV_CH
         widths = STAGE1_WIDTHS[:-1] + (1,)
     else:
         widths = STAGE1_WIDTHS
-    in_ch = env_channels
+    in_ch = ENV_CHANNELS
     for width, dil in zip(widths, STAGE1_DILATIONS):
         net.stage1.append(kaiming_conv(rng, in_ch, width, k=3, dilation=dil))
         in_ch = width
@@ -147,7 +146,7 @@ class Activations:
 
     stage1: list
     stage2: list | None = None       # None when the kind has no second stage
-    stack: InputStack | None = None  # the stage-2 input
+    stack: np.ndarray | None = None  # the (30, rows, cols) stage-2 input
 
 
 def forward(net: RewardNet, demo) -> tuple:
@@ -200,10 +199,10 @@ def stage1_forward(net: RewardNet, env: np.ndarray) -> tuple:
     return _stack_forward(net.stage1, net.stage1_acts, env)
 
 
-def reward_forward(net: RewardNet, stack: InputStack) -> tuple:
+def reward_forward(net: RewardNet, stack: np.ndarray) -> tuple:
     """Stage-2 reward map from an already-built input stack."""
     _require(net, "two_stage", "reward_forward")
-    out, caches = _stack_forward(net.stage2, net.stage2_acts, stack.channels)
+    out, caches = _stack_forward(net.stage2, net.stage2_acts, stack)
     return out[0], caches
 
 
@@ -226,10 +225,10 @@ def reward_backward_env(net: RewardNet, caches: list, grad: np.ndarray) -> tuple
     return _stack_backward(net.stage1, net.stage1_acts, caches, grad, "s1")
 
 
-def action_logits(net: RewardNet, stack: InputStack) -> tuple:
+def action_logits(net: RewardNet, stack: np.ndarray) -> tuple:
     """(4, rows, cols) logits of the cloning head."""
     _require(net, "action_head", "action_logits")
-    return _stack_forward(net.stage2, net.stage2_acts, stack.channels)
+    return _stack_forward(net.stage2, net.stage2_acts, stack)
 
 
 def action_head_backward(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:

@@ -32,6 +32,8 @@ OFF_TRAIL_PENALTY = -2.0
 RAY_RATE = 0.25          # per-cell increment of the straight-ahead ramp
 MARGIN = 2               # trail inset from the border, keeps boundary clipping out of play
 DEMO_BETA = 2.5
+DEMO_GAMMA = 0.95        # discount of the expert's planner
+DEMO_EPSILON = 1e-4      # and its value-iteration tolerance
 
 # terrain palette: (low, high) bands drawn per cell; the two variance bands must
 # not straddle VAR_THRESHOLD, so the trail stays recoverable by thresholding
@@ -249,11 +251,8 @@ def _heading_delta(context: KinematicContext):
     return None
 
 
-def ground_truth_reward(world: GridWorld, start, context: KinematicContext,
-                        off_trail: float = OFF_TRAIL_PENALTY,
-                        ray_rate: float = RAY_RATE,
-                        fast_threshold: float = FAST_THRESHOLD) -> np.ndarray:
-    """Trail cells 0, everything else `off_trail`, plus the speed-gated ramp.
+def ground_truth_reward(world: GridWorld, start, context: KinematicContext) -> np.ndarray:
+    """Trail cells 0, everything else OFF_TRAIL_PENALTY, plus the speed-gated ramp.
 
     The ramp climbs along the straight-ahead ray from the vehicle cell while the
     ray stays on the trail, stopping at the first off-trail cell. Every quantity
@@ -261,10 +260,10 @@ def ground_truth_reward(world: GridWorld, start, context: KinematicContext,
     the kinematic context, so the learner can represent it.
     """
     mask = trail_mask(world)
-    reward = np.where(mask, 0.0, float(off_trail))
+    reward = np.where(mask, 0.0, OFF_TRAIL_PENALTY)
     speed = max(abs(context.dx), abs(context.dy))
     step = _heading_delta(context)
-    if speed > fast_threshold and step is not None:
+    if speed > FAST_THRESHOLD and step is not None:
         r, c = int(start[0]), int(start[1])
         k = 0
         while True:
@@ -272,7 +271,7 @@ def ground_truth_reward(world: GridWorld, start, context: KinematicContext,
             if not (0 <= r < world.rows and 0 <= c < world.cols) or not mask[r, c]:
                 break
             k += 1
-            reward[r, c] += ray_rate * k
+            reward[r, c] += RAY_RATE * k
     return reward
 
 
@@ -362,10 +361,7 @@ def _past_track_from_cells(cells, resolution: float, speed: float) -> PastTrack:
 def generate_demonstration(world: GridWorld, speed: float = 4.0, seed: int = 0, *,
                            start=None, past_direction: Optional[int] = None,
                            horizon: Optional[int] = None,
-                           demo_beta: float = DEMO_BETA, gamma: float = 0.95,
-                           epsilon: float = 1e-4,
-                           off_trail: float = OFF_TRAIL_PENALTY,
-                           ray_rate: float = RAY_RATE) -> Demonstration:
+                           demo_beta: float = DEMO_BETA) -> Demonstration:
     """Sample one expert: synthesize a past along the trail, then roll the
     annealed-softmax policy of the ground-truth reward forward."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -387,8 +383,8 @@ def generate_demonstration(world: GridWorld, speed: float = 4.0, seed: int = 0, 
     past = _past_track_from_cells(walked, world.resolution, speed)
     context = kinematic_context(past)
 
-    reward = ground_truth_reward(world, start, context, off_trail=off_trail, ray_rate=ray_rate)
-    policy = value_iteration(reward, gamma=gamma, epsilon=epsilon, beta=demo_beta)
+    reward = ground_truth_reward(world, start, context)
+    policy = value_iteration(reward, gamma=DEMO_GAMMA, epsilon=DEMO_EPSILON, beta=demo_beta)
     if horizon is None:
         horizon = int(rng.integers(15, 26))
     if not 15 <= horizon <= 40:

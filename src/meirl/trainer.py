@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -59,10 +58,6 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
         if not 0 <= self.gamma < 1:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return configio.from_dict(cls, data)
 
 
 def training_beta(config: TrainConfig, iteration: int) -> float:

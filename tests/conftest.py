@@ -1,7 +1,22 @@
+import struct
+
 import numpy as np
 import pytest
 
+from meirl.checkpoint import MAGIC
 from meirl.mdp import GridWorld
+
+# checkpoint meta blocks that must be refused: bytes that are not UTF-8, text
+# that is not JSON, and JSON that is not an object
+CORRUPT_META = {"not_utf8": b'{"iteration": "\xff"}', "not_json": b'{"iteration": 1',
+                "not_object": b"[]"}
+
+
+def with_meta_block(raw: bytes, meta: bytes) -> bytes:
+    """A checkpoint's bytes with its meta block replaced by `meta`."""
+    (old_len,) = struct.unpack("<I", raw[len(MAGIC):len(MAGIC) + 4])
+    rest = raw[len(MAGIC) + 4 + old_len:]
+    return MAGIC + struct.pack("<I", len(meta)) + meta + rest
 
 
 def rand_env(rng, rows, cols):

@@ -117,7 +117,7 @@ def test_circle_recovers_turn_rate_within_5_percent():
     # radius 10 at speed 2: true tan(delta)/L = 1/R = 0.1
     track = circle_track(radius=10.0, speed=2.0, dt=0.1, n=52)
     state = ekf_run(track)  # default noise, 50 corrections
-    est = math.tan(state.delta) / state.wheelbase
+    est = math.tan(state.delta) / WHEELBASE
     assert abs(est - 0.1) / 0.1 < 0.05
     assert state.v == pytest.approx(2.0, rel=0.05)
 
@@ -240,7 +240,7 @@ def test_bc_and_irl_consume_identical_stacks(right_dataset):
     bc_net = build_net("action_head", seed=4)
     a = demo_stack(irl_net, demo)
     b = demo_stack(bc_net, demo)
-    assert a.channels.tobytes() == b.channels.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_bc_empty_dataset_rejected():

@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from conftest import CORRUPT_META, with_meta_block
 from meirl.cli import main
 from meirl.checkpoint import load_checkpoint, save_checkpoint
 from meirl.dataset import load_dataset
-from meirl.mdp import compute_svf, uniform_policy
+from meirl.mdp import compute_svf, state_distribution, uniform_policy
 from meirl.reward_net import build_net
 
 GEN_ARGS = ["--demos", "8", "--rows", "16", "--cols", "16", "--split", "0.75",
@@ -107,6 +108,17 @@ def test_generate_unknown_config_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"demos": 5}))  # the field is called n_demos
     assert run("generate", "--out", tmp_path / "x", "--config", cfg) == 2
     assert "demos" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("gamma", 0.9), ("off_trail", -1.0),
+                                        ("ray_rate", 0.5)])
+def test_generate_config_rejects_expert_constants(tmp_path, capsys, key, value):
+    # the expert's reward and planner are fixed constants, not settings
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n_demos": 4, key: value}))
+    assert run("generate", "--out", tmp_path / "x", "--config", cfg) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_generate_flags_beat_config_file(tmp_path):
@@ -243,6 +255,21 @@ def test_predict_random_matches_dp_diffusion(dataset_dir, tmp_path):
     assert not (out / "reward.csv").exists()
 
 
+def test_predict_terminal_entropy_is_that_of_the_last_forecast_cell(dataset_dir, tmp_path):
+    out = tmp_path / "rand"
+    assert run("predict", "--dataset", dataset_dir, "--out", out,
+               "--method", "random", "--demo", "1", "--samples", "0") == 0
+    _, test_demos, _ = load_dataset(dataset_dir)
+    demo = test_demos[1]
+    # a forecast of `horizon` cells, the start included, makes horizon - 1 moves
+    last = state_distribution(uniform_policy(demo.world.rows, demo.world.cols),
+                              tuple(demo.future[0]), demo.horizon - 1)
+    p = last[last > 0.0]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["terminal_entropy"] == pytest.approx(float(-(p * np.log(p)).sum()),
+                                                        rel=1e-12)
+
+
 def test_predict_ekf_writes_trajectory(dataset_dir, tmp_path):
     out = tmp_path / "ekf"
     assert run("predict", "--dataset", dataset_dir, "--out", out,
@@ -352,6 +379,17 @@ def test_eval_rejects_checkpoint_of_another_method(dataset_dir, nokin_ckpt, tmp_
     assert rc == 2
     err = capsys.readouterr().err
     assert "'env_only'" in err and "'two_stage'" in err
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_META))
+def test_eval_corrupt_checkpoint_meta_exits_2(dataset_dir, ours_ckpt, tmp_path, capsys,
+                                              case):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_meta_block(ours_ckpt.read_bytes(), CORRUPT_META[case]))
+    rc = run("eval", "--dataset", dataset_dir, "--out", tmp_path / "x",
+             "--checkpoint", bad, "--methods", "ours", "--samples", "5")
+    assert rc == 2
+    assert "meta block" in capsys.readouterr().err
 
 
 def test_eval_unknown_method_rejected(dataset_dir, tmp_path, capsys):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meirl import dataset
 from meirl.config import from_dict
 from meirl.dataset import (GenerateConfig, generate_dataset, load_dataset, load_demo,
                            save_dataset, save_demo, split_counts)
@@ -94,6 +95,27 @@ def test_save_refuses_overwrite(tmp_path):
     save_dataset(tmp_path / "ds", train, test, tiny_config(), overwrite=True)
 
 
+def test_overwrite_that_stops_partway_leaves_no_loadable_dataset(tmp_path, monkeypatch):
+    train, test = generate_dataset(tiny_config())
+    save_dataset(tmp_path / "ds", train, test, tiny_config())
+    real_save = dataset.save_demo
+    calls = []
+
+    def fail_on_third(path, demo):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_save(path, demo)
+
+    monkeypatch.setattr(dataset, "save_demo", fail_on_third)
+    new_train, new_test = generate_dataset(tiny_config(seed=4))
+    with pytest.raises(OSError):
+        save_dataset(tmp_path / "ds", new_train, new_test, tiny_config(seed=4), overwrite=True)
+    # two new records sit next to four old ones; none of them may load as a dataset
+    with pytest.raises(ConfigError):
+        load_dataset(tmp_path / "ds")
+
+
 def test_missing_record_listed(tmp_path):
     train, test = generate_dataset(tiny_config())
     save_dataset(tmp_path / "ds", train, test, tiny_config())
@@ -126,11 +148,11 @@ def test_config_validation():
 
 
 def test_config_from_dict_round_trip():
-    cfg = GenerateConfig.from_dict({"n_demos": 10, "speeds": [2.0, 4.0]})
+    cfg = from_dict(GenerateConfig, {"n_demos": 10, "speeds": [2.0, 4.0]})
     assert cfg.n_demos == 10
     assert cfg.speeds == (2.0, 4.0)
     with pytest.raises(ConfigError, match="unknown"):
-        GenerateConfig.from_dict({"n_demo": 10})
+        from_dict(GenerateConfig, {"n_demo": 10})
     with pytest.raises(ConfigError):
         from_dict(GenerateConfig, "not a dict")
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_world
 from meirl.errors import ConfigError
-from meirl.kinematics import (InputStack, KinematicContext, PastTrack,
+from meirl.kinematics import (KinematicContext, PastTrack,
                               build_input_stack, extract_velocity, fit_curvature,
                               kinematic_context, positional_channels)
 
@@ -67,7 +67,7 @@ def test_velocity_needs_two_samples():
 
 def test_velocity_full_speed_east():
     tr = straight_track(10.0, 0.0)
-    assert extract_velocity(tr, speed_norm=10.0) == (1.0, 0.0)
+    assert extract_velocity(tr) == (1.0, 0.0)
 
 
 def test_velocity_stationary():
@@ -77,25 +77,25 @@ def test_velocity_stationary():
 
 def test_velocity_angled_keeps_speed_magnitude():
     tr = straight_track(5.0, 30.0)
-    dx, dy = extract_velocity(tr, speed_norm=10.0)
+    dx, dy = extract_velocity(tr)
     assert dx == pytest.approx(0.5, abs=1e-12)
     assert dy == 0.0
 
 
 def test_velocity_dominant_axis_and_sign():
     tr = straight_track(4.0, 120.0)  # mostly +y, negative x
-    dx, dy = extract_velocity(tr, speed_norm=10.0)
+    dx, dy = extract_velocity(tr)
     assert dx == 0.0
     assert dy == pytest.approx(0.4, abs=1e-12)
     tr = straight_track(4.0, 260.0)  # mostly -y
-    dx, dy = extract_velocity(tr, speed_norm=10.0)
+    dx, dy = extract_velocity(tr)
     assert dx == 0.0
     assert dy == pytest.approx(-0.4, abs=1e-12)
 
 
 def test_velocity_saturates_at_norm():
     tr = straight_track(25.0, 0.0)
-    assert extract_velocity(tr, speed_norm=10.0) == (1.0, 0.0)
+    assert extract_velocity(tr) == (1.0, 0.0)
 
 
 def test_velocity_uses_arc_length_speed():
@@ -104,7 +104,7 @@ def test_velocity_uses_arc_length_speed():
     leg2 = np.stack([np.full(10, 5.0), np.linspace(0.5, 5, 10)], axis=1)
     tr = track_from_xy(np.vstack([leg1, leg2]))
     speed = 10.0 / tr.t[-1]  # 10 m of path over the window
-    dx, dy = extract_velocity(tr, speed_norm=10.0)
+    dx, dy = extract_velocity(tr)
     assert max(abs(dx), abs(dy)) == pytest.approx(min(speed / 10.0, 1.0), rel=1e-9)
 
 
@@ -181,10 +181,10 @@ def test_velocity_rotation_quarter_turn():
 
 def test_context_clamps_and_normalizes_kappa():
     tr = arc_track(5.0, 0.0, 1.2)  # raw kappa +0.2
-    ctx = kinematic_context(tr, kappa_max=0.5)
+    ctx = kinematic_context(tr)
     assert ctx.kappa == pytest.approx(0.4, abs=1e-9)
     tight = arc_track(1.0, 0.0, 1.2)  # raw kappa +1.0, clamps to max
-    ctx = kinematic_context(tight, kappa_max=0.5)
+    ctx = kinematic_context(tight)
     assert ctx.kappa == 1.0
 
 
@@ -227,18 +227,11 @@ def test_build_input_stack_layout(rng):
     feats = rng.normal(size=(25, 10, 10))
     ctx = KinematicContext(dx=0.5, dy=0.0, kappa=-0.2)
     stack = build_input_stack(feats, world, (5, 5), ctx)
-    assert stack.channels.shape == (30, 10, 10)
-    assert np.array_equal(stack.channels[:25], feats)
-    assert np.all(stack.channels[27] == 0.5)
-    assert np.all(stack.channels[28] == 0.0)
-    assert np.all(stack.channels[29] == -0.2)
-
-
-def test_input_stack_requires_constant_kinematic_planes(rng):
-    channels = rng.normal(size=(30, 8, 8))
-    with pytest.raises(ConfigError, match="constant"):
-        InputStack(channels=channels,
-                   vehicle_cell=(4, 4), context=KinematicContext(0.0, 0.0, 0.0))
+    assert stack.shape == (30, 10, 10)
+    assert np.array_equal(stack[:25], feats)
+    assert np.all(stack[27] == 0.5)
+    assert np.all(stack[28] == 0.0)
+    assert np.all(stack[29] == -0.2)
 
 
 def test_build_input_stack_shape_mismatch(rng):

@@ -1,10 +1,13 @@
 """Conv substrate: naive-loop oracle, finite differences, Adam, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import CORRUPT_META, with_meta_block
 from meirl import checkpoint
 from meirl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from meirl.errors import ConfigError
@@ -283,6 +286,28 @@ def test_checkpoint_crash_mid_write_keeps_previous_file(tmp_path, monkeypatch):
     store, _, iteration = load_checkpoint(path)
     assert iteration == 1 and np.array_equal(store.params["w"], np.ones(30))
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.ckpt"]
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_META))
+def test_checkpoint_corrupt_meta_raises_config_error(tmp_path, case):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, ParameterStore.create({"w": np.ones(3)}, 0.1))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(with_meta_block(path.read_bytes(), CORRUPT_META[case]))
+    with pytest.raises(ConfigError, match="meta block"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_parameter_name_not_utf8_raises_config_error(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, ParameterStore.create({"w": np.ones(3)}, 0.1))
+    raw = path.read_bytes()
+    # the first array record's name: u16 length 1, then the byte of "w"
+    at = raw.index(struct.pack("<H", 1) + b"w") + 2
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+    with pytest.raises(ConfigError, match="parameter name"):
+        load_checkpoint(bad)
 
 
 @settings(max_examples=25, deadline=None,

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_world, rand_env
 from meirl.checkpoint import load_checkpoint, save_checkpoint
 from meirl.errors import ConfigError
-from meirl.kinematics import (KAPPA_MAX, SPEED_NORM, InputStack, KinematicContext, PastTrack,
+from meirl.kinematics import (KAPPA_MAX, SPEED_NORM, KinematicContext, PastTrack,
                               build_input_stack, kinematic_context)
 from meirl.mdp import GridWorld
 from meirl.nn import ParameterStore, leaky_relu
@@ -114,8 +114,7 @@ def test_forward_shapes(rng):
 def test_kind_mismatch_raises(rng):
     net = build_net("env_only", seed=0)
     with pytest.raises(ConfigError):
-        stack = InputStack(channels=np.zeros((30, 8, 8)), vehicle_cell=(4, 4), context=CTX0)
-        reward_forward(net, stack)
+        reward_forward(net, np.zeros((30, 8, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +138,7 @@ def test_constant_stack_interior_matches_recurrence():
     rng = np.random.default_rng(0)
     c = rng.normal(size=30)
     channels = np.broadcast_to(c[:, None, None], (30, 16, 16)).copy()
-    stack = InputStack(channels=channels, vehicle_cell=(8, 8), context=CTX0)
-    out, _ = reward_forward(net, stack)
+    out, _ = reward_forward(net, channels)
     expect = constant_plane_oracle(net.stage2, net.stage2_acts, c)
     assert np.allclose(out[4:-4, 4:-4], expect[0], atol=1e-12)
 

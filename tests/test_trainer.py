@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meirl.checkpoint import load_checkpoint
+from meirl.config import from_dict
 from meirl.errors import ConfigError, ConvergenceError
 from meirl import reward_net, trainer
 from meirl.baselines import BcConfig, bc_train
@@ -400,11 +401,11 @@ def test_config_validation():
 
 
 def test_config_from_dict():
-    cfg = TrainConfig.from_dict({"iterations": 5, "batch_size": 2})
+    cfg = from_dict(TrainConfig, {"iterations": 5, "batch_size": 2})
     assert cfg.iterations == 5 and cfg.batch_size == 2
     with pytest.raises(ConfigError, match="stepsize"):
-        TrainConfig.from_dict({"stepsize": 0.1})
+        from_dict(TrainConfig, {"stepsize": 0.1})
     with pytest.raises(ConfigError, match="workers"):  # retired with the thread pool
-        TrainConfig.from_dict({"workers": 1})
+        from_dict(TrainConfig, {"workers": 1})
     with pytest.raises(ConfigError, match="use_kinematics"):  # the net's kind says it
-        TrainConfig.from_dict({"use_kinematics": False})
+        from_dict(TrainConfig, {"use_kinematics": False})
