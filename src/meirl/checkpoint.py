@@ -36,6 +36,10 @@ def _write_array(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_exact(fh, n: int) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
@@ -107,6 +111,14 @@ def load_checkpoint(path):
         if not isinstance(meta, dict):
             raise ConfigError(f"{path}: checkpoint meta block must be a JSON object, "
                               f"got {type(meta).__name__}")
+        iteration, adam = meta.get("iteration", 0), meta.get("adam", {})
+        if not _is_int(iteration):
+            raise ConfigError(f"{path}: checkpoint meta block's iteration must be an "
+                              f"integer, got {iteration!r}")
+        if not (isinstance(adam, dict)
+                and all(_is_int(v) or isinstance(v, float) for v in adam.values())):
+            raise ConfigError(f"{path}: checkpoint meta block's adam entry must be a JSON "
+                              f"object of numbers, got {adam!r}")
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
         params = {}
         for _ in range(n_params):
@@ -114,7 +126,6 @@ def load_checkpoint(path):
             if name in params:
                 raise ConfigError(f"duplicate parameter {name!r} in checkpoint")
             params[name] = arr
-        adam = meta.get("adam", {})
         store = ParameterStore.create(params, adam.get("learning_rate", 1e-3))
         store.beta1 = float(adam.get("beta1", store.beta1))
         store.beta2 = float(adam.get("beta2", store.beta2))
@@ -131,4 +142,4 @@ def load_checkpoint(path):
                     raise ConfigError(f"optimizer state shape mismatch for {name!r}")
                 store.m[name] = m
                 store.v[name] = v
-    return store, meta, int(meta.get("iteration", 0))
+    return store, meta, iteration

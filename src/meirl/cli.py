@@ -1,9 +1,11 @@
 """Command line surface: generate | train | predict | eval.
 
-Each subcommand reads an optional JSON config file; flags override file values
-and unknown keys are rejected. Every run writes the fully-resolved config next
-to its outputs so results are reproducible from (config, seed) alone. The
-dataset directory is never written to after generation.
+Each subcommand's settings are the fields of one config dataclass. A setting
+comes from, in rising precedence: the dataclass default, the optional
+`--config` JSON file (unknown keys are rejected), and the flag whose dest
+names the field, if that flag was given. Every run writes the fully-resolved
+config next to its outputs so results are reproducible from (config, seed)
+alone. The dataset directory is never written to after generation.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for runtime failures.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -39,19 +42,26 @@ from .trainer import TrainConfig, train, write_report, write_timings
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _file_data(config_path) -> dict:
-    if config_path is None:
-        return {}
-    data = configio.load_json(config_path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {config_path} must hold a JSON object")
-    return data
+def _fields(cls) -> list:
+    return [f.name for f in dataclasses.fields(cls)]
 
 
-def _overlay(data: dict, overrides: dict) -> dict:
-    merged = dict(data)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
+def _resolve(cls, args):
+    """The `cls` config: the --config file's object, overlaid by every given
+    flag whose dest is a field of `cls` (parsers leave flags not given out of
+    the namespace)."""
+    data = {}
+    if args.config is not None:
+        data = configio.load_json(args.config)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+    data.update((name, getattr(args, name)) for name in _fields(cls) if name in args)
+    return configio.from_dict(cls, data)
+
+
+def _names(raw: str) -> tuple:
+    """A comma-separated list flag as a tuple of names."""
+    return tuple(s.strip() for s in raw.split(","))
 
 
 def _write_resolved(out_dir: Path, command: str, payload: dict) -> None:
@@ -62,7 +72,7 @@ def _write_resolved(out_dir: Path, command: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # generate
 
-def _parse_balance(raw: str):
+def _balance(raw: str):
     if raw == "none":
         return None
     if raw == "equal":
@@ -71,33 +81,21 @@ def _parse_balance(raw: str):
         try:
             return json.loads(raw)
         except json.JSONDecodeError as e:
-            raise ConfigError(f"bad balance spec: {e}") from e
-    raise ConfigError(
+            raise argparse.ArgumentTypeError(f"bad balance spec: {e}") from e
+    raise argparse.ArgumentTypeError(
         f"balance must be 'equal', 'none', or a JSON object of tag fractions, got {raw!r}")
 
 
 def cmd_generate(args) -> None:
-    overrides = {
-        "n_demos": args.n_demos, "split": args.split, "seed": args.seed,
-        "rows": args.rows, "cols": args.cols, "resolution": args.resolution,
-        "trail_width": args.trail_width,
-        "horizon_min": args.horizon_min, "horizon_max": args.horizon_max,
-    }
-    if args.layouts is not None:
-        overrides["layouts"] = tuple(s.strip() for s in args.layouts.split(","))
-    if args.balance is not None:
-        overrides["balance"] = _parse_balance(args.balance)
-    data = _overlay(_file_data(args.config), overrides)
-    if args.speed_min is not None or args.speed_max is not None:
-        lo, hi = data.get("speeds", (2.0, 8.0))
-        data["speeds"] = (lo if args.speed_min is None else args.speed_min,
-                          hi if args.speed_max is None else args.speed_max)
-    cfg = configio.from_dict(GenerateConfig, data)
+    cfg = _resolve(GenerateConfig, args)
+    if "speed_min" in args or "speed_max" in args:
+        lo, hi = cfg.speeds
+        cfg = dataclasses.replace(cfg, speeds=(getattr(args, "speed_min", lo),
+                                               getattr(args, "speed_max", hi)))
 
     out = Path(args.out)
     train_demos, test_demos = generate_dataset(cfg)
-    manifest = save_dataset(out, train_demos, test_demos, cfg,
-                            overwrite=args.overwrite)
+    manifest = save_dataset(out, train_demos, test_demos, cfg, overwrite=args.overwrite)
     _write_resolved(out, "generate", {"out": str(out),
                                       "config": configio.to_dict(cfg)})
     print(f"wrote {manifest['n_train']} train / {manifest['n_test']} test "
@@ -114,17 +112,14 @@ def cmd_generate(args) -> None:
 # the net each trainable method fits; --method is the only switch between them
 METHOD_KIND = {"ours": "two_stage", "irl_nokin": "env_only", "bc": "action_head"}
 
-# train flags only the IRL loop reads
-_IRL_ONLY = ("batch_size", "gamma", "epsilon", "beta0", "tau", "checkpoint_every",
-             "augment")
-
 
 def cmd_train(args) -> None:
     if args.method == "bc":
         if args.resume is not None:
             raise ConfigError("behavior cloning does not support --resume")
-        given = [f"--{name.replace('_', '-')}" for name in _IRL_ONLY
-                 if getattr(args, name) is not None]
+        # the flags only the IRL loop reads; --iterations counts BC epochs
+        given = [f"--{name.replace('_', '-')}" for name in _fields(TrainConfig)
+                 if name not in _fields(BcConfig) and name != "iterations" and name in args]
         if given:
             raise ConfigError(f"behavior cloning does not take {', '.join(given)}")
 
@@ -133,9 +128,9 @@ def cmd_train(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.method == "bc":
-        overrides = {"epochs": args.iterations, "learning_rate": args.learning_rate,
-                     "seed": args.seed}
-        cfg = configio.from_dict(BcConfig, _overlay(_file_data(args.config), overrides))
+        if "iterations" in args:
+            args.epochs = args.iterations
+        cfg = _resolve(BcConfig, args)
         net, rows = bc_train(train_demos, cfg)
         store = ParameterStore.create(net.parameters(), cfg.learning_rate)
         save_checkpoint(out / "checkpoint.ckpt", store,
@@ -152,9 +147,7 @@ def cmd_train(args) -> None:
         print(f"checkpoint: {out / 'checkpoint.ckpt'}")
         return
 
-    overrides = {name: getattr(args, name)
-                 for name in ("iterations", "learning_rate", "seed") + _IRL_ONLY}
-    cfg = configio.from_dict(TrainConfig, _overlay(_file_data(args.config), overrides))
+    cfg = _resolve(TrainConfig, args)
     _, _, reports, timings = train(train_demos, cfg, out_dir=out, resume=args.resume,
                                    kind=METHOD_KIND[args.method])
     write_report(reports, out / "report.csv")
@@ -250,10 +243,7 @@ def _write_samples_csv(path, rollouts: np.ndarray) -> None:
 
 
 def cmd_predict(args) -> None:
-    overrides = {"method": args.method, "demo": args.demo, "which": args.which,
-                 "samples": args.samples, "seed": args.seed,
-                 "zero_lidar": args.zero_lidar}
-    cfg = configio.from_dict(PredictConfig, _overlay(_file_data(args.config), overrides))
+    cfg = _resolve(PredictConfig, args)
 
     train_demos, test_demos, manifest = load_dataset(args.dataset)
     pool = test_demos if cfg.which == "test" else train_demos
@@ -373,10 +363,7 @@ def _eval_method(method, demos, cfg: EvalConfig, nets, beta: float):
 
 
 def cmd_eval(args) -> None:
-    overrides = {"samples": args.samples, "seed": args.seed}
-    if args.methods is not None:
-        overrides["methods"] = tuple(s.strip() for s in args.methods.split(","))
-    cfg = configio.from_dict(EvalConfig, _overlay(_file_data(args.config), overrides))
+    cfg = _resolve(EvalConfig, args)
 
     # every required artifact is checked before any work happens
     missing = []
@@ -437,33 +424,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="meirl",
         description="Max-ent deep IRL trajectory forecasting on grid worlds")
     sub = p.add_subparsers(dest="command", required=True)
+    # a flag not given leaves its dest out of the namespace, so that _resolve
+    # overlays exactly the given flags on the --config file
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    g = sub.add_parser("generate", help="synthesize a demonstration dataset")
+    g = command("generate", help="synthesize a demonstration dataset")
     g.add_argument("--out", required=True, help="dataset directory to create")
-    g.add_argument("--config", help="JSON file of generation settings")
+    g.add_argument("--config", default=None, help="JSON file of generation settings")
     g.add_argument("--demos", type=int, dest="n_demos")
     g.add_argument("--split", type=float)
     g.add_argument("--seed", type=int)
     g.add_argument("--rows", type=int)
     g.add_argument("--cols", type=int)
     g.add_argument("--resolution", type=float)
-    g.add_argument("--layouts", help="comma-separated layout names")
+    g.add_argument("--layouts", type=_names, help="comma-separated layout names")
     g.add_argument("--trail-width", type=int, dest="trail_width")
     g.add_argument("--speed-min", type=float, dest="speed_min")
     g.add_argument("--speed-max", type=float, dest="speed_max")
     g.add_argument("--horizon-min", type=int, dest="horizon_min")
     g.add_argument("--horizon-max", type=int, dest="horizon_max")
-    g.add_argument("--balance", help="'equal' or a JSON object of tag fractions")
-    g.add_argument("--overwrite", action="store_true")
+    g.add_argument("--balance", type=_balance,
+                   help="'equal', 'none' or a JSON object of tag fractions")
+    g.add_argument("--overwrite", action="store_true", default=False)
     g.set_defaults(fn=cmd_generate)
 
-    t = sub.add_parser("train", help="fit a model on a dataset")
+    t = command("train", help="fit a model on a dataset")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--config")
+    t.add_argument("--config", default=None)
     t.add_argument("--method", choices=("ours", "irl_nokin", "bc"),
                    default="ours")
-    t.add_argument("--resume", help="checkpoint to continue from")
+    t.add_argument("--resume", default=None, help="checkpoint to continue from")
     t.add_argument("--iterations", type=int,
                    help="IRL iterations, or epochs for --method bc")
     t.add_argument("--batch-size", type=int, dest="batch_size")
@@ -476,32 +467,30 @@ def build_parser() -> argparse.ArgumentParser:
     # runs are serial; "--workers 1" is still accepted so existing command lines parse
     t.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
     t.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    t.add_argument("--augment", action=argparse.BooleanOptionalAction,
-                   default=None)
+    t.add_argument("--augment", action=argparse.BooleanOptionalAction)
     t.set_defaults(fn=cmd_train)
 
-    pr = sub.add_parser("predict", help="forecast one demonstration")
+    pr = command("predict", help="forecast one demonstration")
     pr.add_argument("--dataset", required=True)
     pr.add_argument("--out", required=True)
-    pr.add_argument("--checkpoint")
-    pr.add_argument("--config")
+    pr.add_argument("--checkpoint", default=None)
+    pr.add_argument("--config", default=None)
     pr.add_argument("--method", choices=("ours", "random", "ekf"))
     pr.add_argument("--demo", type=int)
     pr.add_argument("--which", choices=("train", "test"))
     pr.add_argument("--samples", type=int)
     pr.add_argument("--seed", type=int)
-    pr.add_argument("--zero-lidar", action="store_true", dest="zero_lidar",
-                    default=None)
+    pr.add_argument("--zero-lidar", action="store_true", dest="zero_lidar")
     pr.set_defaults(fn=cmd_predict)
 
-    ev = sub.add_parser("eval", help="score methods on the test split")
+    ev = command("eval", help="score methods on the test split")
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--config")
-    ev.add_argument("--checkpoint", help="trained model for method 'ours'")
-    ev.add_argument("--checkpoint-nokin", dest="checkpoint_nokin")
-    ev.add_argument("--checkpoint-bc", dest="checkpoint_bc")
-    ev.add_argument("--methods", help="comma-separated subset to evaluate")
+    ev.add_argument("--config", default=None)
+    ev.add_argument("--checkpoint", default=None, help="trained model for method 'ours'")
+    ev.add_argument("--checkpoint-nokin", default=None, dest="checkpoint_nokin")
+    ev.add_argument("--checkpoint-bc", default=None, dest="checkpoint_bc")
+    ev.add_argument("--methods", type=_names, help="comma-separated subset to evaluate")
     ev.add_argument("--samples", type=int)
     ev.add_argument("--seed", type=int)
     # runs are serial; "--workers 1" is still accepted so existing command lines parse

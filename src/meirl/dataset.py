@@ -182,12 +182,15 @@ def save_dataset(root, train, test, config: GenerateConfig, overwrite: bool = Fa
 def load_dataset(root):
     root = Path(root)
     manifest = configio.load_json(root / "manifest.json")
-    if manifest.get("format") != FORMAT_NAME:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise ConfigError(f"unrecognized dataset format in {root}")
     out = {}
     missing = []
     for split_name in ("train", "test"):
-        n = manifest[f"n_{split_name}"]
+        n = manifest.get(f"n_{split_name}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ConfigError(f"manifest in {root} must give n_{split_name} as a "
+                              f"nonnegative integer, got {n!r}")
         paths = [root / split_name / f"demo_{i:05d}.bin" for i in range(n)]
         missing.extend(str(p) for p in paths if not p.exists())
         out[split_name] = paths

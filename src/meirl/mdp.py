@@ -52,21 +52,13 @@ class GridWorld:
 
 
 @lru_cache(maxsize=128)
-def transition_table(rows: int, cols: int):
-    """(next_row, next_col) index arrays of shape (4, rows, cols); treat as read-only."""
+def flat_transition_table(rows: int, cols: int):
+    """Flat index of each cell's successor under each action: (4, rows*cols);
+    treat as read-only."""
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     deltas = np.asarray(ACTION_DELTAS)
     nr = np.clip(rr[None, :, :] + deltas[:, 0, None, None], 0, rows - 1)
     nc = np.clip(cc[None, :, :] + deltas[:, 1, None, None], 0, cols - 1)
-    nr.setflags(write=False)
-    nc.setflags(write=False)
-    return nr, nc
-
-
-@lru_cache(maxsize=128)
-def flat_transition_table(rows: int, cols: int):
-    """Flattened successor index per action: (4, rows*cols)."""
-    nr, nc = transition_table(rows, cols)
     flat = (nr * cols + nc).reshape(N_ACTIONS, rows * cols)
     flat.setflags(write=False)
     return flat
@@ -128,12 +120,13 @@ def value_iteration(reward: np.ndarray, gamma: float = 0.95, epsilon: float = 1e
         # the sentinel start needs ~log(range)/log(1/gamma) sweeps to wash out,
         # which the area-scaled budget undershoots on tiny grids
         max_sweeps = max(10 * rows * cols, 1000)
-    nr, nc = transition_table(rows, cols)
+    # value.reshape(-1)[next_cell] is V(next(s, a)), shaped (4, rows, cols)
+    next_cell = flat_transition_table(rows, cols).reshape(N_ACTIONS, rows, cols)
     value = np.full((rows, cols), VALUE_SENTINEL)
     residual = np.inf
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        new_value = (reward[None, :, :] + gamma * value[nr, nc]).max(axis=0)
+        new_value = (reward[None, :, :] + gamma * value.reshape(-1)[next_cell]).max(axis=0)
         residual = np.abs(new_value - value).max()
         value = new_value
         if residual < epsilon:
@@ -143,7 +136,7 @@ def value_iteration(reward: np.ndarray, gamma: float = 0.95, epsilon: float = 1e
             f"value iteration did not converge in {max_sweeps} sweeps "
             f"(residual {residual:.3e}, epsilon {epsilon:.1e})"
         )
-    q = reward[None, :, :] + gamma * value[nr, nc]
+    q = reward[None, :, :] + gamma * value.reshape(-1)[next_cell]
     return Policy(probs=annealed_softmax(q, beta, axis=0), value=value, sweeps=sweeps)
 
 
@@ -230,7 +223,7 @@ def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != 2:
         raise ConfigError(f"cell path must be (n, 2), got {cells.shape}")
-    nr, nc = transition_table(rows, cols)
+    flat_next = flat_transition_table(rows, cols)
     delta_to_action = {d: a for a, d in enumerate(ACTION_DELTAS)}
     actions = np.empty(len(cells) - 1, dtype=np.int64)
     for t in range(len(cells) - 1):
@@ -240,7 +233,8 @@ def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:
         if step in delta_to_action:
             actions[t] = delta_to_action[step]
         elif step == (0, 0):
-            stay = [a for a in range(N_ACTIONS) if nr[a, r0, c0] == r0 and nc[a, r0, c0] == c0]
+            here = r0 * cols + c0
+            stay = [a for a in range(N_ACTIONS) if flat_next[a, here] == here]
             if not stay:
                 raise ConfigError(f"cell path stays at interior cell ({r0}, {c0})")
             actions[t] = stay[0]

@@ -34,8 +34,6 @@ class RewardNet:
     kind: str
     stage1: list = field(default_factory=list)  # [ConvLayer]
     stage2: list = field(default_factory=list)
-    stage1_acts: tuple = ()
-    stage2_acts: tuple = ()
 
     def parameters(self) -> dict:
         out = {}
@@ -71,14 +69,12 @@ def build_net(kind: str = "two_stage", seed: int = 0) -> RewardNet:
     for width, dil in zip(widths, STAGE1_DILATIONS):
         net.stage1.append(kaiming_conv(rng, in_ch, width, k=3, dilation=dil))
         in_ch = width
-    net.stage1_acts = (True,) * (len(widths) - 1) + (False,)
     if kind != "env_only":
         head = 4 if kind == "action_head" else 1
         in_ch = N_STACK_CHANNELS
         for width in STAGE2_WIDTHS + (head,):
             net.stage2.append(kaiming_conv(rng, in_ch, width, k=3, dilation=1))
             in_ch = width
-        net.stage2_acts = (True,) * len(STAGE2_WIDTHS) + (False,)
         if kind == "action_head":
             # small-weight head so the initial policy is near uniform and the
             # cloning loss starts at about ln 4
@@ -87,47 +83,49 @@ def build_net(kind: str = "two_stage", seed: int = 0) -> RewardNet:
 
 
 def net_from_store(meta: dict, params: dict) -> RewardNet:
-    """Rebuild a net around checkpointed parameter arrays, validating shapes."""
+    """The net a checkpoint holds: its kind's architecture, which must equal the
+    stored record, with the stored arrays swapped in after a shape check."""
     arch = meta.get("arch")
-    if not arch or arch.get("kind") not in KINDS:
+    kind = arch.get("kind") if isinstance(arch, dict) else None
+    if kind not in KINDS:
         raise ConfigError("checkpoint carries no usable architecture record")
-    net = RewardNet(kind=arch["kind"])
-    for stage_name, target in (("stage1", net.stage1), ("stage2", net.stage2)):
-        for i, (out_ch, in_ch, k, dil) in enumerate(arch.get(stage_name, [])):
-            prefix = {"stage1": "s1", "stage2": "s2"}[stage_name]
+    net = build_net(kind)
+    if arch != net.arch_meta():
+        raise ConfigError(f"checkpoint architecture {arch} is not that of a {kind!r} net")
+    for prefix, layers in (("s1", net.stage1), ("s2", net.stage2)):
+        for i, layer in enumerate(layers):
             kname, bname = f"{prefix}.{i}.kernel", f"{prefix}.{i}.bias"
             if kname not in params or bname not in params:
                 raise ConfigError(f"checkpoint missing {kname} / {bname}")
             kernel, bias = params[kname], params[bname]
-            if kernel.shape != (out_ch, in_ch, k, k) or bias.shape != (out_ch,):
+            if kernel.shape != layer.kernel.shape or bias.shape != layer.bias.shape:
                 raise ConfigError(
                     f"checkpoint shape mismatch for {kname}: got {kernel.shape}, "
-                    f"arch says ({out_ch}, {in_ch}, {k}, {k})"
-                )
-            target.append(ConvLayer(kernel=kernel, bias=bias, dilation=dil))
-    net.stage1_acts = (True,) * (len(net.stage1) - 1) + (False,)
-    if net.stage2:
-        net.stage2_acts = (True,) * (len(net.stage2) - 1) + (False,)
+                    f"the net has {layer.kernel.shape}")
+            layers[i] = ConvLayer(kernel=kernel, bias=bias, dilation=layer.dilation)
     return net
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def _stack_forward(layers, acts, h):
+def _stack_forward(layers, h):
+    """Every layer but the last is followed by a leaky ReLU; each cache holds
+    the layer's input and, for an activated layer, its pre-activation."""
     caches = []
-    for layer, act in zip(layers, acts):
+    for i, layer in enumerate(layers):
         z = conv2d_forward(h, layer)
+        act = i < len(layers) - 1
         caches.append((h, z if act else None))
         h = leaky_relu(z) if act else z
     return h, caches
 
 
-def _stack_backward(layers, acts, caches, g, prefix):
+def _stack_backward(layers, caches, g, prefix):
     grads = {}
     for i in reversed(range(len(layers))):
         x_in, z = caches[i]
-        if acts[i]:
+        if z is not None:
             g = leaky_relu_grad(z, g)
         g, gk, gb = conv2d_backward(x_in, layers[i], g)
         grads[f"{prefix}.{i}.kernel"] = gk
@@ -183,7 +181,7 @@ def backward(net: RewardNet, acts: Activations, grad_out: np.ndarray) -> dict:
     if net.kind == "env_only":
         _, grads = reward_backward_env(net, acts.stage1, g)
     else:
-        _, grads = _stack_backward(net.stage1, net.stage1_acts, acts.stage1, g, "s1")
+        _, grads = _stack_backward(net.stage1, acts.stage1, g, "s1")
     grads.update(s2_grads)
     return grads
 
@@ -196,42 +194,42 @@ def stage1_forward(net: RewardNet, env: np.ndarray) -> tuple:
     env = np.asarray(env, dtype=np.float64)
     if env.ndim != 3 or env.shape[0] != net.stage1[0].in_channels:
         raise ConfigError(f"env input must be ({net.stage1[0].in_channels}, rows, cols), got {env.shape}")
-    return _stack_forward(net.stage1, net.stage1_acts, env)
+    return _stack_forward(net.stage1, env)
 
 
 def reward_forward(net: RewardNet, stack: np.ndarray) -> tuple:
     """Stage-2 reward map from an already-built input stack."""
     _require(net, "two_stage", "reward_forward")
-    out, caches = _stack_forward(net.stage2, net.stage2_acts, stack)
+    out, caches = _stack_forward(net.stage2, stack)
     return out[0], caches
 
 
 def reward_backward(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:
     """Walks the two_stage net's stage 2: (gradient w.r.t. the stack, grads)."""
     _require(net, "two_stage", "reward_backward")
-    return _stack_backward(net.stage2, net.stage2_acts, caches, grad, "s2")
+    return _stack_backward(net.stage2, caches, grad, "s2")
 
 
 def reward_from_env(net: RewardNet, env: np.ndarray) -> tuple:
     """Env-only variant: the stage-1 head is the reward map."""
     _require(net, "env_only", "reward_from_env")
-    out, caches = _stack_forward(net.stage1, net.stage1_acts, env)
+    out, caches = _stack_forward(net.stage1, env)
     return out[0], caches
 
 
 def reward_backward_env(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:
     """Walks the env_only net's stage 1: (gradient w.r.t. the env, grads)."""
     _require(net, "env_only", "reward_backward_env")
-    return _stack_backward(net.stage1, net.stage1_acts, caches, grad, "s1")
+    return _stack_backward(net.stage1, caches, grad, "s1")
 
 
 def action_logits(net: RewardNet, stack: np.ndarray) -> tuple:
     """(4, rows, cols) logits of the cloning head."""
     _require(net, "action_head", "action_logits")
-    return _stack_forward(net.stage2, net.stage2_acts, stack)
+    return _stack_forward(net.stage2, stack)
 
 
 def action_head_backward(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:
     """Walks the action head's stage 2: (gradient w.r.t. the stack, grads)."""
     _require(net, "action_head", "action_head_backward")
-    return _stack_backward(net.stage2, net.stage2_acts, caches, grad, "s2")
+    return _stack_backward(net.stage2, caches, grad, "s2")

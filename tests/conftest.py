@@ -7,9 +7,11 @@ from meirl.checkpoint import MAGIC
 from meirl.mdp import GridWorld
 
 # checkpoint meta blocks that must be refused: bytes that are not UTF-8, text
-# that is not JSON, and JSON that is not an object
+# that is not JSON, JSON that is not an object, and entries of the wrong type
 CORRUPT_META = {"not_utf8": b'{"iteration": "\xff"}', "not_json": b'{"iteration": 1',
-                "not_object": b"[]"}
+                "not_object": b"[]", "adam_not_object": b'{"adam": []}',
+                "adam_not_number": b'{"adam": {"learning_rate": "x"}}',
+                "iteration_not_int": b'{"iteration": []}'}
 
 
 def with_meta_block(raw: bytes, meta: bytes) -> bytes:

@@ -1,17 +1,21 @@
+import argparse
+import dataclasses
 import filecmp
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from conftest import CORRUPT_META, with_meta_block
-from meirl.cli import main
+from meirl.cli import EvalConfig, PredictConfig, build_parser, main
 from meirl.checkpoint import load_checkpoint, save_checkpoint
-from meirl.dataset import load_dataset
+from meirl.dataset import GenerateConfig, load_dataset
 from meirl.mdp import compute_svf, state_distribution, uniform_policy
 from meirl.reward_net import build_net
+from meirl.trainer import TrainConfig
 
 GEN_ARGS = ["--demos", "8", "--rows", "16", "--cols", "16", "--split", "0.75",
             "--seed", "3", "--horizon-min", "15", "--horizon-max", "16"]
@@ -134,6 +138,52 @@ def test_generate_flags_beat_config_file(tmp_path):
     assert len(train) + len(test) == 5
 
 
+def test_generate_balance_none_beats_config_file_balance(tmp_path):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"balance": {"straight": 1.0}}))
+    plain, unbalanced = tmp_path / "plain", tmp_path / "unbalanced"
+    assert run("generate", "--out", plain, *GEN_ARGS) == 0
+    assert run("generate", "--out", unbalanced, "--config", cfg, "--balance", "none",
+               *GEN_ARGS) == 0
+    _, _, manifest = load_dataset(unbalanced)
+    assert manifest["config"]["balance"] is None
+    assert dir_bytes(unbalanced) == dir_bytes(plain)
+
+
+@pytest.mark.parametrize("spec", ["even", "{not json"])
+def test_generate_bad_balance_names_the_flag(tmp_path, capsys, spec):
+    assert run("generate", "--out", tmp_path / "x", "--balance", spec) == 2
+    assert "--balance" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# the arguments of each command that are not fields of its config class
+NON_CONFIG = {
+    "generate": {"out", "config", "overwrite", "speed_min", "speed_max"},
+    "train": {"dataset", "out", "config", "method", "resume", "workers"},
+    "predict": {"dataset", "out", "config", "checkpoint"},
+    "eval": {"dataset", "out", "config", "checkpoint", "checkpoint_nokin",
+             "checkpoint_bc", "workers"},
+}
+CONFIG_CLASS = {"generate": GenerateConfig, "train": TrainConfig,
+                "predict": PredictConfig, "eval": EvalConfig}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CLASS))
+def test_every_flag_is_a_config_field_or_a_listed_argument(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    fields = {f.name for f in dataclasses.fields(CONFIG_CLASS[command])}
+    dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+    assert dests - NON_CONFIG[command] <= fields
+    assert not NON_CONFIG[command] & fields
+    # a flag not given leaves its field out, so the config file's value stands
+    required = ["--out", "o"] + ([] if command == "generate" else ["--dataset", "d"])
+    given = vars(parser.parse_args([command, *required]))
+    assert not set(given) & fields
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -215,6 +265,17 @@ def test_train_config_file_with_workers_rejected(dataset_dir, tmp_path, capsys):
     assert run("train", "--dataset", dataset_dir, "--out", tmp_path / "x",
                "--config", cfg) == 2
     assert "workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("in_file, flag", [(True, "--no-augment"), (False, "--augment")],
+                         ids=["no_augment", "augment"])
+def test_train_augment_flag_beats_config_file(dataset_dir, tmp_path, in_file, flag):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"iterations": 0, "augment": in_file}))
+    out = tmp_path / "t"
+    assert run("train", "--dataset", dataset_dir, "--out", out, "--config", cfg, flag) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["config"]["augment"] is (not in_file)
 
 
 def test_train_nonconvergence_exits_3(dataset_dir, tmp_path, capsys):
@@ -331,6 +392,18 @@ def test_eval_random_and_ekf_rows(dataset_dir, tmp_path):
     assert list(rows) == ["ekf", "random"]
 
 
+def test_eval_methods_flag_beats_config_file(dataset_dir, tmp_path):
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"methods": ["ekf", "random"], "samples": 5}))
+    out = tmp_path / "ev"
+    assert run("eval", "--dataset", dataset_dir, "--out", out, "--config", cfg,
+               "--methods", "random") == 0
+    lines = (out / "table.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["random"]
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["config"] == {"methods": ["random"], "samples": 5, "seed": 0}
+
+
 def test_eval_full_table_order(dataset_dir, ours_ckpt, nokin_ckpt, bc_ckpt,
                                tmp_path):
     out = tmp_path / "ev"
@@ -390,6 +463,36 @@ def test_eval_corrupt_checkpoint_meta_exits_2(dataset_dir, ours_ckpt, tmp_path, 
              "--checkpoint", bad, "--methods", "ours", "--samples", "5")
     assert rc == 2
     assert "meta block" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_without_usable_arch_exits_2(dataset_dir, ours_ckpt, tmp_path,
+                                                    capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_meta_block(ours_ckpt.read_bytes(), b'{"arch": [1]}'))
+    rc = run("eval", "--dataset", dataset_dir, "--out", tmp_path / "x",
+             "--checkpoint", bad, "--methods", "ours", "--samples", "5")
+    assert rc == 2
+    assert "architecture" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {"n_train": None}, {"n_test": None}, {"n_train": -1}, {"n_test": "2"},
+    {"n_train": 1.5}, {"n_test": True},
+], ids=["no_n_train", "no_n_test", "negative", "string", "float", "bool"])
+def test_eval_manifest_with_bad_counts_exits_2(dataset_dir, tmp_path, capsys, edit):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    for key, value in edit.items():
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    rc = run("eval", "--dataset", data, "--out", tmp_path / "x",
+             "--methods", "random", "--samples", "5")
+    assert rc == 2
+    assert next(iter(edit)) in capsys.readouterr().err
 
 
 def test_eval_unknown_method_rejected(dataset_dir, tmp_path, capsys):

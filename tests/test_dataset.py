@@ -87,6 +87,12 @@ def test_save_load_dataset(tmp_path):
         assert np.array_equal(a.world.env.astype("<f4"), b.world.env.astype("<f4"))
 
 
+def test_load_refuses_a_manifest_that_is_not_an_object(tmp_path):
+    (tmp_path / "manifest.json").write_text("[]")
+    with pytest.raises(ConfigError, match="unrecognized dataset format"):
+        load_dataset(tmp_path)
+
+
 def test_save_refuses_overwrite(tmp_path):
     train, test = generate_dataset(tiny_config())
     save_dataset(tmp_path / "ds", train, test, tiny_config())

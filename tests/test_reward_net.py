@@ -50,13 +50,14 @@ def zero_kinematic_input_weights(net):
     net.stage2[0].kernel[:, 27:, :, :] = 0.0
 
 
-def constant_plane_oracle(layers, acts, c_in):
+def constant_plane_oracle(layers, c_in):
     """Track a spatially constant activation through the stack as a pure vector
-    recurrence: each conv collapses to its kernel summed over taps."""
+    recurrence: each conv collapses to its kernel summed over taps, and every
+    layer but the last is followed by a leaky ReLU."""
     c = np.asarray(c_in, dtype=float)
-    for layer, act in zip(layers, acts):
+    for i, layer in enumerate(layers):
         c = layer.kernel.sum(axis=(2, 3)) @ c + layer.bias
-        if act:
+        if i < len(layers) - 1:
             c = leaky_relu(c)
     return c
 
@@ -72,8 +73,6 @@ def test_two_stage_architecture():
     assert [l.out_channels for l in net.stage2] == [16, 8, 1]
     assert net.stage2[0].in_channels == 30
     assert all(l.dilation == 1 for l in net.stage2)
-    assert net.stage1_acts == (True, True, True, False)
-    assert net.stage2_acts == (True, True, False)
 
 
 def test_variant_architectures():
@@ -126,7 +125,7 @@ def test_zero_env_interior_matches_bias_recurrence():
     for layer in net.stage1:
         layer.bias[:] = rng.normal(scale=0.5, size=layer.bias.shape)
     out, _ = stage1_forward(net, np.zeros((5, 40, 40)))
-    expect = constant_plane_oracle(net.stage1, net.stage1_acts, np.zeros(5))
+    expect = constant_plane_oracle(net.stage1, np.zeros(5))
     interior = out[:, 12:28, 12:28]
     assert np.allclose(interior, expect[:, None, None], atol=1e-12)
     # borders feel the zero padding, so the map is not globally constant
@@ -139,7 +138,7 @@ def test_constant_stack_interior_matches_recurrence():
     c = rng.normal(size=30)
     channels = np.broadcast_to(c[:, None, None], (30, 16, 16)).copy()
     out, _ = reward_forward(net, channels)
-    expect = constant_plane_oracle(net.stage2, net.stage2_acts, c)
+    expect = constant_plane_oracle(net.stage2, c)
     assert np.allclose(out[4:-4, 4:-4], expect[0], atol=1e-12)
 
 
@@ -299,3 +298,12 @@ def test_net_from_store_rejects_bad_shapes(tmp_path):
         net_from_store(meta, store.params)
     with pytest.raises(ConfigError):
         net_from_store({"arch": {"kind": "nope"}}, store.params)
+    for arch in ([1], {"kind": ["env_only"]}, dict(net.arch_meta(), stage1="x")):
+        with pytest.raises(ConfigError, match="architecture"):
+            net_from_store({"arch": arch}, store.params)
+    short = dict(store.params, **{"s1.0.bias": np.zeros(3)})
+    with pytest.raises(ConfigError, match="shape mismatch"):
+        net_from_store({"arch": net.arch_meta()}, short)
+    missing = {k: v for k, v in store.params.items() if k != "s1.3.kernel"}
+    with pytest.raises(ConfigError, match="missing"):
+        net_from_store({"arch": net.arch_meta()}, missing)
