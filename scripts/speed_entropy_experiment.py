@@ -99,14 +99,15 @@ def main():
     print(f"junction scenario: start {start}, heading {heading}, "
           f"arms straight={len(regions['straight'])} stem={len(regions['stem'])}")
 
+    speeds = {"slow": args.slow, "fast": args.fast}
+    demos = [Demonstration(world=world,
+                           past=straight_past(start, heading, speed, world.resolution),
+                           future=np.array([start]), expert_speed=speed, seed=0,
+                           tag="intersection")
+             for speed in speeds.values()]
+    policies, _ = forecast(net, settings, demos, args.beta)
     entropies = {}
-    for label, speed in (("slow", args.slow), ("fast", args.fast)):
-        demo = Demonstration(
-            world=world,
-            past=straight_past(start, heading, speed, world.resolution),
-            future=np.array([start]), expert_speed=speed, seed=0,
-            tag="intersection")
-        policy, _ = forecast(net, settings, demo, args.beta)
+    for (label, speed), policy in zip(speeds.items(), policies):
         entropies[label] = terminal_entropy(policy, start, args.horizon - 1)
         dist = state_distribution(policy, start, args.horizon - 1)
         masses = {name: sum(dist[rc] for rc in cells)

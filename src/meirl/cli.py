@@ -35,7 +35,7 @@ from .metrics import (METHOD_ORDER, EvalResult, cells_to_xy, export_csv,
                       terminal_entropy)
 from .nn import ParameterStore
 from .reward_net import forward, net_from_store
-from .synthetic import DEMO_BETA, TAGS, Demonstration
+from .synthetic import DEMO_BETA, TAGS
 from .trainer import TrainConfig, train, write_report, write_timings
 
 
@@ -89,6 +89,9 @@ def _balance(raw: str):
 def cmd_generate(args) -> None:
     cfg = _resolve(GenerateConfig, args)
     if "speed_min" in args or "speed_max" in args:
+        if len(cfg.speeds) != 2:
+            raise ConfigError(f"--speed-min and --speed-max replace a (min, max) pair, "
+                              f"but the config's speeds hold {len(cfg.speeds)} values")
         lo, hi = cfg.speeds
         cfg = dataclasses.replace(cfg, speeds=(getattr(args, "speed_min", lo),
                                                getattr(args, "speed_max", hi)))
@@ -222,15 +225,17 @@ def load_model(path):
     return net, configio.from_dict(TrainConfig, data)
 
 
-def forecast(net, settings: TrainConfig | None, demo: Demonstration, beta: float):
-    """Forecast policy for one demo at temperature `beta`, plus the reward map
-    behind it when the net defines one."""
+def forecast(net, settings: TrainConfig | None, demos, beta: float):
+    """Forecast policies for a list of demos at temperature `beta`, planned in
+    one value_iteration call, plus the reward maps behind them when the net
+    defines them (else None)."""
+    demos = list(demos)
     if net.kind == "action_head":  # the cloning head is a policy; no planner runs
-        return bc_policy(net, demo), None
-    reward = forward(net, demo)[0]
-    policy = value_iteration(reward, gamma=settings.gamma, epsilon=settings.epsilon,
-                             beta=beta)
-    return policy, reward
+        return [bc_policy(net, demo) for demo in demos], None
+    rewards = [forward(net, demo)[0] for demo in demos]
+    plans = value_iteration(rewards, gamma=settings.gamma, epsilon=settings.epsilon,
+                            beta=beta)
+    return list(plans), rewards
 
 
 def _write_samples_csv(path, rollouts: np.ndarray) -> None:
@@ -275,14 +280,15 @@ def cmd_predict(args) -> None:
         if cfg.method == "ours":
             if args.checkpoint is None:
                 raise ConfigError("--checkpoint is required for method 'ours'")
-            policy, reward = forecast(*load_model(args.checkpoint), demo,
-                                      _forecast_beta(manifest))
+            policies, rewards = forecast(*load_model(args.checkpoint), [demo],
+                                         _forecast_beta(manifest))
+            policy = policies[0]
+            if rewards is not None:
+                save_map_csv(out / "reward.csv", rewards[0])
+                save_map_pgm(out / "reward.pgm", rewards[0])
         else:
-            policy, reward = random_policy(demo.world), None
-        if reward is not None:
-            save_map_csv(out / "reward.csv", reward)
-            save_map_pgm(out / "reward.pgm", reward)
-        svf = compute_svf(policy, start, horizon)
+            policy = random_policy(demo.world)
+        svf = compute_svf([policy], [start], [horizon])[0]
         if abs(float(svf.sum()) - horizon) > 1e-6:
             raise ConvergenceError(
                 f"visitation mass {svf.sum():.9f} drifted from horizon {horizon}")
@@ -348,12 +354,12 @@ def _eval_method(method, demos, cfg: EvalConfig, nets, beta: float):
                                  cells_to_xy(demo.future, res)))
         return EvalResult(method="ekf", hd_per_demo=hds)
 
+    if method == "random":
+        policies = [random_policy(demo.world) for demo in demos]
+    else:
+        policies = forecast(*nets[method], demos, beta)[0]
     nlls, hds, entropies = [], [], []
-    for i, demo in enumerate(demos):
-        if method == "random":
-            policy = random_policy(demo.world)
-        else:
-            policy = forecast(*nets[method], demo, beta)[0]
+    for i, (demo, policy) in enumerate(zip(demos, policies)):
         hds.append(mean_sampled_hd(policy, demo, n_samples=cfg.samples,
                                    seed=_demo_seed(cfg.seed, i)))
         nlls.append(nll(policy, demo))

@@ -25,9 +25,11 @@ from .errors import ConfigError
 from .kinematics import PastTrack
 from .mdp import GridWorld
 from .synthetic import (DEMO_BETA, LAYOUTS, TAG_CODES, TAGS, Demonstration, WorldSpec,
-                        balance_dataset, generate_demonstration, generate_world)
+                        balance_dataset, balance_fractions, generate_demonstrations,
+                        generate_world)
 
 FORMAT_NAME = "meirl-demos-v1"
+EXPERT_CHUNK = 16  # experts planned per value_iteration call during generation
 
 
 @dataclass
@@ -60,27 +62,37 @@ class GenerateConfig:
             raise ConfigError("horizon range must satisfy 15 <= min <= max <= 40")
         if any(s <= 0 for s in self.speeds):
             raise ConfigError("speeds must be positive")
+        if self.balance is not None:
+            balance_fractions(self.balance)
 
 
 def split_counts(n: int, split: float) -> int:
     return int(round(n * split))
 
 
+def _expert_request(config: GenerateConfig, index: int) -> dict:
+    """World and expert settings of demo `index`, from its own seeded generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(index,)))
+    layout = config.layouts[rng.integers(len(config.layouts))]
+    speed = float(config.speeds[rng.integers(len(config.speeds))])
+    horizon = int(rng.integers(config.horizon_min, config.horizon_max + 1))
+    world_seed = int(rng.integers(2**31 - 1))
+    demo_seed = int(rng.integers(2**31 - 1))
+    world = generate_world(WorldSpec(seed=world_seed, rows=config.rows, cols=config.cols,
+                                     resolution=config.resolution, layout=layout,
+                                     trail_width=config.trail_width))
+    return dict(world=world, speed=speed, seed=demo_seed, horizon=horizon)
+
+
 def generate_dataset(config: GenerateConfig):
-    """All demos for one config, shuffled and split. Deterministic per seed."""
+    """All demos for one config, shuffled and split. Deterministic per seed;
+    the experts plan EXPERT_CHUNK at a time."""
     demos = []
-    for i in range(config.n_demos):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
-        layout = config.layouts[rng.integers(len(config.layouts))]
-        speed = float(config.speeds[rng.integers(len(config.speeds))])
-        horizon = int(rng.integers(config.horizon_min, config.horizon_max + 1))
-        world_seed = int(rng.integers(2**31 - 1))
-        demo_seed = int(rng.integers(2**31 - 1))
-        world = generate_world(WorldSpec(seed=world_seed, rows=config.rows, cols=config.cols,
-                                         resolution=config.resolution, layout=layout,
-                                         trail_width=config.trail_width))
-        demos.append(generate_demonstration(
-            world, speed=speed, seed=demo_seed, horizon=horizon, demo_beta=config.demo_beta))
+    for first in range(0, config.n_demos, EXPERT_CHUNK):
+        last = min(first + EXPERT_CHUNK, config.n_demos)
+        demos.extend(generate_demonstrations(
+            [_expert_request(config, i) for i in range(first, last)],
+            demo_beta=config.demo_beta))
     if config.balance is not None:
         demos = balance_dataset(demos, config.balance)
     shuffle_rng = np.random.default_rng(

@@ -4,6 +4,14 @@ States are cells of a rows x cols grid. The four actions are, in fixed order,
 up (-row), down (+row), left (-col), right (+col); moving off the grid leaves
 the state unchanged. Reward is a function of the state only, so planners here
 take a per-cell reward map and infer the grid from its shape.
+
+The planners are batch-first: `value_iteration` takes a (B, rows, cols) stack
+of reward maps and `compute_svf` a batch of policies with a start cell and
+horizon each, so one call plans a whole training batch. Batch position b is
+computed exactly as if it were planned alone: its value map freezes at its own
+convergence sweep and its visitation stops at its own horizon, so a single
+demo is just B = 1 and the result does not depend on what else is in the
+batch, to the bit.
 """
 
 from __future__ import annotations
@@ -99,45 +107,91 @@ def annealed_softmax(q: np.ndarray, beta: float, axis: int = 0) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def value_iteration(reward: np.ndarray, gamma: float = 0.95, epsilon: float = 1e-4,
-                    beta: float = 1.0, max_sweeps: int | None = None) -> Policy:
-    """Max-Bellman sweeps to a fixed point, then an annealed-softmax policy over Q.
+def _stack(maps, what: str, ndim: int) -> np.ndarray:
+    """Float64 (B, ...) stack of per-demo arrays that must share one shape."""
+    if not isinstance(maps, np.ndarray):
+        shapes = sorted({np.shape(m) for m in maps})
+        if len(shapes) > 1:
+            raise ConfigError(f"{what} of one batch must share a grid shape, got {shapes}")
+    stack = np.asarray(maps, dtype=np.float64)
+    if stack.ndim != ndim or len(stack) == 0:
+        raise ConfigError(f"{what} must be a nonempty {ndim}-d batch stack, got shape {stack.shape}")
+    return stack
 
-    Values start from a large negative sentinel; iteration stops when the sup
-    change drops below epsilon. Q(s, a) = r(s) + gamma * V(next(s, a)).
+
+class Plans(tuple):
+    """value_iteration's result: one Policy per batch position, in batch order."""
+
+    @property
+    def sweeps(self) -> int:
+        """Bellman sweeps summed over the batch."""
+        return sum(p.sweeps for p in self)
+
+
+def value_iteration(rewards, gamma: float = 0.95, epsilon: float = 1e-4,
+                    beta: float = 1.0, max_sweeps: int | None = None) -> Plans:
+    """Max-Bellman sweeps to a fixed point, then an annealed-softmax policy over Q,
+    for each reward map of a (B, rows, cols) stack (or a list of same-shape maps).
+
+    Values start from a large negative sentinel; position b stops at the first
+    sweep whose sup change on its own map drops below epsilon, and later sweeps
+    leave it untouched. Q(s, a) = r(s) + gamma * V(next(s, a)).
     """
-    reward = np.asarray(reward, dtype=np.float64)
-    if reward.ndim != 2:
-        raise ConfigError(f"reward must be 2-d, got shape {reward.shape}")
-    if not np.isfinite(reward).all():
-        raise ConfigError("reward map contains non-finite values")
+    rewards = _stack(rewards, "reward maps", 3)
+    bad = np.flatnonzero(~np.isfinite(rewards).all(axis=(1, 2)))
+    if bad.size:
+        raise ConfigError(f"reward maps at batch positions {bad.tolist()} contain "
+                          "non-finite values")
     if not 0.0 <= gamma < 1.0:
         raise ConfigError(f"gamma must be in [0, 1), got {gamma}")
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    rows, cols = reward.shape
+    n, rows, cols = rewards.shape
     if max_sweeps is None:
         # the sentinel start needs ~log(range)/log(1/gamma) sweeps to wash out,
         # which the area-scaled budget undershoots on tiny grids
         max_sweeps = max(10 * rows * cols, 1000)
-    # value.reshape(-1)[next_cell] is V(next(s, a)), shaped (4, rows, cols)
-    next_cell = flat_transition_table(rows, cols).reshape(N_ACTIONS, rows, cols)
-    value = np.full((rows, cols), VALUE_SENTINEL)
-    residual = np.inf
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        new_value = (reward[None, :, :] + gamma * value.reshape(-1)[next_cell]).max(axis=0)
-        residual = np.abs(new_value - value).max()
-        value = new_value
-        if residual < epsilon:
-            break
+    # value[:, next_cell] is V(next(s, a)) per position, shaped (n, 4, rows*cols);
+    # the sweeps take it from the live rows of v by flat index, the first k
+    # rows of `gather` serving k live positions
+    next_cell = flat_transition_table(rows, cols)
+    gather = next_cell[None] + (np.arange(n) * (rows * cols))[:, None, None]
+    reward = rewards.reshape(n, 1, rows * cols)
+    value = np.empty((n, rows * cols))
+    sweeps = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)  # positions still sweeping, with their rows of r and v
+    r, v = reward, np.full((n, rows * cols), VALUE_SENTINEL)
+    residual = np.full(n, np.inf)
+    for sweep in range(1, max_sweeps + 1):
+        q = v.take(gather[:len(v)])
+        q *= gamma
+        q += r
+        new_v = q.max(axis=1)
+        residual = np.abs(new_v - v).max(axis=1)
+        v = new_v
+        if residual.min() < epsilon:  # a non-finite residual never passes
+            done = residual < epsilon
+            value[live[done]] = v[done]
+            sweeps[live[done]] = sweep
+            keep = ~done
+            live, r, v, residual = live[keep], r[keep], v[keep], residual[keep]
+            if not live.size:
+                break
     else:
+        overflow = ~np.isfinite(v).all(axis=1)
+        if overflow.any():
+            raise ConvergenceError(f"value iteration produced non-finite values at batch "
+                                   f"positions {live[overflow].tolist()}")
         raise ConvergenceError(
-            f"value iteration did not converge in {max_sweeps} sweeps "
-            f"(residual {residual:.3e}, epsilon {epsilon:.1e})"
+            f"value iteration did not converge in {max_sweeps} sweeps at batch "
+            f"positions {live.tolist()} (residual {residual.max():.3e}, "
+            f"epsilon {epsilon:.1e})"
         )
-    q = reward[None, :, :] + gamma * value.reshape(-1)[next_cell]
-    return Policy(probs=annealed_softmax(q, beta, axis=0), value=value, sweeps=sweeps)
+    q = reward + gamma * value[:, next_cell]
+    probs = annealed_softmax(q, beta, axis=1).reshape(n, N_ACTIONS, rows, cols)
+    value = value.reshape(n, rows, cols)
+    return Plans(Policy(probs=probs[b], value=value[b], sweeps=int(sweeps[b]))
+                 for b in range(n))
 
 
 def _check_cell(cell, rows: int, cols: int):
@@ -147,45 +201,70 @@ def _check_cell(cell, rows: int, cols: int):
     return r, c
 
 
-def _step_distribution(policy: Policy, mu: np.ndarray) -> np.ndarray:
-    rows, cols = mu.shape
-    flat_next = flat_transition_table(rows, cols)
-    out = np.zeros(rows * cols)
-    mu_flat = mu.reshape(-1)
-    probs_flat = policy.probs.reshape(N_ACTIONS, -1)
-    for a in range(N_ACTIONS):
-        out += np.bincount(flat_next[a], weights=mu_flat * probs_flat[a],
-                           minlength=rows * cols)
-    return out.reshape(rows, cols)
+def _point_masses(starts, rows: int, cols: int) -> np.ndarray:
+    """(B, rows*cols) flat distributions, each all mass on its start cell."""
+    mu = np.zeros((len(starts), rows * cols))
+    for b, start in enumerate(starts):
+        r, c = _check_cell(start, rows, cols)
+        mu[b, r * cols + c] = 1.0
+    return mu
 
 
-def compute_svf(policy: Policy, start, horizon: int) -> np.ndarray:
-    """Expected state-visitation counts over horizon steps; total mass == horizon."""
-    rows, cols = policy.shape
-    r, c = _check_cell(start, rows, cols)
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    mu = np.zeros((rows, cols))
-    mu[r, c] = 1.0
-    total = np.zeros((rows, cols))
-    for t in range(horizon):
-        total += mu
-        if t < horizon - 1:
-            mu = _step_distribution(policy, mu)
-    return total
+def _propagate(probs: np.ndarray, rows: int, cols: int):
+    """The one-transition map of B flat state distributions under policies
+    `probs` (B, 4, rows*cols): one bincount per action over all B*rows*cols
+    cells, each position's successors offset into its own block."""
+    n = len(probs)
+    offsets = (np.arange(n) * (rows * cols))[:, None]
+    targets = [(flat_next[None, :] + offsets).reshape(-1)
+               for flat_next in flat_transition_table(rows, cols)]
+
+    def step(mu: np.ndarray) -> np.ndarray:
+        out = np.zeros(n * rows * cols)
+        for a in range(N_ACTIONS):
+            out += np.bincount(targets[a], weights=(mu * probs[:, a]).reshape(-1),
+                               minlength=n * rows * cols)
+        return out.reshape(n, rows * cols)
+
+    return step
+
+
+def compute_svf(policies, starts, horizons) -> np.ndarray:
+    """Expected state-visitation counts, (B, rows, cols): position b follows
+    policies[b] from starts[b] for horizons[b] steps, so its total mass equals
+    horizons[b]."""
+    probs = _stack([p.probs for p in policies], "policies", 4)
+    n, _, rows, cols = probs.shape
+    horizons = np.asarray(horizons)
+    if len(starts) != n or horizons.shape != (n,):
+        raise ConfigError(f"{n} policies need {n} start cells and horizons, got "
+                          f"{len(starts)} and {horizons.shape}")
+    short = np.flatnonzero(horizons < 1)
+    if short.size:
+        raise ConfigError(f"horizon must be >= 1, got {horizons[short].tolist()} at "
+                          f"batch positions {short.tolist()}")
+    mu = _point_masses(starts, rows, cols)
+    step = _propagate(probs.reshape(n, N_ACTIONS, -1), rows, cols)
+    total = np.zeros((n, rows * cols))
+    last = int(horizons.max()) - 1
+    for t in range(last + 1):
+        live = t < horizons
+        total[live] += mu[live]
+        if t < last:
+            mu = step(mu)
+    return total.reshape(n, rows, cols)
 
 
 def state_distribution(policy: Policy, start, steps: int) -> np.ndarray:
     """Exact state distribution after `steps` transitions from a point mass."""
     rows, cols = policy.shape
-    r, c = _check_cell(start, rows, cols)
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
-    mu = np.zeros((rows, cols))
-    mu[r, c] = 1.0
+    mu = _point_masses([start], rows, cols)
+    step = _propagate(policy.probs.reshape(1, N_ACTIONS, -1), rows, cols)
     for _ in range(steps):
-        mu = _step_distribution(policy, mu)
-    return mu
+        mu = step(mu)
+    return mu.reshape(rows, cols)
 
 
 def sample_trajectories(policy: Policy, start, horizon: int, n: int,

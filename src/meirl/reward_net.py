@@ -111,23 +111,24 @@ def net_from_store(meta: dict, params: dict) -> RewardNet:
 
 def _stack_forward(layers, h):
     """Every layer but the last is followed by a leaky ReLU; each cache holds
-    the layer's input and, for an activated layer, its pre-activation."""
+    the layer's input only."""
     caches = []
     for i, layer in enumerate(layers):
-        z = conv2d_forward(h, layer)
-        act = i < len(layers) - 1
-        caches.append((h, z if act else None))
-        h = leaky_relu(z) if act else z
+        caches.append(h)
+        h = conv2d_forward(h, layer)
+        if i < len(layers) - 1:
+            h = leaky_relu(h)
     return h, caches
 
 
 def _stack_backward(layers, caches, g, prefix):
     grads = {}
     for i in reversed(range(len(layers))):
-        x_in, z = caches[i]
-        if z is not None:
-            g = leaky_relu_grad(z, g)
-        g, gk, gb = conv2d_backward(x_in, layers[i], g)
+        if i < len(layers) - 1:
+            # the leaky ReLU keeps the sign, so the next layer's input is
+            # positive exactly where this layer's pre-activation was
+            g = leaky_relu_grad(caches[i + 1], g)
+        g, gk, gb = conv2d_backward(caches[i], layers[i], g)
         grads[f"{prefix}.{i}.kernel"] = gk
         grads[f"{prefix}.{i}.bias"] = gb
     return g, grads
@@ -140,7 +141,7 @@ def _require(net: RewardNet, kind: str, step: str) -> None:
 
 @dataclass
 class Activations:
-    """Per layer, its input and (if activated) its pre-activation."""
+    """Per layer, its input."""
 
     stage1: list
     stage2: list | None = None       # None when the kind has no second stage

@@ -358,12 +358,10 @@ def _past_track_from_cells(cells, resolution: float, speed: float) -> PastTrack:
     return PastTrack(t=t, xy=xy)
 
 
-def generate_demonstration(world: GridWorld, speed: float = 4.0, seed: int = 0, *,
-                           start=None, past_direction: Optional[int] = None,
-                           horizon: Optional[int] = None,
-                           demo_beta: float = DEMO_BETA) -> Demonstration:
-    """Sample one expert: synthesize a past along the trail, then roll the
-    annealed-softmax policy of the ground-truth reward forward."""
+def _expert_setup(world: GridWorld, speed: float, seed: int, start=None,
+                  past_direction: Optional[int] = None, horizon: Optional[int] = None):
+    """One expert up to its planner: (generator, start cell, past track,
+    horizon, ground-truth reward map)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mask = trail_mask(world)
     candidates = np.argwhere(mask & (_neighbor_counts(mask) >= 1))
@@ -384,15 +382,42 @@ def generate_demonstration(world: GridWorld, speed: float = 4.0, seed: int = 0, 
     context = kinematic_context(past)
 
     reward = ground_truth_reward(world, start, context)
-    policy = value_iteration(reward, gamma=DEMO_GAMMA, epsilon=DEMO_EPSILON, beta=demo_beta)
     if horizon is None:
         horizon = int(rng.integers(15, 26))
     if not 15 <= horizon <= 40:
         raise ConfigError(f"horizon {horizon} outside the supported 15..40 range")
-    future = sample_trajectories(policy, start, horizon, 1, rng)[0]
-    tag = classify_tag(mask, future)
-    return Demonstration(world=world, past=past, future=future,
-                         expert_speed=float(speed), seed=int(seed), tag=tag)
+    return rng, start, past, horizon, reward
+
+
+def generate_demonstrations(requests, demo_beta: float = DEMO_BETA) -> list:
+    """One expert per request, a dict of generate_demonstration's per-demo
+    arguments (world, speed, seed; optionally start, past_direction, horizon).
+    All experts plan in one value_iteration call; each draws only from its own
+    seeded generator, so every demo equals the one generated alone."""
+    requests = list(requests)
+    setups = [_expert_setup(**request) for request in requests]
+    plans = value_iteration([reward for *_, reward in setups], gamma=DEMO_GAMMA,
+                            epsilon=DEMO_EPSILON, beta=demo_beta)
+    demos = []
+    for request, (rng, start, past, horizon, _), policy in zip(requests, setups, plans):
+        world = request["world"]
+        future = sample_trajectories(policy, start, horizon, 1, rng)[0]
+        demos.append(Demonstration(world=world, past=past, future=future,
+                                   expert_speed=float(request["speed"]),
+                                   seed=int(request["seed"]),
+                                   tag=classify_tag(trail_mask(world), future)))
+    return demos
+
+
+def generate_demonstration(world: GridWorld, speed: float = 4.0, seed: int = 0, *,
+                           start=None, past_direction: Optional[int] = None,
+                           horizon: Optional[int] = None,
+                           demo_beta: float = DEMO_BETA) -> Demonstration:
+    """Sample one expert: synthesize a past along the trail, then roll the
+    annealed-softmax policy of the ground-truth reward forward."""
+    request = dict(world=world, speed=speed, seed=seed, start=start,
+                   past_direction=past_direction, horizon=horizon)
+    return generate_demonstrations([request], demo_beta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +450,31 @@ def augment_rotations(demo: Demonstration) -> list:
     return out
 
 
+def balance_fractions(targets) -> dict:
+    """The fraction of every tag under a balance spec, which must be a JSON
+    object of known tags to nonnegative numbers summing to 1."""
+    if not isinstance(targets, dict):
+        raise ConfigError(f"balance must be a JSON object of tag fractions, "
+                          f"got {type(targets).__name__}")
+    unknown = set(targets) - set(TAGS)
+    if unknown:
+        raise ConfigError(f"unknown tags in balance targets: {sorted(unknown)}")
+    bad = {tag: f for tag, f in targets.items()
+           if isinstance(f, bool) or not isinstance(f, (int, float)) or not f >= 0}
+    if bad:
+        raise ConfigError(f"balance fractions must be nonnegative numbers, got {bad}")
+    fracs = {tag: float(targets.get(tag, 0.0)) for tag in TAGS}
+    total_frac = sum(fracs.values())
+    if abs(total_frac - 1.0) > 1e-9:
+        raise ConfigError(f"balance fractions sum to {total_frac}, expected 1")
+    return fracs
+
+
 def balance_dataset(demos: list, targets: dict) -> list:
     """Deterministic resampling to the target tag fractions, ±1 demo per tag."""
     if not demos:
         raise ConfigError("no demonstrations to balance")
-    unknown = set(targets) - set(TAGS)
-    if unknown:
-        raise ConfigError(f"unknown tags in balance targets: {sorted(unknown)}")
-    fracs = {tag: float(targets.get(tag, 0.0)) for tag in TAGS}
-    if any(f < 0 for f in fracs.values()):
-        raise ConfigError("balance fractions must be nonnegative")
-    total_frac = sum(fracs.values())
-    if abs(total_frac - 1.0) > 1e-9:
-        raise ConfigError(f"balance fractions sum to {total_frac}, expected 1")
+    fracs = balance_fractions(targets)
 
     n = len(demos)
     raw = {tag: n * fracs[tag] for tag in TAGS}

@@ -6,7 +6,8 @@ the derivative of the objective with respect to the reward map is the demo
 visitation count minus the expected visitation under the planner, so the
 descent direction handed to Adam is its negation. Gradients are summed in
 batch order, keeping runs bitwise reproducible. A reward map that is not
-finite stops the run with the demo's batch position.
+finite stops the run with the demo's batch position, and a summed gradient
+that is not finite stops it before the parameter update.
 
 Wall-clock timings go to a separate file from the per-iteration report, so the
 report CSV is byte-identical across runs of the same config and seed.
@@ -77,44 +78,47 @@ def demo_stack(net, demo: Demonstration):
     return forward(net, demo)[1].stack
 
 
-def _demo_gradient(net, demo: Demonstration, beta: float, config: TrainConfig,
-                   position: int):
-    start = tuple(demo.future[0])
-    reward, acts = forward(net, demo)
-    if not np.isfinite(reward).all():
-        raise ConvergenceError(f"batch demo {position}: reward map contains non-finite values")
-    policy = value_iteration(reward, gamma=config.gamma, epsilon=config.epsilon, beta=beta)
-    mu_demo = demo_svf(demo)
-    mu_expected = compute_svf(policy, start, demo.horizon)
-    diff = mu_demo - mu_expected
-    grads = backward(net, acts, -diff)
-    return grads, nll(policy, demo), policy.sweeps, float(np.abs(diff).sum())
-
-
 def train_step(net, batch, config: TrainConfig, iteration: int):
     """Batch gradient (already divided by batch size) plus the report row.
-    Parameters are left untouched; the caller applies the update."""
+    Parameters are left untouched; the caller applies the update.
+
+    Every demo runs forward, the batch plans in one value_iteration and one
+    compute_svf call, then each demo runs backward, in batch order."""
     batch = list(batch)
     if not batch:
         raise ConfigError("empty training batch")
     if net.kind == "action_head":
         raise ConfigError("the IRL loop plans on a reward map; an action_head net has none")
-    beta = training_beta(config, iteration)
-    results = [_demo_gradient(net, demo, beta, config, k) for k, demo in enumerate(batch)]
+    outputs = [forward(net, demo) for demo in batch]
+    for k, (reward, _) in enumerate(outputs):
+        if not np.isfinite(reward).all():
+            raise ConvergenceError(f"batch demo {k}: reward map contains non-finite values")
+    plans = value_iteration([reward for reward, _ in outputs], gamma=config.gamma,
+                            epsilon=config.epsilon, beta=training_beta(config, iteration))
+    expected = compute_svf(plans, [demo.future[0] for demo in batch],
+                           [demo.horizon for demo in batch])
 
     total = {name: np.zeros_like(p) for name, p in net.parameters().items()}
-    for grads, _, _, _ in results:
+    nlls, l1s = [], []
+    for demo, (_, acts), policy, mu_expected in zip(batch, outputs, plans, expected):
+        diff = demo_svf(demo) - mu_expected
+        grads = backward(net, acts, -diff)
         for name in total:
             total[name] += grads[name]
+        nlls.append(nll(policy, demo))
+        l1s.append(float(np.abs(diff).sum()))
     for name in total:
         total[name] /= len(batch)
+    bad = [name for name, g in total.items() if not np.isfinite(g).all()]
+    if bad:
+        raise ConvergenceError(f"summed gradient is not finite in {', '.join(bad)}")
     grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in total.values())))
     report = {
         "iteration": iteration,
-        "nll": float(np.mean([r[1] for r in results])),
+        "nll": float(np.mean(nlls)),
         "grad_norm": grad_norm,
-        "vi_sweeps": float(np.mean([r[2] for r in results])),
-        "svf_l1": float(np.mean([r[3] for r in results])),
+        "vi_sweeps": float(np.mean([policy.sweeps for policy in plans])),
+        "svf_l1": float(np.mean(l1s)),
     }
     return total, report
 

@@ -155,11 +155,11 @@ def test_1_gradient_exactness_end_to_end():
 
 def test_2_planner_closed_forms():
     t0 = time.perf_counter()
-    uniform = value_iteration(np.full((6, 7), -1.0), gamma=0.9, epsilon=1e-6)
+    uniform = value_iteration([np.full((6, 7), -1.0)], gamma=0.9, epsilon=1e-6)[0]
     err_uniform = float(np.abs(uniform.value - (-10.0)).max())
     assert err_uniform < 1e-4
 
-    two_cell = value_iteration(np.array([[0.0, 1.0]]), gamma=0.5, epsilon=1e-10)
+    two_cell = value_iteration([np.array([[0.0, 1.0]])], gamma=0.5, epsilon=1e-10)[0]
     err_two = float(np.abs(two_cell.value - np.array([[1.0, 2.0]])).max())
     assert err_two < 1e-8
     elapsed = time.perf_counter() - t0
@@ -175,9 +175,9 @@ def test_3_dp_visitation_matches_monte_carlo():
     for k in range(20):
         rng = np.random.default_rng(np.random.SeedSequence(300 + k))
         reward = rng.normal(size=(5, 5))
-        policy = value_iteration(reward, gamma=0.9, epsilon=1e-6, beta=3.0)
+        policy = value_iteration([reward], gamma=0.9, epsilon=1e-6, beta=3.0)[0]
         start = tuple(rng.integers(0, 5, size=2))
-        dp = compute_svf(policy, start, horizon)
+        dp = compute_svf([policy], [start], [horizon])[0]
         rolls = sample_trajectories(policy, start, horizon, n, rng)
         counts = np.zeros((5, 5))
         np.add.at(counts, (rolls[:, :, 0].ravel(), rolls[:, :, 1].ravel()), 1.0)
@@ -214,7 +214,7 @@ def test_4_branch_frequencies_match_enumeration():
     for path, p in exact.items():
         exact_marginal[path[0]] += p
 
-    policy = value_iteration(reward, gamma=0.95, epsilon=1e-4, beta=DEMO_BETA)
+    policy = value_iteration([reward], gamma=0.95, epsilon=1e-4, beta=DEMO_BETA)[0]
     rng = np.random.default_rng(np.random.SeedSequence(2))
     futures = sample_trajectories(policy, junction, n_actions + 1, 1000, rng)
     first = futures[:, 1] - futures[:, 0]
@@ -274,8 +274,8 @@ def test_7_speed_conditioned_junction_forecast(benchmark_run):
     for label, speed in (("slow", 2.0), ("fast", 8.0)):
         demo = point_demo(world, start, heading, speed)
         reward, _ = forward(net, demo)
-        policy = value_iteration(reward, gamma=0.95, epsilon=1e-4,
-                                 beta=DEMO_BETA)
+        policy = value_iteration([reward], gamma=0.95, epsilon=1e-4,
+                                 beta=DEMO_BETA)[0]
         entropy = terminal_entropy(policy, start, horizon)
         dist = state_distribution(policy, start, horizon - 1)
         straight_mass = float(sum(dist[rc] for rc in straight_arm))

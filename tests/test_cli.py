@@ -157,6 +157,41 @@ def test_generate_bad_balance_names_the_flag(tmp_path, capsys, spec):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("source, spec, message", [
+    ("flag", '{"straight": "x"}', "nonnegative numbers"),
+    ("flag", '{"straight": -0.5, "curve": 1.5}', "nonnegative numbers"),
+    ("flag", '{"straight": true}', "nonnegative numbers"),
+    ("flag", '{"zigzag": 1.0}', "unknown tags"),
+    ("flag", '{"straight": 0.5}', "sum to 0.5"),
+    ("config", '["straight"]', "JSON object"),
+])
+def test_generate_checks_the_balance_spec_before_generating(tmp_path, capsys, monkeypatch,
+                                                            source, spec, message):
+    def generate(*args, **kwargs):
+        raise AssertionError("demos generated before the balance spec was checked")
+
+    monkeypatch.setattr("meirl.dataset.generate_demonstrations", generate)
+    if source == "flag":
+        given = ["--balance", spec]
+    else:
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"balance": json.loads(spec)}))
+        given = ["--config", cfg]
+    assert run("generate", "--out", tmp_path / "x", *given, *GEN_ARGS) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_speed_flags_need_a_speed_pair(tmp_path, capsys):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"speeds": [2.0, 4.0, 8.0]}))
+    assert run("generate", "--out", tmp_path / "x", "--config", cfg,
+               "--speed-min", "1") == 2
+    err = capsys.readouterr().err
+    assert "--speed-min" in err and "--speed-max" in err
+    assert not (tmp_path / "x").exists()
+
+
 # the arguments of each command that are not fields of its config class
 NON_CONFIG = {
     "generate": {"out", "config", "overwrite", "speed_min", "speed_max"},
@@ -309,8 +344,8 @@ def test_predict_random_matches_dp_diffusion(dataset_dir, tmp_path):
                "--method", "random", "--demo", "1", "--samples", "0") == 0
     _, test_demos, _ = load_dataset(dataset_dir)
     demo = test_demos[1]
-    expected = compute_svf(uniform_policy(demo.world.rows, demo.world.cols),
-                           tuple(demo.future[0]), demo.horizon)
+    expected = compute_svf([uniform_policy(demo.world.rows, demo.world.cols)],
+                           [tuple(demo.future[0])], [demo.horizon])[0]
     written = load_map_csv(out / "svf.csv")
     assert np.array_equal(written, expected)  # %.17g round-trips doubles
     assert not (out / "reward.csv").exists()

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import make_world
 from meirl.errors import ConfigError, ConvergenceError
-from meirl.mdp import (ACTION_DELTAS, GridWorld, Policy, actions_from_cells,
-                       annealed_softmax, compute_svf,
-                       enumerate_trajectory_distribution, sample_trajectories,
-                       state_distribution, uniform_policy, value_iteration)
+from meirl.mdp import (ACTION_DELTAS, VALUE_SENTINEL, GridWorld, Policy,
+                       actions_from_cells, annealed_softmax, compute_svf,
+                       enumerate_trajectory_distribution, flat_transition_table,
+                       sample_trajectories, state_distribution, uniform_policy,
+                       value_iteration)
 
 
 def apply_actions(start, actions, rows, cols):
@@ -47,6 +48,40 @@ def mc_svf_naive(probs, start, horizon, n, rng):
             c = min(max(c + dc, 0), cols - 1)
             counts[r, c] += 1.0
     return counts / n
+
+
+def vi_one_demo(reward, gamma, epsilon, beta):
+    """Reference: the per-demo value-iteration loop, sentinel start, stopping
+    at the first sweep whose sup change drops below epsilon."""
+    rows, cols = reward.shape
+    next_cell = flat_transition_table(rows, cols).reshape(4, rows, cols)
+    value = np.full((rows, cols), VALUE_SENTINEL)
+    for sweeps in range(1, max(10 * rows * cols, 1000) + 1):
+        new_value = (reward[None] + gamma * value.reshape(-1)[next_cell]).max(axis=0)
+        residual = np.abs(new_value - value).max()
+        value = new_value
+        if residual < epsilon:
+            break
+    q = reward[None] + gamma * value.reshape(-1)[next_cell]
+    return value, annealed_softmax(q, beta, axis=0), sweeps
+
+
+def svf_one_demo(probs, start, horizon):
+    """Reference: per-demo visitation, one bincount per action and step."""
+    rows, cols = probs.shape[1:]
+    flat_next = flat_transition_table(rows, cols)
+    mu = np.zeros(rows * cols)
+    mu[start[0] * cols + start[1]] = 1.0
+    total = np.zeros(rows * cols)
+    for t in range(horizon):
+        total += mu
+        if t < horizon - 1:
+            out = np.zeros(rows * cols)
+            for a in range(4):
+                out += np.bincount(flat_next[a], weights=mu * probs[a].reshape(-1),
+                                   minlength=rows * cols)
+            mu = out
+    return total.reshape(rows, cols)
 
 
 def random_policy_probs(rng, rows, cols):
@@ -114,14 +149,14 @@ def test_softmax_shift_invariance(shift, beta):
 
 def test_vi_uniform_reward_fixed_point():
     reward = np.full((6, 7), -1.0)
-    pol = value_iteration(reward, gamma=0.9, epsilon=1e-6, beta=1.0)
+    pol = value_iteration([reward], gamma=0.9, epsilon=1e-6, beta=1.0)[0]
     assert np.max(np.abs(pol.value - (-10.0))) < 1e-4
 
 
 def test_vi_gamma_zero_returns_reward():
     rng = np.random.default_rng(3)
     reward = rng.normal(size=(5, 5))
-    pol = value_iteration(reward, gamma=0.0, epsilon=1e-8)
+    pol = value_iteration([reward], gamma=0.0, epsilon=1e-8)[0]
     assert np.allclose(pol.value, reward, atol=1e-12)
     # and every Q row is constant, so the policy is uniform
     assert np.allclose(pol.probs, 0.25, atol=1e-12)
@@ -129,31 +164,120 @@ def test_vi_gamma_zero_returns_reward():
 
 def test_vi_two_cell_line():
     reward = np.array([[0.0, 1.0]])
-    pol = value_iteration(reward, gamma=0.5, epsilon=1e-10)
+    pol = value_iteration([reward], gamma=0.5, epsilon=1e-10)[0]
     assert np.allclose(pol.value, [[1.0, 2.0]], atol=1e-8)
 
 
 def test_vi_nonconvergence_reports_residual():
     reward = np.zeros((8, 8))
     with pytest.raises(ConvergenceError, match="residual"):
-        value_iteration(reward, gamma=0.95, epsilon=1e-12, max_sweeps=3)
+        value_iteration([reward], gamma=0.95, epsilon=1e-12, max_sweeps=3)
 
 
 def test_vi_rejects_bad_args():
     with pytest.raises(ConfigError):
-        value_iteration(np.zeros((4, 4)), gamma=1.0)
+        value_iteration([np.zeros((4, 4))], gamma=1.0)
     with pytest.raises(ConfigError):
-        value_iteration(np.zeros((4, 4)), epsilon=0.0)
+        value_iteration([np.zeros((4, 4))], epsilon=0.0)
     with pytest.raises(ConfigError):
-        value_iteration(np.full((4, 4), np.nan))
+        value_iteration([np.full((4, 4), np.nan)])
 
 
 def test_vi_policy_prefers_high_reward_neighbor():
     reward = np.zeros((8, 8))
     reward[4, 6] = 5.0
-    pol = value_iteration(reward, gamma=0.9, epsilon=1e-6, beta=5.0)
+    pol = value_iteration([reward], gamma=0.9, epsilon=1e-6, beta=5.0)[0]
     # at (4, 5) the best action is right, toward the peak
     assert pol.probs[3, 4, 5] > 0.9
+
+
+# ---------------------------------------------------------------------------
+# the batch axis
+
+@st.composite
+def planning_batches(draw):
+    """A (B, rows, cols) reward stack with a start cell and horizon per
+    position. Some positions sit next to the sentinel's fixed point, so they
+    converge within a few sweeps while the rest take hundreds."""
+    n = draw(st.integers(1, 5))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    gamma = draw(st.sampled_from((0.0, 0.5, 0.9, 0.95)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.array(draw(st.lists(st.sampled_from((0.0, 1e-3, 1.0, 30.0)),
+                                   min_size=n, max_size=n)))
+    near = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rewards = rng.normal(size=(n, rows, cols)) * scale[:, None, None]
+    rewards += np.where(near, VALUE_SENTINEL * (1.0 - gamma), 0.0)[:, None, None]
+    starts = [tuple(int(v) for v in rng.integers(0, (rows, cols))) for _ in range(n)]
+    horizons = draw(st.lists(st.integers(1, 25), min_size=n, max_size=n))
+    beta = draw(st.sampled_from((0.0, 1.0, 2.5, 50.0)))
+    return rewards, starts, horizons, gamma, beta
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=planning_batches())
+def test_batched_planner_equals_each_single_demo_slice(batch):
+    rewards, starts, horizons, gamma, beta = batch
+    plans = value_iteration(rewards, gamma=gamma, epsilon=1e-4, beta=beta)
+    svf = compute_svf(plans, starts, horizons)
+    assert len(plans) == len(rewards) and svf.shape == rewards.shape
+    for b in range(len(rewards)):
+        (alone,) = value_iteration(rewards[b:b + 1], gamma=gamma, epsilon=1e-4, beta=beta)
+        assert np.array_equal(plans[b].value, alone.value)
+        assert np.array_equal(plans[b].probs, alone.probs)
+        assert plans[b].sweeps == alone.sweeps
+        assert np.array_equal(svf[b], compute_svf([alone], starts[b:b + 1], horizons[b:b + 1])[0])
+        # and both equal the per-demo loops
+        value, probs, sweeps = vi_one_demo(rewards[b], gamma, 1e-4, beta)
+        assert np.array_equal(plans[b].value, value)
+        assert np.array_equal(plans[b].probs, probs)
+        assert plans[b].sweeps == sweeps
+        assert np.array_equal(svf[b], svf_one_demo(probs, starts[b], horizons[b]))
+        # each position's visitation mass is its own horizon
+        assert svf[b].sum() == pytest.approx(horizons[b], abs=1e-9)
+    assert plans.sweeps == sum(p.sweeps for p in plans)
+
+
+def test_batch_positions_freeze_at_their_own_sweep():
+    gamma = 0.9
+    rewards = np.zeros((2, 6, 6))
+    rewards[1] = VALUE_SENTINEL * (1.0 - gamma)  # starts at its fixed point
+    plans = value_iteration(rewards, gamma=gamma, epsilon=1e-4)
+    assert plans[1].sweeps == 1 < plans[0].sweeps
+    assert plans.sweeps == plans[0].sweeps + 1
+
+
+def test_vi_errors_name_the_batch_positions():
+    rewards = np.zeros((3, 8, 8))
+    rewards[1, 0, 0] = np.inf
+    with pytest.raises(ConfigError, match=r"batch positions \[1\]"):
+        value_iteration(rewards)
+    rewards = np.zeros((3, 8, 8))
+    rewards[2] = 1e308  # finite, but its values overflow
+    with pytest.raises(ConvergenceError, match=r"non-finite values at batch positions \[2\]"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        value_iteration(rewards, gamma=0.9)
+    rewards = np.zeros((3, 8, 8))
+    rewards[0] = VALUE_SENTINEL * (1.0 - 0.95)
+    with pytest.raises(ConvergenceError, match=r"batch positions \[1, 2\]"):
+        value_iteration(rewards, gamma=0.95, max_sweeps=3)
+
+
+def test_mixed_grid_shapes_are_a_config_error():
+    with pytest.raises(ConfigError, match=r"\(8, 8\), \(8, 9\)"):
+        value_iteration([np.zeros((8, 8)), np.zeros((8, 9))])
+    with pytest.raises(ConfigError, match=r"\(4, 6, 6\), \(4, 6, 7\)"):
+        compute_svf([uniform_policy(6, 6), uniform_policy(6, 7)], [(0, 0), (0, 0)], [2, 2])
+    with pytest.raises(ConfigError, match="batch stack"):
+        value_iteration(np.zeros((8, 8)))
+
+
+def test_svf_batch_arguments_must_line_up():
+    pols = [uniform_policy(6, 6)] * 2
+    with pytest.raises(ConfigError, match="2 start cells and horizons"):
+        compute_svf(pols, [(0, 0)], [2, 2])
+    with pytest.raises(ConfigError, match=r"batch positions \[1\]"):
+        compute_svf(pols, [(0, 0), (1, 1)], [2, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +285,7 @@ def test_vi_policy_prefers_high_reward_neighbor():
 
 def test_svf_single_step_is_point_mass():
     pol = uniform_policy(6, 6)
-    svf = compute_svf(pol, (2, 3), horizon=1)
+    svf = compute_svf([pol], [(2, 3)], [1])[0]
     want = np.zeros((6, 6))
     want[2, 3] = 1.0
     assert np.array_equal(svf, want)
@@ -171,21 +295,21 @@ def test_svf_always_right_line():
     probs = np.zeros((4, 1, 3))
     probs[3] = 1.0
     pol = Policy(probs=probs)
-    svf = compute_svf(pol, (0, 0), horizon=3)
+    svf = compute_svf([pol], [(0, 0)], [3])[0]
     assert np.allclose(svf, [[1.0, 1.0, 1.0]], atol=1e-12)
 
 
 def test_svf_mass_equals_horizon(rng):
     pol = Policy(probs=random_policy_probs(rng, 6, 5))
     for horizon in (1, 4, 11):
-        svf = compute_svf(pol, (3, 2), horizon)
+        svf = compute_svf([pol], [(3, 2)], [horizon])[0]
         assert svf.sum() == pytest.approx(horizon, abs=1e-6)
 
 
 def test_svf_matches_naive_monte_carlo(rng):
     probs = random_policy_probs(rng, 5, 5)
     pol = Policy(probs=probs)
-    dp = compute_svf(pol, (2, 2), horizon=6)
+    dp = compute_svf([pol], [(2, 2)], [6])[0]
     mc = mc_svf_naive(probs, (2, 2), horizon=6, n=200_000,
                       rng=np.random.default_rng(99))
     assert np.abs(dp - mc).sum() < 0.02
@@ -227,7 +351,7 @@ def test_sampled_visits_match_dp_svf(rng):
     counts = np.zeros((5, 5))
     np.add.at(counts, (trajs[:, :, 0].ravel(), trajs[:, :, 1].ravel()), 1.0)
     counts /= len(trajs)
-    dp = compute_svf(pol, (1, 1), 6)
+    dp = compute_svf([pol], [(1, 1)], [6])[0]
     assert np.abs(dp - counts).sum() < 0.02
 
 
@@ -297,3 +421,49 @@ def test_enumeration_matches_svf_of_exact_maxent():
         for r, c in cells:
             visit[r, c] += p
     assert visit.sum() == pytest.approx(5.0, abs=1e-9)  # horizon+1 cells per path
+
+
+# ---------------------------------------------------------------------------
+# one planner call per batch, not per demo
+
+def _count_calls(monkeypatch, module, name):
+    """Batch sizes of each call to `name` as `module` sees it."""
+    sizes = []
+    real = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        sizes.append(len(first))
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return sizes
+
+
+def test_training_generation_and_eval_plan_once_per_batch(monkeypatch, tmp_path):
+    from meirl import cli, synthetic, trainer
+    from meirl.dataset import EXPERT_CHUNK, GenerateConfig, generate_dataset, load_dataset
+    from meirl.reward_net import build_net
+
+    expert = _count_calls(monkeypatch, synthetic, "value_iteration")
+    train, test = generate_dataset(GenerateConfig(
+        n_demos=EXPERT_CHUNK + 3, rows=12, cols=12, split=0.5, horizon_max=16))
+    assert expert == [EXPERT_CHUNK, 3]
+
+    vi = _count_calls(monkeypatch, trainer, "value_iteration")
+    svf = _count_calls(monkeypatch, trainer, "compute_svf")
+    trainer.train_step(build_net("two_stage"), train[:5], trainer.TrainConfig(), 1)
+    assert vi == [5] and svf == [5]
+
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--demos", "8", "--rows", "12",
+                     "--cols", "12", "--split", "0.5", "--horizon-max", "16"]) == 0
+    for method in ("ours", "irl_nokin"):
+        assert cli.main(["train", "--dataset", str(data), "--out", str(tmp_path / method),
+                         "--method", method, "--iterations", "1", "--batch-size", "2"]) == 0
+    n_test = len(load_dataset(data)[1])
+    forecasts = _count_calls(monkeypatch, cli, "value_iteration")
+    assert cli.main(["eval", "--dataset", str(data), "--out", str(tmp_path / "eval"),
+                     "--methods", "random,irl_nokin,ours", "--samples", "2",
+                     "--checkpoint", str(tmp_path / "ours" / "checkpoint.ckpt"),
+                     "--checkpoint-nokin", str(tmp_path / "irl_nokin" / "checkpoint.ckpt")]) == 0
+    assert forecasts == [n_test, n_test]

@@ -58,7 +58,7 @@ def test_speed_entropy_experiment_plans_at_the_checkpoint_gamma(tmp_path):
     demo = Demonstration(world=world, past=script.straight_past(start, heading, 2.0, 1.0),
                          future=np.array([start]), expert_speed=2.0, seed=0,
                          tag="intersection")
-    policy, _ = forecast(net, settings, demo, DEMO_BETA)
+    (policy,), _ = forecast(net, settings, [demo], DEMO_BETA)
     expected = state_distribution(policy, start, 14)
     written = np.loadtxt(maps / "terminal_slow.csv", delimiter=",")
     assert np.array_equal(written, expected)

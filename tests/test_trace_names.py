@@ -22,3 +22,23 @@ def test_every_traced_name_is_a_callable():
         if not callable(fn):
             missing.append(qualname)
     assert spans["TRACED"] and not missing
+
+
+def test_value_iteration_hook_counts_the_batch_sweep_total():
+    # the traced run's value_iteration hook adds `result.sweeps` to a float
+    # counter, so a batched result must carry one number: the batch total
+    import numpy as np
+
+    from meirl.mdp import value_iteration
+
+    spans = {"__name__": "perfbench_spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans)
+    rewards = np.zeros((3, 8, 8))
+    rewards[1, 2, 2] = 5.0
+    rewards[2] = -1.0
+    plans = value_iteration(rewards, gamma=0.9)
+    tracer = spans["Tracer"]()
+    spans["TRACED"]["mdp.value_iteration"](tracer, (rewards,), {"gamma": 0.9}, plans)
+    total = tracer.counters[("mdp.value_iteration", "sweeps")]
+    assert isinstance(total, float)
+    assert total == float(sum(policy.sweeps for policy in plans)) > 0

@@ -102,7 +102,7 @@ def test_gradient_vanishes_at_fixed_point():
     past = past_to((5, 2))
     reward, _ = forward(net, Demonstration(world=w, past=past, future=[(5, 2)],
                                            expert_speed=3.0, seed=0, tag="straight"))
-    policy = value_iteration(reward, gamma=0.9, epsilon=1e-6, beta=beta)
+    policy = value_iteration([reward], gamma=0.9, epsilon=1e-6, beta=beta)[0]
     future = greedy_rollout(policy, (5, 2), 8)
     demo = Demonstration(world=w, past=past, future=future, expert_speed=3.0,
                          seed=0, tag="straight")
@@ -118,9 +118,9 @@ def test_train_step_batch_of_one_matches_manual_pipeline():
     demo = straight_demo(w)
     beta = training_beta(cfg, 2)
     reward, acts = forward(net, demo)
-    policy = value_iteration(reward, gamma=0.9, epsilon=1e-4, beta=beta)
+    policy = value_iteration([reward], gamma=0.9, epsilon=1e-4, beta=beta)[0]
     from meirl.mdp import compute_svf
-    diff = demo_svf(demo) - compute_svf(policy, (5, 2), demo.horizon)
+    diff = demo_svf(demo) - compute_svf([policy], [(5, 2)], [demo.horizon])[0]
     manual = backward(net, acts, -diff)
 
     grads, report = train_step(net, [demo], cfg, iteration=2)
@@ -139,10 +139,10 @@ def test_visitation_gap_positive_on_far_demo_cells():
     w = grid(rows=12, cols=12, seed=4)
     net = build_net("two_stage", seed=9)
     demo = demo_from_future(w, [(6, c) for c in range(2, 10)])
-    policy = value_iteration(forward(net, demo)[0], gamma=0.95,
-                             epsilon=1e-4, beta=1.0)
+    policy = value_iteration([forward(net, demo)[0]], gamma=0.95,
+                             epsilon=1e-4, beta=1.0)[0]
     from meirl.mdp import compute_svf
-    diff = demo_svf(demo) - compute_svf(policy, (6, 2), demo.horizon)
+    diff = demo_svf(demo) - compute_svf([policy], [(6, 2)], [demo.horizon])[0]
     assert diff[6, 9] > 0.5
 
 
@@ -155,9 +155,9 @@ def test_directional_derivative_matches_probe():
     demo = demo_from_future(w, [(6, c) for c in range(2, 10)])
 
     reward0, acts0 = forward(net, demo)
-    policy = value_iteration(reward0, gamma=0.9, epsilon=1e-4, beta=1.0)
+    policy = value_iteration([reward0], gamma=0.9, epsilon=1e-4, beta=1.0)[0]
     from meirl.mdp import compute_svf
-    diff = demo_svf(demo) - compute_svf(policy, (6, 2), demo.horizon)
+    diff = demo_svf(demo) - compute_svf([policy], [(6, 2)], [demo.horizon])[0]
 
     def loss():
         return -float((diff * forward(net, demo)[0]).sum())
@@ -231,6 +231,23 @@ def test_non_finite_reward_names_the_batch_position(monkeypatch):
     with pytest.raises(ConvergenceError,
                        match="batch demo 1: reward map contains non-finite values"):
         train_step(build_net("two_stage", seed=1), batch, TrainConfig(), iteration=1)
+
+
+def test_non_finite_gradient_stops_before_the_update(monkeypatch):
+    real_backward = trainer.backward
+    updates = []
+
+    def backward(net, acts, grad_out):
+        grads = real_backward(net, acts, grad_out)
+        grads["s2.0.bias"][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", backward)
+    monkeypatch.setattr(trainer, "update_parameters", lambda *a: updates.append(a))
+    with pytest.raises(ConvergenceError, match="training iteration 1: summed gradient "
+                                               "is not finite in s2.0.bias"):
+        train(small_dataset(), quick_config())
+    assert updates == []
 
 
 def test_env_only_gradient_ignores_past_speed():
