@@ -9,7 +9,6 @@ straight-through branch when approaching fast and hedge across both branches
 when approaching slowly.
 """
 import argparse
-import sys
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from meirl.cli import forecast, load_model
 from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
 from meirl.maps import save_map_csv, save_map_pgm
-from meirl.mdp import state_distribution
+from meirl.mdp import cells_to_xy, state_distribution
 from meirl.metrics import terminal_entropy
 from meirl.synthetic import (DEMO_BETA, Demonstration, WorldSpec,
                              generate_world, junction_cells, trail_mask)
@@ -79,8 +78,7 @@ def scenario(world, approach):
 
 
 def straight_past(start, heading, speed, resolution):
-    cx = (start[1] + 0.5) * resolution
-    cy = (start[0] + 0.5) * resolution
+    cx, cy = cells_to_xy([start], resolution)[0]
     t = np.arange(11) * 0.1
     back = (t - t[-1]) * speed
     xy = np.stack([cx + back * heading[1], cy + back * heading[0]], axis=1)
@@ -89,13 +87,13 @@ def straight_past(start, heading, speed, resolution):
 
 def main():
     args = parse_args()
-    net, settings = load_model(args.checkpoint)
-    if net.kind != "two_stage":
-        sys.exit("error: this experiment needs a kinematics-aware checkpoint")
-
-    world = generate_world(WorldSpec(seed=args.world_seed, rows=args.rows,
-                                     cols=args.cols, layout="tee"))
-    start, heading, regions = scenario(world, args.approach)
+    try:
+        net, settings = load_model(args.checkpoint, "ours")
+        world = generate_world(WorldSpec(seed=args.world_seed, rows=args.rows,
+                                         cols=args.cols, layout="tee"))
+        start, heading, regions = scenario(world, args.approach)
+    except ConfigError as e:
+        raise SystemExit(f"error: {e}")
     print(f"junction scenario: start {start}, heading {heading}, "
           f"arms straight={len(regions['straight'])} stem={len(regions['stem'])}")
 

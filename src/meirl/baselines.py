@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .kinematics import PastTrack
-from .mdp import GridWorld, Policy, actions_from_cells, annealed_softmax, uniform_policy
+from .mdp import GridWorld, Policy, annealed_softmax, uniform_policy
 from .nn import ParameterStore, update_parameters
 from .reward_net import backward, build_net, forward
 from .synthetic import Demonstration
@@ -223,12 +223,11 @@ def _bc_logit_loss(logits, demo: Demonstration):
     """Mean cross-entropy of the demo's actions under the logits, and its
     gradient with respect to the logits."""
     probs = annealed_softmax(logits, 1.0, axis=0)
-    cells = demo.future
-    actions = actions_from_cells(cells, demo.world.rows, demo.world.cols)
+    actions = demo.actions
     n_pairs = len(actions)
     loss = 0.0
     grad_logits = np.zeros_like(logits)
-    for a, (r, c) in zip(actions, cells[:-1]):
+    for a, (r, c) in zip(actions, demo.future[:-1]):
         loss -= math.log(probs[a, r, c])
         grad_logits[:, r, c] += probs[:, r, c] / n_pairs
         grad_logits[a, r, c] -= 1.0 / n_pairs

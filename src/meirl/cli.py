@@ -29,10 +29,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import GenerateConfig, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ConvergenceError
 from .maps import save_map_csv, save_map_pgm
-from .mdp import GridWorld, compute_svf, sample_trajectories, value_iteration
-from .metrics import (METHOD_ORDER, EvalResult, cells_to_xy, export_csv,
-                      export_json, hausdorff, mean_sampled_hd, nll,
-                      terminal_entropy)
+from .mdp import GridWorld, cells_to_xy, compute_svf, sample_trajectories, value_iteration
+from .metrics import (METHOD_ORDER, EvalResult, export_csv, export_json, hausdorff,
+                      mean_sampled_hd, nll, terminal_entropy)
 from .nn import ParameterStore
 from .reward_net import forward, net_from_store
 from .synthetic import DEMO_BETA, TAGS
@@ -112,7 +111,7 @@ def cmd_generate(args) -> None:
 # ---------------------------------------------------------------------------
 # train
 
-# the net each trainable method fits; --method is the only switch between them
+# the net each trainable method fits; train builds it, load_model requires it
 METHOD_KIND = {"ours": "two_stage", "irl_nokin": "env_only", "bc": "action_head"}
 
 
@@ -182,8 +181,9 @@ class PredictConfig:
     zero_lidar: bool = False
 
     def __post_init__(self):
-        if self.method not in ("ours", "random", "ekf"):
-            raise ConfigError(f"predict method must be ours|random|ekf, got {self.method!r}")
+        if self.method not in METHOD_ORDER:
+            raise ConfigError(f"predict method must be one of {'|'.join(METHOD_ORDER)}, "
+                              f"got {self.method!r}")
         if self.which not in ("train", "test"):
             raise ConfigError("which must be 'train' or 'test'")
         if self.demo < 0:
@@ -210,11 +210,15 @@ def _forecast_beta(manifest: dict) -> float:
     return float((manifest.get("config") or {}).get("demo_beta", DEMO_BETA))
 
 
-def load_model(path):
-    """The net a checkpoint holds and the TrainConfig it was trained with, whose
-    gamma and epsilon the planner reuses; None for a cloning head."""
+def load_model(path, method: str):
+    """The net a checkpoint holds, which must be the one `method` fits, and the
+    TrainConfig it was trained with, whose gamma and epsilon the planner
+    reuses; None for a cloning head."""
     store, meta, _ = load_checkpoint(path)
-    net = net_from_store(meta, store.params)
+    try:
+        net = net_from_store(meta, store.params, METHOD_KIND[method])
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     if net.kind == "action_head":
         return net, None
     data = dict(meta.get("config") or {})
@@ -277,17 +281,17 @@ def cmd_predict(args) -> None:
         summary["hd"] = hd
         print(f"EKF forecast written; HD to the demonstration {hd:.3f} m")
     else:
-        if cfg.method == "ours":
+        if cfg.method == "random":
+            policy = random_policy(demo.world)
+        else:
             if args.checkpoint is None:
-                raise ConfigError("--checkpoint is required for method 'ours'")
-            policies, rewards = forecast(*load_model(args.checkpoint), [demo],
+                raise ConfigError(f"--checkpoint is required for method {cfg.method!r}")
+            policies, rewards = forecast(*load_model(args.checkpoint, cfg.method), [demo],
                                          _forecast_beta(manifest))
             policy = policies[0]
             if rewards is not None:
                 save_map_csv(out / "reward.csv", rewards[0])
                 save_map_pgm(out / "reward.pgm", rewards[0])
-        else:
-            policy = random_policy(demo.world)
         svf = compute_svf([policy], [start], [horizon])[0]
         if abs(float(svf.sum()) - horizon) > 1e-6:
             raise ConvergenceError(
@@ -375,13 +379,10 @@ def cmd_eval(args) -> None:
     missing = []
     if not (Path(args.dataset) / "manifest.json").is_file():
         missing.append(f"dataset manifest at {args.dataset}")
-    for method in cfg.methods:
-        arg_name = _CKPT_ARG.get(method)
-        if arg_name is None:
-            continue
-        path = getattr(args, arg_name)
+    paths = {m: getattr(args, _CKPT_ARG[m]) for m in cfg.methods if m in _CKPT_ARG}
+    for method, path in paths.items():
         if path is None:
-            missing.append(f"--{arg_name.replace('_', '-')} for method {method!r}")
+            missing.append(f"--{_CKPT_ARG[method].replace('_', '-')} for method {method!r}")
         elif not Path(path).is_file():
             missing.append(f"checkpoint for method {method!r} at {path}")
     if missing:
@@ -392,16 +393,7 @@ def cmd_eval(args) -> None:
         raise ConfigError("the dataset has no test demonstrations to evaluate")
     beta = _forecast_beta(manifest)
 
-    nets = {}
-    for method in cfg.methods:
-        arg_name = _CKPT_ARG.get(method)
-        if arg_name is None:
-            continue
-        net, settings = load_model(getattr(args, arg_name))
-        if net.kind != METHOD_KIND[method]:
-            raise ConfigError(f"checkpoint for {method!r} holds a {net.kind!r} "
-                              f"net, expected a {METHOD_KIND[method]!r} net")
-        nets[method] = (net, settings)
+    nets = {method: load_model(path, method) for method, path in paths.items()}
 
     results = [_eval_method(m, test_demos, cfg, nets, beta) for m in cfg.methods]
 
@@ -458,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--config", default=None)
-    t.add_argument("--method", choices=("ours", "irl_nokin", "bc"),
-                   default="ours")
+    t.add_argument("--method", choices=tuple(METHOD_KIND), default="ours")
     t.add_argument("--resume", default=None, help="checkpoint to continue from")
     t.add_argument("--iterations", type=int,
                    help="IRL iterations, or epochs for --method bc")
@@ -481,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True)
     pr.add_argument("--checkpoint", default=None)
     pr.add_argument("--config", default=None)
-    pr.add_argument("--method", choices=("ours", "random", "ekf"))
+    pr.add_argument("--method", choices=METHOD_ORDER)
     pr.add_argument("--demo", type=int)
     pr.add_argument("--which", choices=("train", "test"))
     pr.add_argument("--samples", type=int)

@@ -26,6 +26,7 @@ from .errors import ConfigError, ConvergenceError
 N_ACTIONS = 4
 ACTION_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 VALUE_SENTINEL = -1e9
+MAX_ENUMERATED_PATHS = 4096
 
 ENV_CHANNEL_NAMES = ("max_height", "height_variance", "mean_r", "mean_g", "mean_b")
 
@@ -57,6 +58,14 @@ class GridWorld:
     @property
     def shape(self):
         return (self.rows, self.cols)
+
+
+def cells_to_xy(cells, resolution: float) -> np.ndarray:
+    """(n, 2) cell centres in meters: x runs along columns, y along rows (so +y
+    pairs with the "down" action)."""
+    cells = np.asarray(cells)
+    return np.stack([(cells[:, 1] + 0.5) * resolution,
+                     (cells[:, 0] + 0.5) * resolution], axis=1)
 
 
 @lru_cache(maxsize=128)
@@ -322,13 +331,12 @@ def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return actions
 
 
-def enumerate_trajectory_distribution(reward: np.ndarray, start, horizon: int,
-                                      max_paths: int = 4096) -> dict:
+def enumerate_trajectory_distribution(reward: np.ndarray, start, horizon: int) -> dict:
     """Exact max-ent distribution over all 4**horizon action sequences.
 
     P(path) is proportional to exp(sum of rewards over visited cells, start
     included). Only meant for tiny instances; refuses anything bigger than
-    max_paths sequences.
+    MAX_ENUMERATED_PATHS sequences.
     """
     reward = np.asarray(reward, dtype=np.float64)
     rows, cols = reward.shape
@@ -336,10 +344,10 @@ def enumerate_trajectory_distribution(reward: np.ndarray, start, horizon: int,
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     n_paths = N_ACTIONS ** horizon
-    if n_paths > max_paths:
+    if n_paths > MAX_ENUMERATED_PATHS:
         raise ConfigError(
             f"enumeration over {n_paths} action sequences exceeds the cap of "
-            f"{max_paths}; reduce the horizon"
+            f"{MAX_ENUMERATED_PATHS}; reduce the horizon"
         )
     flat_next = flat_transition_table(rows, cols)
     reward_flat = reward.reshape(-1)

@@ -17,16 +17,10 @@ import numpy as np
 
 from .config import dump_json
 from .errors import ConfigError
-from .mdp import Policy, actions_from_cells, sample_trajectories, state_distribution
+from .mdp import Policy, cells_to_xy, sample_trajectories, state_distribution
 from .synthetic import Demonstration
 
 METHOD_ORDER = ("ekf", "bc", "random", "irl_nokin", "ours")
-
-
-def cells_to_xy(cells: np.ndarray, resolution: float) -> np.ndarray:
-    cells = np.asarray(cells)
-    return np.stack([(cells[:, 1] + 0.5) * resolution,
-                     (cells[:, 0] + 0.5) * resolution], axis=1)
 
 
 def nll(policy: Policy, demo: Demonstration) -> float:
@@ -35,8 +29,7 @@ def nll(policy: Policy, demo: Demonstration) -> float:
     cells = demo.future
     if len(cells) < 2:
         raise ConfigError("demo future needs at least one transition for NLL")
-    actions = actions_from_cells(cells, demo.world.rows, demo.world.cols)
-    probs = policy.probs[actions, cells[:-1, 0], cells[:-1, 1]]
+    probs = policy.probs[demo.actions, cells[:-1, 0], cells[:-1, 1]]
     if np.any(probs <= 0.0):
         return float("inf")
     logs = np.log(probs)

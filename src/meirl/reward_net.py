@@ -82,13 +82,16 @@ def build_net(kind: str = "two_stage", seed: int = 0) -> RewardNet:
     return net
 
 
-def net_from_store(meta: dict, params: dict) -> RewardNet:
-    """The net a checkpoint holds: its kind's architecture, which must equal the
-    stored record, with the stored arrays swapped in after a shape check."""
+def net_from_store(meta: dict, params: dict, kind: str) -> RewardNet:
+    """The net a checkpoint holds, which must be of the `kind` the caller
+    expects: that kind's architecture, equal to the stored record, with the
+    stored arrays swapped in after a shape check."""
     arch = meta.get("arch")
-    kind = arch.get("kind") if isinstance(arch, dict) else None
-    if kind not in KINDS:
+    stored = arch.get("kind") if isinstance(arch, dict) else None
+    if stored not in KINDS:
         raise ConfigError("checkpoint carries no usable architecture record")
+    if stored != kind:
+        raise ConfigError(f"checkpoint holds a {stored!r} net but the run asks for {kind!r}")
     net = build_net(kind)
     if arch != net.arch_meta():
         raise ConfigError(f"checkpoint architecture {arch} is not that of a {kind!r} net")

@@ -17,14 +17,15 @@ which leaves forward and backward motion tied. The ramp breaks the tie.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .kinematics import PAST_RATE, PAST_WINDOW, KinematicContext, PastTrack, kinematic_context
-from .mdp import ACTION_DELTAS, GridWorld, actions_from_cells, sample_trajectories, value_iteration
+from .mdp import (ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy, sample_trajectories,
+                  value_iteration)
 
 VAR_THRESHOLD = 0.06     # height-variance split between trail and rough ground
 FAST_THRESHOLD = 0.5     # normalized speed above which the straight-ahead ramp applies
@@ -278,11 +279,6 @@ def ground_truth_reward(world: GridWorld, start, context: KinematicContext) -> n
 # ---------------------------------------------------------------------------
 # demonstrations
 
-def cell_center(cell, resolution: float) -> np.ndarray:
-    # x runs along columns, y along rows (so +y pairs with the "down" action)
-    return np.array([(cell[1] + 0.5) * resolution, (cell[0] + 0.5) * resolution])
-
-
 @dataclass
 class Demonstration:
     world: GridWorld
@@ -291,6 +287,7 @@ class Demonstration:
     expert_speed: float
     seed: int
     tag: str
+    actions: np.ndarray = field(init=False)  # (H - 1,) moves along future, set from it
 
     def __post_init__(self):
         self.future = np.asarray(self.future, dtype=np.int64)
@@ -301,8 +298,8 @@ class Demonstration:
         if self.expert_speed <= 0:
             raise ConfigError("expert speed must be positive")
         # adjacency audit: replaying the recovered actions must reproduce the cells
-        actions_from_cells(self.future, self.world.rows, self.world.cols)
-        gap = self.past.xy[-1] - cell_center(self.future[0], self.world.resolution)
+        self.actions = actions_from_cells(self.future, self.world.rows, self.world.cols)
+        gap = self.past.xy[-1] - cells_to_xy(self.future[:1], self.world.resolution)[0]
         if np.abs(gap).max() > 0.5 * self.world.resolution + 1e-9:
             raise ConfigError("past track does not end at the future's start cell")
 
@@ -341,7 +338,7 @@ def _walk_past(mask, start, first_action: Optional[int], n_cells: int, rng):
 
 def _past_track_from_cells(cells, resolution: float, speed: float) -> PastTrack:
     """Constant-speed samples along the reversed cell polyline, 10 Hz, newest last."""
-    pts = np.array([cell_center(rc, resolution) for rc in reversed(cells)])
+    pts = cells_to_xy(cells[::-1], resolution)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = float(cum[-1])

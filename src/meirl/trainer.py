@@ -146,10 +146,7 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None,
 
     if resume is not None:
         store, meta, stored_iter = load_checkpoint(resume)
-        net = net_from_store(meta, store.params)
-        if net.kind != kind:
-            raise ConfigError(
-                f"checkpoint holds a {net.kind!r} net but the run asks for {kind!r}")
+        net = net_from_store(meta, store.params, kind)
         store.learning_rate = config.learning_rate
         start_iter = stored_iter + 1
     else:

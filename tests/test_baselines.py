@@ -10,8 +10,8 @@ from meirl.baselines import (BcConfig, EkfNoise, EkfState, WHEELBASE, bc_policy,
                              wrap_angle)
 from meirl.errors import ConfigError, ConvergenceError
 from meirl.kinematics import PastTrack
-from meirl.mdp import GridWorld
-from meirl.metrics import cells_to_xy, hausdorff, nll
+from meirl.mdp import GridWorld, cells_to_xy
+from meirl.metrics import hausdorff, nll
 from meirl.reward_net import build_net
 from meirl.synthetic import Demonstration
 from meirl.trainer import TrainConfig, demo_stack, train

@@ -10,11 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import CORRUPT_META, with_meta_block
-from meirl.cli import EvalConfig, PredictConfig, build_parser, main
+from meirl.baselines import bc_policy
+from meirl.cli import METHOD_KIND, EvalConfig, PredictConfig, build_parser, main
 from meirl.checkpoint import load_checkpoint, save_checkpoint
 from meirl.dataset import GenerateConfig, load_dataset
-from meirl.mdp import compute_svf, state_distribution, uniform_policy
-from meirl.reward_net import build_net
+from meirl.errors import ConfigError
+from meirl.mdp import (compute_svf, sample_trajectories, state_distribution, uniform_policy,
+                       value_iteration)
+from meirl.metrics import METHOD_ORDER
+from meirl.reward_net import build_net, forward, net_from_store
 from meirl.trainer import TrainConfig
 
 GEN_ARGS = ["--demos", "8", "--rows", "16", "--cols", "16", "--split", "0.75",
@@ -219,6 +223,18 @@ def test_every_flag_is_a_config_field_or_a_listed_argument(command):
     assert not set(given) & fields
 
 
+def test_method_choices_come_from_the_method_tables():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    choices = {command: next(a.choices for a in subparsers[command]._actions
+                             if a.dest == "method")
+               for command in ("train", "predict")}
+    assert tuple(choices["train"]) == tuple(METHOD_KIND)
+    assert tuple(choices["predict"]) == METHOD_ORDER
+    with pytest.raises(ConfigError, match="predict method must be one of"):
+        PredictConfig(method="telepathy")
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -399,6 +415,49 @@ def test_predict_ours_needs_checkpoint(dataset_dir, tmp_path, capsys):
     rc = run("predict", "--dataset", dataset_dir, "--out", tmp_path / "x")
     assert rc == 2
     assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("other, kind", [("bc", "action_head"), ("irl_nokin", "env_only")])
+def test_predict_ours_rejects_checkpoint_of_another_method(dataset_dir, nokin_ckpt, bc_ckpt,
+                                                          tmp_path, capsys, other, kind):
+    ckpt = {"bc": bc_ckpt, "irl_nokin": nokin_ckpt}[other]
+    rc = run("predict", "--dataset", dataset_dir, "--out", tmp_path / "x",
+             "--method", "ours", "--checkpoint", ckpt, "--samples", "3")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and f"'{kind}'" in err and "'two_stage'" in err
+    assert not (tmp_path / "x" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("method", ["irl_nokin", "bc"])
+def test_predict_forecasts_each_trained_net_under_its_own_method(
+        dataset_dir, nokin_ckpt, bc_ckpt, tmp_path, method):
+    ckpt = {"bc": bc_ckpt, "irl_nokin": nokin_ckpt}[method]
+    out = tmp_path / method
+    assert run("predict", "--dataset", dataset_dir, "--out", out, "--method", method,
+               "--checkpoint", ckpt, "--demo", "1", "--samples", "7", "--seed", "4") == 0
+    # the same forecast, planned here straight from the stored net
+    _, test_demos, manifest = load_dataset(dataset_dir)
+    demo = test_demos[1]
+    store, meta, _ = load_checkpoint(ckpt)
+    net = net_from_store(meta, store.params, METHOD_KIND[method])
+    if method == "bc":
+        policy = bc_policy(net, demo)
+        assert not (out / "reward.csv").exists()
+    else:
+        reward = forward(net, demo)[0]
+        policy = value_iteration([reward], gamma=meta["config"]["gamma"],
+                                 epsilon=meta["config"]["epsilon"],
+                                 beta=manifest["config"]["demo_beta"])[0]
+        assert np.array_equal(load_map_csv(out / "reward.csv"), reward)
+    start = tuple(demo.future[0])
+    svf = compute_svf([policy], [start], [demo.horizon])[0]
+    assert np.array_equal(load_map_csv(out / "svf.csv"), svf)
+    rollouts = sample_trajectories(policy, start, demo.horizon, 7,
+                                   np.random.default_rng(np.random.SeedSequence(4)))
+    samples = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, dtype=np.int64)
+    assert np.array_equal(samples[:, 2:].reshape(rollouts.shape), rollouts)
+    assert json.loads((out / "summary.json").read_text())["method"] == method
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Source hygiene: every imported name is used by the module that imports it.
+"""Source hygiene: every imported name is used, and library code has a caller.
 
-No linter ships with the project, so this stands in for the unused-import
-check: a name bound by an import in `src/meirl/*.py` or `scripts/*.py` must be
-read somewhere in that module (code or annotations) or be listed in its
-`__all__`.
+No linter ships with the project, so this stands in for two of its checks. A
+name bound by an import in `src/meirl/*.py` or `scripts/*.py` must be read
+somewhere in that module (code or annotations) or be listed in its `__all__`.
+A top-level def or class in `src/meirl` must be read, by name or as an
+attribute, somewhere in `src/meirl` or `scripts` outside its own definition,
+or be wrapped by the benchmark's traced run (`TRACED` in `perfbench/spans.py`).
 """
 
 import ast
@@ -12,7 +14,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "meirl").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "meirl").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = LIBRARY + SCRIPTS
+SPANS = ROOT / "perfbench" / "spans.py"
+# library code with no caller in the program: the exact reference the
+# planner tests compare against
+TEST_REFERENCES = {("mdp", "enumerate_trajectory_distribution")}
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -59,3 +67,43 @@ def test_checker_flags_an_unused_import():
     source = "import math\nfrom typing import Optional, List\n\nx: List[int] = []\n"
     assert unused_imports(source) == [(1, "math"), (2, "Optional")]
     assert unused_imports("from .errors import ConfigError\n__all__ = ['ConfigError']\n") == []
+
+
+def referenced(node: ast.AST) -> set:
+    """Names a node reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_definitions(library: dict, callers: dict) -> list:
+    """(module, name) of each top-level def or class in `library` that no
+    top-level statement of `library` or `callers` reads, its own definition
+    aside. Both map a module name to its source."""
+    trees = {name: ast.parse(source) for name, source in {**callers, **library}.items()}
+    reads = [(module, getattr(node, "name", None), referenced(node))
+             for module, tree in trees.items() for node in tree.body]
+    return sorted(
+        (module, node.name) for module in library for node in trees[module].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(node.name in names and (reader, owner) != (module, node.name)
+                    for reader, owner, names in reads))
+
+
+def test_every_library_definition_has_a_caller():
+    # compiled from its text, as in test_trace_names, so nothing is imported
+    spans = {"__name__": "perfbench_spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans)
+    traced = {tuple(qualname.rsplit(".", 1)) for qualname in spans["TRACED"]}
+    dead = unread_definitions({p.stem: p.read_text() for p in LIBRARY},
+                              {f"scripts/{p.stem}": p.read_text() for p in SCRIPTS})
+    assert set(dead) - traced - TEST_REFERENCES == set()
+
+
+def test_checker_flags_a_definition_without_a_caller():
+    library = {"a": "def used():\n    pass\n\n\ndef dead(n):\n    return dead(n - 1)\n\n\n"
+                    "class Kept:\n    pass\n",
+               "b": "from a import used\nused()\n"}
+    callers = {"script": "import a\na.Kept()\n"}
+    assert unread_definitions(library, callers) == [("a", "dead")]
+    assert unread_definitions(library, {}) == [("a", "Kept"), ("a", "dead")]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
-from meirl.mdp import GridWorld, Policy, uniform_policy
-from meirl.metrics import (EvalResult, cells_to_xy, export_csv, export_json,
+from meirl.mdp import GridWorld, Policy, cells_to_xy, uniform_policy
+from meirl.metrics import (EvalResult, export_csv, export_json,
                            hausdorff, mean_sampled_hd, nll, terminal_entropy)
 from meirl.synthetic import Demonstration
 

@@ -51,7 +51,7 @@ def test_speed_entropy_experiment_plans_at_the_checkpoint_gamma(tmp_path):
         "speed_entropy_experiment", SCRIPTS / "speed_entropy_experiment.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    net, settings = load_model(ckpt)
+    net, settings = load_model(ckpt, "ours")
     assert settings.gamma == 0.8
     world = generate_world(WorldSpec(seed=0, rows=16, cols=16, layout="tee"))
     start, heading, _ = script.scenario(world, 3)
@@ -62,3 +62,22 @@ def test_speed_entropy_experiment_plans_at_the_checkpoint_gamma(tmp_path):
     expected = state_distribution(policy, start, 14)
     written = np.loadtxt(maps / "terminal_slow.csv", delimiter=",")
     assert np.array_equal(written, expected)
+
+
+def test_speed_entropy_experiment_reports_config_errors_without_a_traceback(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--demos", "4", "--rows", "16",
+                 "--cols", "16", "--seed", "2"]) == 0
+    for method in ("ours", "irl_nokin"):
+        assert main(["train", "--dataset", str(data), "--out", str(tmp_path / method),
+                     "--method", method, "--iterations", "0"]) == 0
+    # a net without the kinematic stage, and a start farther back than the arm
+    for method, extra, words in (("irl_nokin", [], ("'env_only'", "'two_stage'")),
+                                 ("ours", ["--approach", "99"], ("approach arm",))):
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "speed_entropy_experiment.py"),
+                               "--checkpoint", str(tmp_path / method / "checkpoint.ckpt"),
+                               *extra],
+                              env=script_env(), capture_output=True, text=True, timeout=600)
+        assert proc.returncode != 0
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert all(word in proc.stderr for word in words), proc.stderr

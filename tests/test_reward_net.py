@@ -10,12 +10,12 @@ from meirl.checkpoint import load_checkpoint, save_checkpoint
 from meirl.errors import ConfigError
 from meirl.kinematics import (KAPPA_MAX, SPEED_NORM, KinematicContext, PastTrack,
                               build_input_stack, kinematic_context)
-from meirl.mdp import GridWorld
+from meirl.mdp import GridWorld, cells_to_xy
 from meirl.nn import ParameterStore, leaky_relu
 from meirl.reward_net import (KINDS, STAGE1_DILATIONS, STAGE1_WIDTHS, action_logits, backward,
                               build_net, forward, net_from_store, reward_forward,
                               reward_from_env, stage1_forward)
-from meirl.synthetic import Demonstration, cell_center
+from meirl.synthetic import Demonstration
 
 CTX0 = KinematicContext(dx=0.0, dy=0.0, kappa=0.0)
 
@@ -40,7 +40,7 @@ def context_demo(world, cell, ctx):
                            math.cos(heading) - np.cos(heading + k * s)], axis=1) / k
     else:
         offset = s[:, None] * np.array([math.cos(heading), math.sin(heading)])
-    past = PastTrack(t=t, xy=cell_center(cell, world.resolution) + offset)
+    past = PastTrack(t=t, xy=cells_to_xy([cell], world.resolution)[0] + offset)
     return Demonstration(world=world, past=past, future=np.array([cell]),
                          expert_speed=1.0, seed=0, tag="intersection")
 
@@ -282,7 +282,7 @@ def test_net_from_store_roundtrip(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, store, meta={"arch": net.arch_meta()}, iteration=0)
     loaded_store, meta, _ = load_checkpoint(path)
-    rebuilt = net_from_store(meta, loaded_store.params)
+    rebuilt = net_from_store(meta, loaded_store.params, "two_stage")
     assert rebuilt.kind == "two_stage"
     r0 = two_stage_reward(net, world, (5, 5), CTX0)
     r1 = two_stage_reward(rebuilt, world, (5, 5), CTX0)
@@ -295,15 +295,15 @@ def test_net_from_store_rejects_bad_shapes(tmp_path):
     meta = {"arch": net.arch_meta()}
     meta["arch"]["stage1"][0][0] = 99  # lie about the head width
     with pytest.raises(ConfigError):
-        net_from_store(meta, store.params)
+        net_from_store(meta, store.params, "env_only")
     with pytest.raises(ConfigError):
-        net_from_store({"arch": {"kind": "nope"}}, store.params)
+        net_from_store({"arch": {"kind": "nope"}}, store.params, "env_only")
     for arch in ([1], {"kind": ["env_only"]}, dict(net.arch_meta(), stage1="x")):
         with pytest.raises(ConfigError, match="architecture"):
-            net_from_store({"arch": arch}, store.params)
+            net_from_store({"arch": arch}, store.params, "env_only")
     short = dict(store.params, **{"s1.0.bias": np.zeros(3)})
     with pytest.raises(ConfigError, match="shape mismatch"):
-        net_from_store({"arch": net.arch_meta()}, short)
+        net_from_store({"arch": net.arch_meta()}, short, "env_only")
     missing = {k: v for k, v in store.params.items() if k != "s1.3.kernel"}
     with pytest.raises(ConfigError, match="missing"):
-        net_from_store({"arch": net.arch_meta()}, missing)
+        net_from_store({"arch": net.arch_meta()}, missing, "env_only")

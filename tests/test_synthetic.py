@@ -1,13 +1,15 @@
 """World construction geometry, ground-truth reward shape, demo sampling, balancing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from meirl.errors import ConfigError
 from meirl.kinematics import KinematicContext, extract_velocity
-from meirl.mdp import GridWorld
+from meirl.mdp import ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy
 from meirl.synthetic import (FAST_THRESHOLD, MARGIN, VAR_THRESHOLD, Demonstration, WorldSpec,
-                             augment_rotations, balance_dataset, bend_cells, cell_center,
+                             augment_rotations, balance_dataset, bend_cells,
                              classify_tag, generate_demonstration, generate_world,
                              ground_truth_reward, junction_cells, trail_mask)
 
@@ -176,10 +178,22 @@ def test_demo_speed_recoverable():
     assert abs(dx - (-0.2)) < 0.1
 
 
+def test_demo_keeps_the_actions_of_its_future():
+    world = world_for("curve", seed=8)
+    demo = generate_demonstration(world, speed=4.0, seed=5)
+    for d in [demo, dataclasses.replace(demo, seed=9)] + augment_rotations(demo):
+        assert np.array_equal(d.actions, actions_from_cells(d.future, world.rows, world.cols))
+        steps = np.array([ACTION_DELTAS[a] for a in d.actions])
+        moved = np.clip(d.future[:-1] + steps, 0, [world.rows - 1, world.cols - 1])
+        assert np.array_equal(moved, d.future[1:])
+    # each rotation has its own actions, not a copy of the original's
+    assert not np.array_equal(augment_rotations(demo)[1].actions, demo.actions)
+
+
 def test_past_ends_at_start_cell_center():
     world = world_for("curve", seed=8)
     demo = generate_demonstration(world, speed=4.0, seed=5)
-    assert np.allclose(demo.past.xy[-1], cell_center(demo.future[0], world.resolution))
+    assert np.allclose(demo.past.xy[-1], cells_to_xy(demo.future[:1], world.resolution)[0])
 
 
 def test_horizon_override_and_range():
