@@ -16,7 +16,7 @@ from meirl.cli import forecast, load_model
 from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
 from meirl.maps import save_map_csv, save_map_pgm
-from meirl.mdp import cells_to_xy, state_distribution
+from meirl.mdp import ACTION_DELTAS, cells_to_xy, neighbors, state_distribution
 from meirl.metrics import terminal_entropy
 from meirl.synthetic import (DEMO_BETA, Demonstration, WorldSpec,
                              generate_world, junction_cells, trail_mask)
@@ -39,15 +39,15 @@ def parse_args():
     return p.parse_args()
 
 
-def arm_cells(mask, junction, step):
-    """Trail cells walking from the junction in one direction, nearest first."""
+def arm_cells(ahead, junction, step):
+    """Trail cells walking from the junction along `step`, nearest first;
+    `ahead` is the trail's neighbors map for that step."""
     r, c = int(junction[0]), int(junction[1])
     out = []
-    while True:
+    while ahead[r, c]:
         r, c = r + step[0], c + step[1]
-        if not (0 <= r < mask.shape[0] and 0 <= c < mask.shape[1]) or not mask[r, c]:
-            return out
         out.append((r, c))
+    return out
 
 
 def scenario(world, approach):
@@ -57,8 +57,8 @@ def scenario(world, approach):
     if len(js) != 1:
         raise ConfigError(f"world has {len(js)} junctions, need exactly 1")
     j = js[0]
-    arms = {step: arm_cells(mask, j, step)
-            for step in ((-1, 0), (1, 0), (0, -1), (0, 1))}
+    arms = {step: arm_cells(ahead, j, step)
+            for step, ahead in zip(ACTION_DELTAS, neighbors(mask))}
     present = [s for s, cells in arms.items() if cells]
     if len(present) != 3:
         raise ConfigError("junction does not have exactly three arms")

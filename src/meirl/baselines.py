@@ -209,7 +209,7 @@ class BcConfig:
             raise ConfigError("validation split must be in [0, 1)")
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN too
             raise ConfigError("learning rate must be positive")
 
 

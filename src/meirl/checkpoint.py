@@ -142,4 +142,6 @@ def load_checkpoint(path):
                     raise ConfigError(f"optimizer state shape mismatch for {name!r}")
                 store.m[name] = m
                 store.v[name] = v
+        if fh.read(1):
+            raise ConfigError(f"{path}: trailing bytes after the last checkpoint record")
     return store, meta, iteration

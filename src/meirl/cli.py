@@ -63,6 +63,11 @@ def _names(raw: str) -> tuple:
     return tuple(s.strip() for s in raw.split(","))
 
 
+def _numbers(raw: str) -> tuple:
+    """A comma-separated list flag as a tuple of floats."""
+    return tuple(float(s) for s in _names(raw))
+
+
 def _write_resolved(out_dir: Path, command: str, payload: dict) -> None:
     configio.dump_json(out_dir / "resolved_config.json",
                        {"command": command, **payload})
@@ -87,14 +92,6 @@ def _balance(raw: str):
 
 def cmd_generate(args) -> None:
     cfg = _resolve(GenerateConfig, args)
-    if "speed_min" in args or "speed_max" in args:
-        if len(cfg.speeds) != 2:
-            raise ConfigError(f"--speed-min and --speed-max replace a (min, max) pair, "
-                              f"but the config's speeds hold {len(cfg.speeds)} values")
-        lo, hi = cfg.speeds
-        cfg = dataclasses.replace(cfg, speeds=(getattr(args, "speed_min", lo),
-                                               getattr(args, "speed_max", hi)))
-
     out = Path(args.out)
     train_demos, test_demos = generate_dataset(cfg)
     manifest = save_dataset(out, train_demos, test_demos, cfg, overwrite=args.overwrite)
@@ -124,16 +121,18 @@ def cmd_train(args) -> None:
                  if name not in _fields(BcConfig) and name != "iterations" and name in args]
         if given:
             raise ConfigError(f"behavior cloning does not take {', '.join(given)}")
-
-    train_demos, _, _ = load_dataset(args.dataset)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if args.method == "bc":
         if "iterations" in args:
             args.epochs = args.iterations
         cfg = _resolve(BcConfig, args)
+    else:
+        cfg = _resolve(TrainConfig, args)
+
+    train_demos, _, _ = load_dataset(args.dataset)
+    out = Path(args.out)
+
+    if args.method == "bc":
         net, rows = bc_train(train_demos, cfg)
+        out.mkdir(parents=True, exist_ok=True)
         store = ParameterStore.create(net.parameters(), cfg.learning_rate)
         save_checkpoint(out / "checkpoint.ckpt", store,
                         meta={"arch": net.arch_meta(), "method": "bc",
@@ -149,7 +148,7 @@ def cmd_train(args) -> None:
         print(f"checkpoint: {out / 'checkpoint.ckpt'}")
         return
 
-    cfg = _resolve(TrainConfig, args)
+    # train loads --resume before it creates the output directory
     _, _, reports, timings = train(train_demos, cfg, out_dir=out, resume=args.resume,
                                    kind=METHOD_KIND[args.method])
     write_report(reports, out / "report.csv")
@@ -262,6 +261,10 @@ def cmd_predict(args) -> None:
     demo = pool[cfg.demo]
     if cfg.zero_lidar:
         demo = dataclasses.replace(demo, world=_constant_env_world(demo.world))
+    if cfg.method in METHOD_KIND:
+        if args.checkpoint is None:
+            raise ConfigError(f"--checkpoint is required for method {cfg.method!r}")
+        model = load_model(args.checkpoint, cfg.method)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,10 +287,7 @@ def cmd_predict(args) -> None:
         if cfg.method == "random":
             policy = random_policy(demo.world)
         else:
-            if args.checkpoint is None:
-                raise ConfigError(f"--checkpoint is required for method {cfg.method!r}")
-            policies, rewards = forecast(*load_model(args.checkpoint, cfg.method), [demo],
-                                         _forecast_beta(manifest))
+            policies, rewards = forecast(*model, [demo], _forecast_beta(manifest))
             policy = policies[0]
             if rewards is not None:
                 save_map_csv(out / "reward.csv", rewards[0])
@@ -437,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--resolution", type=float)
     g.add_argument("--layouts", type=_names, help="comma-separated layout names")
     g.add_argument("--trail-width", type=int, dest="trail_width")
-    g.add_argument("--speed-min", type=float, dest="speed_min")
-    g.add_argument("--speed-max", type=float, dest="speed_max")
+    g.add_argument("--speeds", type=_numbers,
+                   help="comma-separated expert speeds, one drawn per demo")
     g.add_argument("--horizon-min", type=int, dest="horizon_min")
     g.add_argument("--horizon-max", type=int, dest="horizon_max")
     g.add_argument("--balance", type=_balance,

@@ -9,17 +9,37 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+def _fits(value, default) -> bool:
+    """Whether `value` has the type of a field whose default is `default`: a
+    bool is never a number, a float field also takes an int, and a tuple field
+    takes a list or tuple whose items fit its default's first item."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and \
+            (not default or all(_fits(item, default[0]) for item in value))
+    return isinstance(value, type(default))
+
+
 def from_dict(cls, data: dict):
-    """Build a config dataclass from a JSON-shaped dict. Unknown keys are errors;
+    """Build a config dataclass from a JSON-shaped dict. Unknown keys and values
+    of the wrong type are errors (fields that default to None check their own);
     JSON arrays become tuples so defaults and round-tripped configs compare equal."""
     if not isinstance(data, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {unknown}")
     kwargs = {}
     for name, value in data.items():
+        default = defaults[name]
+        if default is not None and not _fits(value, default):
+            raise ConfigError(f"{cls.__name__} field {name!r} must be of type "
+                              f"{type(default).__name__} (default {default!r}), "
+                              f"got {value!r}")
         if isinstance(value, list):
             value = tuple(value)
         kwargs[name] = value

@@ -12,6 +12,7 @@ Each record is self-contained and little-endian:
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -60,8 +61,10 @@ class GenerateConfig:
             raise ConfigError(f"unknown layouts: {bad}")
         if not (15 <= self.horizon_min <= self.horizon_max <= 40):
             raise ConfigError("horizon range must satisfy 15 <= min <= max <= 40")
-        if any(s <= 0 for s in self.speeds):
-            raise ConfigError("speeds must be positive")
+        if not self.speeds or not all(isinstance(s, (int, float)) and not isinstance(s, bool)
+                                      and 0 < s < math.inf for s in self.speeds):
+            raise ConfigError(f"speeds must be a nonempty list of finite positive numbers, "
+                              f"got {self.speeds!r}")
         if self.balance is not None:
             balance_fractions(self.balance)
 

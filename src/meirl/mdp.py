@@ -43,8 +43,8 @@ class GridWorld:
     def __post_init__(self):
         if self.rows < 8 or self.cols < 8:
             raise ConfigError(f"world must be at least 8x8, got {self.rows}x{self.cols}")
-        if not self.resolution > 0:
-            raise ConfigError(f"resolution must be positive, got {self.resolution}")
+        if not 0 < self.resolution < np.inf:
+            raise ConfigError(f"resolution must be finite and positive, got {self.resolution}")
         self.env = np.asarray(self.env, dtype=np.float64)
         if self.env.shape != (len(ENV_CHANNEL_NAMES), self.rows, self.cols):
             raise ConfigError(
@@ -79,6 +79,17 @@ def flat_transition_table(rows: int, cols: int):
     flat = (nr * cols + nc).reshape(N_ACTIONS, rows * cols)
     flat.setflags(write=False)
     return flat
+
+
+def neighbors(mask) -> np.ndarray:
+    """(4, rows, cols) bool in ACTION_DELTAS order: True where the move from a
+    cell in that direction stays on the grid and lands on a cell of `mask`.
+    The one owner of grid adjacency beside flat_transition_table."""
+    mask = np.asarray(mask, dtype=bool)
+    rows, cols = mask.shape
+    flat_next = flat_transition_table(rows, cols)
+    moved = flat_next != np.arange(rows * cols)
+    return (moved & mask.reshape(-1)[flat_next]).reshape(N_ACTIONS, rows, cols)
 
 
 @dataclass
@@ -303,32 +314,23 @@ def sample_trajectories(policy: Policy, start, horizon: int, n: int,
 
 
 def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Recover the action sequence behind a cell path.
-
-    A zero displacement is only legal on the boundary (a move that was clipped)
-    and maps to the first action in fixed order that stays put there.
-    """
+    """Recover the action sequence behind a cell path: at each step, the first
+    action in fixed order whose successor is the next cell. A stay is only
+    legal on the boundary, where a move was clipped."""
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != 2:
         raise ConfigError(f"cell path must be (n, 2), got {cells.shape}")
-    flat_next = flat_transition_table(rows, cols)
-    delta_to_action = {d: a for a, d in enumerate(ACTION_DELTAS)}
-    actions = np.empty(len(cells) - 1, dtype=np.int64)
-    for t in range(len(cells) - 1):
-        r0, c0 = _check_cell(cells[t], rows, cols)
-        r1, c1 = _check_cell(cells[t + 1], rows, cols)
-        step = (r1 - r0, c1 - c0)
-        if step in delta_to_action:
-            actions[t] = delta_to_action[step]
-        elif step == (0, 0):
-            here = r0 * cols + c0
-            stay = [a for a in range(N_ACTIONS) if flat_next[a, here] == here]
-            if not stay:
-                raise ConfigError(f"cell path stays at interior cell ({r0}, {c0})")
-            actions[t] = stay[0]
-        else:
-            raise ConfigError(f"cell path step {step} at index {t} is not a cardinal move")
-    return actions
+    off = np.flatnonzero(((cells < 0) | (cells >= (rows, cols))).any(axis=1))
+    if off.size:
+        raise ConfigError(f"cell {tuple(cells[off[0]].tolist())} outside {rows}x{cols} grid")
+    flat = cells[:, 0] * cols + cells[:, 1]
+    hits = flat_transition_table(rows, cols)[:, flat[:-1]] == flat[1:]
+    bad = np.flatnonzero(~hits.any(axis=0))
+    if bad.size:
+        t = int(bad[0])
+        raise ConfigError(f"cell path step {t} from {tuple(cells[t].tolist())} to "
+                          f"{tuple(cells[t + 1].tolist())} is no move on the grid")
+    return hits.argmax(axis=0)
 
 
 def enumerate_trajectory_distribution(reward: np.ndarray, start, horizon: int) -> dict:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .kinematics import PAST_RATE, PAST_WINDOW, KinematicContext, PastTrack, kinematic_context
-from .mdp import (ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy, sample_trajectories,
-                  value_iteration)
+from .mdp import (ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy, neighbors,
+                  sample_trajectories, value_iteration)
 
 VAR_THRESHOLD = 0.06     # height-variance split between trail and rough ground
 FAST_THRESHOLD = 0.5     # normalized speed above which the straight-ahead ramp applies
@@ -78,88 +78,69 @@ class WorldSpec:
 # ---------------------------------------------------------------------------
 # layout construction
 
-def _straight_cells(rng, rows, cols):
-    if rng.integers(2):
-        r0 = int(rng.integers(MARGIN, rows - MARGIN))
-        return [(r0, c) for c in range(MARGIN, cols - MARGIN)]
-    c0 = int(rng.integers(MARGIN, cols - MARGIN))
-    return [(r, c0) for r in range(MARGIN, rows - MARGIN)]
+def _middle(rng, n: int) -> int:
+    return int(rng.integers(n // 3, n - n // 3))
 
 
-def _curve_cells(rng, rows, cols):
+# Each builder draws straight slices into an all-False mask. A vertical variant
+# is its horizontal form drawn on mask.T, which swaps rows and cols throughout.
+
+def _draw_straight(rng, mask):
+    mask = mask if rng.integers(2) else mask.T
+    rows, cols = mask.shape
+    mask[int(rng.integers(MARGIN, rows - MARGIN)), MARGIN:cols - MARGIN] = True
+
+
+def _draw_curve(rng, mask):
     # an L: horizontal leg to a bend, then a vertical leg
-    rb = int(rng.integers(rows // 3, rows - rows // 3))
-    cb = int(rng.integers(cols // 3, cols - cols // 3))
-    h_from_left = bool(rng.integers(2))
-    v_down = bool(rng.integers(2))
-    if h_from_left:
-        horiz = [(rb, c) for c in range(MARGIN, cb + 1)]
-    else:
-        horiz = [(rb, c) for c in range(cols - 1 - MARGIN, cb - 1, -1)]
-    if v_down:
-        vert = [(r, cb) for r in range(rb + 1, rows - MARGIN)]
-    else:
-        vert = [(r, cb) for r in range(rb - 1, MARGIN - 1, -1)]
-    return horiz + vert
+    rows, cols = mask.shape
+    rb, cb = _middle(rng, rows), _middle(rng, cols)
+    horizontal = slice(MARGIN, cb + 1) if rng.integers(2) else slice(cb, cols - MARGIN)
+    vertical = slice(rb + 1, rows - MARGIN) if rng.integers(2) else slice(MARGIN, rb)
+    mask[rb, horizontal] = True
+    mask[vertical, cb] = True
 
 
-def _tee_cells(rng, rows, cols):
-    # a bar plus a stem meeting mid-bar
-    horizontal_bar = bool(rng.integers(2))
-    if horizontal_bar:
-        r0 = int(rng.integers(MARGIN, rows - MARGIN))
-        bar = [(r0, c) for c in range(MARGIN, cols - MARGIN)]
-        cj = int(rng.integers(cols // 3, cols - cols // 3))
-        if r0 < rows // 2:
-            stem = [(r, cj) for r in range(r0 + 1, rows - MARGIN)]
-        else:
-            stem = [(r, cj) for r in range(MARGIN, r0)]
-        return bar + stem
-    c0 = int(rng.integers(MARGIN, cols - MARGIN))
-    bar = [(r, c0) for r in range(MARGIN, rows - MARGIN)]
-    rj = int(rng.integers(rows // 3, rows - rows // 3))
-    if c0 < cols // 2:
-        stem = [(rj, c) for c in range(c0 + 1, cols - MARGIN)]
-    else:
-        stem = [(rj, c) for c in range(MARGIN, c0)]
-    return bar + stem
+def _draw_tee(rng, mask):
+    # a bar plus a stem meeting mid-bar, running to the far side
+    mask = mask if rng.integers(2) else mask.T
+    rows, cols = mask.shape
+    r0 = int(rng.integers(MARGIN, rows - MARGIN))
+    mask[r0, MARGIN:cols - MARGIN] = True
+    stem = slice(r0 + 1, rows - MARGIN) if r0 < rows // 2 else slice(MARGIN, r0)
+    mask[stem, _middle(rng, cols)] = True
 
 
-def _cross_cells(rng, rows, cols):
-    r0 = int(rng.integers(rows // 3, rows - rows // 3))
-    c0 = int(rng.integers(cols // 3, cols - cols // 3))
-    horiz = [(r0, c) for c in range(MARGIN, cols - MARGIN)]
-    vert = [(r, c0) for r in range(MARGIN, rows - MARGIN)]
-    return horiz + vert
+def _draw_cross(rng, mask):
+    rows, cols = mask.shape
+    r0, c0 = _middle(rng, rows), _middle(rng, cols)
+    mask[r0, MARGIN:cols - MARGIN] = True
+    mask[MARGIN:rows - MARGIN, c0] = True
 
 
 def _dilate(mask, radius):
-    if radius == 0:
-        return mask
-    out = mask.copy()
-    rows, cols = mask.shape
-    for dr in range(-radius, radius + 1):
-        for dc in range(-radius, radius + 1):
-            src = mask[max(0, -dr):rows - max(0, dr), max(0, -dc):cols - max(0, dc)]
-            out[max(0, dr):rows - max(0, -dr), max(0, dc):cols - max(0, -dc)] |= src
-    return out
+    """Grow the mask by a (2 * radius + 1)-cell square: one row pass and one
+    column pass per unit of radius."""
+    for _ in range(radius):
+        mask = mask | neighbors(mask)[2:].any(axis=0)
+        mask = mask | neighbors(mask)[:2].any(axis=0)
+    return mask
 
 
 def _connected(mask) -> bool:
     cells = np.argwhere(mask)
     if len(cells) == 0:
         return False
+    adjacent = neighbors(mask)
     seen = np.zeros_like(mask)
     stack = [tuple(cells[0])]
-    seen[tuple(cells[0])] = True
+    seen[stack[0]] = True
     while stack:
         r, c = stack.pop()
-        for dr, dc in ACTION_DELTAS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < mask.shape[0] and 0 <= nc < mask.shape[1] \
-                    and mask[nr, nc] and not seen[nr, nc]:
-                seen[nr, nc] = True
-                stack.append((nr, nc))
+        for (dr, dc), adjacent_here in zip(ACTION_DELTAS, adjacent[:, r, c]):
+            if adjacent_here and not seen[r + dr, c + dc]:
+                seen[r + dr, c + dc] = True
+                stack.append((r + dr, c + dc))
     return bool(np.all(seen[mask]))
 
 
@@ -170,15 +151,9 @@ def generate_world(spec: WorldSpec) -> GridWorld:
     layout = spec.layout
     if layout == "random":
         layout = ("straight", "curve")[rng.integers(2)]
-    centerline = {
-        "straight": _straight_cells,
-        "curve": _curve_cells,
-        "tee": _tee_cells,
-        "cross": _cross_cells,
-    }[layout](rng, rows, cols)
     mask = np.zeros((rows, cols), dtype=bool)
-    for r, c in centerline:
-        mask[r, c] = True
+    {"straight": _draw_straight, "curve": _draw_curve, "tee": _draw_tee,
+     "cross": _draw_cross}[layout](rng, mask)
     mask = _dilate(mask, (spec.trail_width - 1) // 2)
     assert _connected(mask)
 
@@ -204,31 +179,20 @@ def trail_mask(world: GridWorld) -> np.ndarray:
     return world.env[1] < VAR_THRESHOLD
 
 
-def _neighbor_counts(mask):
-    counts = np.zeros(mask.shape, dtype=np.int64)
-    counts[1:, :] += mask[:-1, :]
-    counts[:-1, :] += mask[1:, :]
-    counts[:, 1:] += mask[:, :-1]
-    counts[:, :-1] += mask[:, 1:]
-    return counts
+def _cells(mask) -> list:
+    return [(int(r), int(c)) for r, c in np.argwhere(mask)]
 
 
 def junction_cells(mask) -> list:
-    """Trail cells where three or more arms meet."""
-    counts = _neighbor_counts(mask)
-    return [tuple(rc) for rc in np.argwhere(mask & (counts >= 3))]
+    """Trail cells where three or more arms meet, in row-major order."""
+    return _cells(mask & (neighbors(mask).sum(axis=0) >= 3))
 
 
 def bend_cells(mask) -> list:
-    """Trail cells with exactly two, perpendicular, trail neighbors."""
-    rows, cols = mask.shape
-    out = []
-    for r, c in np.argwhere(mask & (_neighbor_counts(mask) == 2)):
-        dirs = [(dr, dc) for dr, dc in ACTION_DELTAS
-                if 0 <= r + dr < rows and 0 <= c + dc < cols and mask[r + dr, c + dc]]
-        if len(dirs) == 2 and dirs[0][0] != -dirs[1][0]:
-            out.append((int(r), int(c)))
-    return out
+    """Trail cells with exactly two, perpendicular, trail neighbors, in
+    row-major order."""
+    up, down, left, right = neighbors(mask)
+    return _cells(mask & (up ^ down) & (left ^ right))
 
 
 def classify_tag(mask, future) -> str:
@@ -265,12 +229,11 @@ def ground_truth_reward(world: GridWorld, start, context: KinematicContext) -> n
     speed = max(abs(context.dx), abs(context.dy))
     step = _heading_delta(context)
     if speed > FAST_THRESHOLD and step is not None:
+        ahead = neighbors(mask)[ACTION_DELTAS.index(step)]
         r, c = int(start[0]), int(start[1])
         k = 0
-        while True:
+        while ahead[r, c]:
             r, c = r + step[0], c + step[1]
-            if not (0 <= r < world.rows and 0 <= c < world.cols) or not mask[r, c]:
-                break
             k += 1
             reward[r, c] += RAY_RATE * k
     return reward
@@ -313,17 +276,14 @@ def _walk_past(mask, start, first_action: Optional[int], n_cells: int, rng):
 
     Returns cells ordered start-first; the caller reverses them into a past.
     """
-    rows, cols = mask.shape
+    adjacent = neighbors(mask)
     cells = [tuple(int(v) for v in start)]
     prev = None
     heading = None if first_action is None else ACTION_DELTAS[first_action]
     while len(cells) < n_cells:
         r, c = cells[-1]
-        options = []
-        for d in ACTION_DELTAS:
-            nr, nc = r + d[0], c + d[1]
-            if 0 <= nr < rows and 0 <= nc < cols and mask[nr, nc] and (nr, nc) != prev:
-                options.append(d)
+        options = [d for d, adjacent_here in zip(ACTION_DELTAS, adjacent[:, r, c])
+                   if adjacent_here and (r + d[0], c + d[1]) != prev]
         if not options:
             break
         if heading in options:
@@ -361,7 +321,7 @@ def _expert_setup(world: GridWorld, speed: float, seed: int, start=None,
     horizon, ground-truth reward map)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     mask = trail_mask(world)
-    candidates = np.argwhere(mask & (_neighbor_counts(mask) >= 1))
+    candidates = np.argwhere(mask & neighbors(mask).any(axis=0))
     if len(candidates) == 0:
         raise ConfigError("world has no usable trail cells to start from")
     if start is None:

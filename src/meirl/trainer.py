@@ -51,14 +51,17 @@ class TrainConfig:
             raise ConfigError("iterations must be nonnegative")
         if self.batch_size < 1:
             raise ConfigError("batch size must be at least 1")
-        if self.beta0 <= 0:
+        # `not x > 0` so that NaN is refused too
+        if not self.beta0 > 0:
             raise ConfigError("beta0 must be positive")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ConfigError("tau must be positive")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError("learning rate must be positive")
         if not 0 <= self.gamma < 1:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def training_beta(config: TrainConfig, iteration: int) -> float:

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from meirl.checkpoint import MAGIC
 from meirl.mdp import GridWorld
@@ -19,6 +20,12 @@ def with_meta_block(raw: bytes, meta: bytes) -> bytes:
     (old_len,) = struct.unpack("<I", raw[len(MAGIC):len(MAGIC) + 4])
     rest = raw[len(MAGIC) + 4 + old_len:]
     return MAGIC + struct.pack("<I", len(meta)) + meta + rest
+
+
+# boolean grid masks from 1x1 to 9x9
+BOOL_MASKS = st.integers(1, 9).flatmap(lambda rows: st.integers(1, 9).flatmap(
+    lambda cols: st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols).map(
+        lambda bits: np.array(bits).reshape(rows, cols))))
 
 
 def rand_env(rng, rows, cols):

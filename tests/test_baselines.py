@@ -255,6 +255,8 @@ def test_bc_config_validation():
         BcConfig(epochs=-1)
     with pytest.raises(ConfigError):
         BcConfig(patience=0)
+    with pytest.raises(ConfigError, match="learning rate"):
+        BcConfig(learning_rate=math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -186,19 +186,63 @@ def test_generate_checks_the_balance_spec_before_generating(tmp_path, capsys, mo
     assert not (tmp_path / "x").exists()
 
 
-def test_generate_speed_flags_need_a_speed_pair(tmp_path, capsys):
+def test_generate_speeds_flag_sets_the_drawn_speeds(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"speeds": [2.0, 4.0, 8.0]}))
-    assert run("generate", "--out", tmp_path / "x", "--config", cfg,
-               "--speed-min", "1") == 2
-    err = capsys.readouterr().err
-    assert "--speed-min" in err and "--speed-max" in err
+    out = tmp_path / "ds"
+    assert run("generate", "--out", out, "--config", cfg, "--speeds", "3, 5",
+               *GEN_ARGS) == 0
+    train_demos, test_demos, manifest = load_dataset(out)
+    assert manifest["config"]["speeds"] == [3.0, 5.0]
+    assert {d.expert_speed for d in train_demos + test_demos} <= {3.0, 5.0}
+    assert run("generate", "--out", tmp_path / "x", "--speeds", "2,fast") == 2
+    assert "--speeds" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_generate_infinite_resolution_exits_2(tmp_path, capsys):
+    assert run("generate", "--out", tmp_path / "x", "--resolution", "inf", *GEN_ARGS) == 2
+    assert "resolution must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("train", {"iterations": "5"}, "TrainConfig field 'iterations' must be of type int"),
+    ("train", {"augment": 1}, "TrainConfig field 'augment' must be of type bool"),
+    ("train", {"learning_rate": True}, "TrainConfig field 'learning_rate' must be of type float"),
+    ("predict", {"samples": 2.5}, "PredictConfig field 'samples' must be of type int"),
+    ("predict", {"method": 3}, "PredictConfig field 'method' must be of type str"),
+    ("eval", {"methods": "ours"}, "EvalConfig field 'methods' must be of type tuple"),
+    ("generate", {"speeds": ["fast"]}, "GenerateConfig field 'speeds' must be of type tuple"),
+    ("generate", {"speeds": []}, "speeds must be a nonempty list"),
+    ("generate", {"speeds": [2.0, -1]}, "speeds must be a nonempty list"),
+])
+def test_mistyped_config_values_exit_2(dataset_dir, ours_ckpt, tmp_path, capsys,
+                                       command, data, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    inputs = {"generate": [], "train": ["--dataset", dataset_dir],
+              "predict": ["--dataset", dataset_dir, "--checkpoint", ours_ckpt],
+              "eval": ["--dataset", dataset_dir, "--checkpoint", ours_ckpt]}[command]
+    assert run(command, "--out", tmp_path / "x", "--config", cfg, *inputs) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_checkpoint_config_of_the_wrong_type_exits_2(dataset_dir, ours_ckpt, tmp_path,
+                                                     capsys):
+    store, meta, iteration = load_checkpoint(ours_ckpt)
+    meta["config"]["gamma"] = "0.95"
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, store, meta=meta, iteration=iteration)
+    assert run("predict", "--dataset", dataset_dir, "--out", tmp_path / "x",
+               "--checkpoint", bad) == 2
+    assert "TrainConfig field 'gamma' must be of type float" in capsys.readouterr().err
 
 
 # the arguments of each command that are not fields of its config class
 NON_CONFIG = {
-    "generate": {"out", "config", "overwrite", "speed_min", "speed_max"},
+    "generate": {"out", "config", "overwrite"},
     "train": {"dataset", "out", "config", "method", "resume", "workers"},
     "predict": {"dataset", "out", "config", "checkpoint"},
     "eval": {"dataset", "out", "config", "checkpoint", "checkpoint_nokin",
@@ -271,6 +315,19 @@ def test_train_bc_rejects_resume(dataset_dir, ours_ckpt, tmp_path, capsys):
              "--method", "bc", "--resume", ours_ckpt)
     assert rc == 2
     assert "resume" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["bad_config", "zero_epsilon", "wrong_resume",
+                                  "bc_bad_config"])
+def test_train_rejected_run_leaves_no_output_directory(dataset_dir, bc_ckpt, tmp_path,
+                                                       case):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"iterations": -1}))
+    given = {"bad_config": ["--config", cfg], "zero_epsilon": ["--epsilon", "0"],
+             "wrong_resume": ["--resume", bc_ckpt, "--iterations", "1"],
+             "bc_bad_config": ["--method", "bc", "--config", cfg]}[case]
+    assert run("train", "--dataset", dataset_dir, "--out", tmp_path / "x", *given) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_bc_rejects_irl_only_flags(dataset_dir, tmp_path, capsys):
@@ -415,6 +472,7 @@ def test_predict_ours_needs_checkpoint(dataset_dir, tmp_path, capsys):
     rc = run("predict", "--dataset", dataset_dir, "--out", tmp_path / "x")
     assert rc == 2
     assert "checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("other, kind", [("bc", "action_head"), ("irl_nokin", "env_only")])
@@ -426,7 +484,7 @@ def test_predict_ours_rejects_checkpoint_of_another_method(dataset_dir, nokin_ck
     assert rc == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and f"'{kind}'" in err and "'two_stage'" in err
-    assert not (tmp_path / "x" / "summary.json").exists()
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("method", ["irl_nokin", "bc"])

@@ -1,6 +1,8 @@
 """Binary record round trips, manifest bookkeeping, split arithmetic, determinism."""
 
 import filecmp
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,16 @@ def test_truncated_record_rejected(tmp_path):
         load_demo(path)
     path.write_bytes(data + b"\x00")
     with pytest.raises(ConfigError, match="trailing"):
+        load_demo(path)
+
+
+def test_record_with_infinite_resolution_rejected(tmp_path):
+    path = tmp_path / "demo.bin"
+    save_demo(path, one_demo())
+    data = path.read_bytes()
+    # the resolution is the f64 after the u32 rows and cols
+    path.write_bytes(data[:8] + struct.pack("<d", math.inf) + data[16:])
+    with pytest.raises(ConfigError, match="resolution must be finite and positive"):
         load_demo(path)
 
 

@@ -1,18 +1,19 @@
 """Grid MDP: hand Bellman fixed points, MC oracle for the SVF DP, enumeration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_world
+from conftest import BOOL_MASKS, make_world
 from meirl.errors import ConfigError, ConvergenceError
 from meirl.mdp import (ACTION_DELTAS, VALUE_SENTINEL, GridWorld, Policy,
                        actions_from_cells, annealed_softmax, compute_svf,
                        enumerate_trajectory_distribution, flat_transition_table,
-                       sample_trajectories, state_distribution, uniform_policy,
+                       neighbors, sample_trajectories, state_distribution, uniform_policy,
                        value_iteration)
 
 
@@ -101,6 +102,27 @@ def test_world_validation():
         GridWorld(rows=8, cols=8, resolution=1.0, env=np.zeros((4, 8, 8)))
     with pytest.raises(ConfigError):
         GridWorld(rows=8, cols=8, resolution=1.0, env=np.full((5, 8, 8), 1.5))
+
+
+@pytest.mark.parametrize("resolution", [math.inf, -math.inf, math.nan, -1.0])
+def test_world_resolution_must_be_finite_and_positive(resolution):
+    with pytest.raises(ConfigError, match="finite and positive"):
+        GridWorld(rows=8, cols=8, resolution=resolution, env=np.zeros((5, 8, 8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(BOOL_MASKS)
+def test_neighbors_equal_a_bounds_checked_loop(mask):
+    rows, cols = mask.shape
+    expected = np.zeros((4, rows, cols), dtype=bool)
+    for a, (dr, dc) in enumerate(ACTION_DELTAS):
+        for r in range(rows):
+            for c in range(cols):
+                nr, nc = r + dr, c + dc
+                expected[a, r, c] = 0 <= nr < rows and 0 <= nc < cols and mask[nr, nc]
+    got = neighbors(mask)
+    assert got.dtype == bool
+    assert np.array_equal(got, expected)
 
 
 def test_policy_rows_must_sum_to_one():
@@ -375,10 +397,24 @@ def test_action_replay_roundtrip_property(seq):
 
 
 def test_actions_from_cells_rejects_jumps():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="step 0 from"):
         actions_from_cells(np.array([[0, 0], [2, 2]]), 5, 5)
-    with pytest.raises(ConfigError):
-        actions_from_cells(np.array([[2, 2], [2, 2]]), 5, 5)  # interior stay
+    with pytest.raises(ConfigError, match=r"step 1 from \(2, 2\) to \(3, 3\)"):
+        actions_from_cells(np.array([[2, 1], [2, 2], [3, 3]]), 5, 5)  # diagonal
+    with pytest.raises(ConfigError, match=r"step 1 from \(2, 2\) to \(2, 2\)"):
+        actions_from_cells(np.array([[1, 2], [2, 2], [2, 2]]), 5, 5)  # interior stay
+
+
+@pytest.mark.parametrize("cell", [(-1, 2), (2, 5), (5, 0)])
+def test_actions_from_cells_names_the_off_grid_cell(cell):
+    with pytest.raises(ConfigError, match=re.escape(f"cell {cell} outside 5x5")):
+        actions_from_cells(np.array([[2, 2], [2, 3], cell]), 5, 5)
+
+
+@pytest.mark.parametrize("cell, action", [((0, 0), 0), ((0, 2), 0), ((4, 4), 1),
+                                          ((2, 0), 2), ((4, 0), 1), ((3, 4), 3)])
+def test_a_border_stay_is_the_first_action_that_stays(cell, action):
+    assert actions_from_cells(np.array([cell, cell]), 5, 5).tolist() == [action]
 
 
 # ---------------------------------------------------------------------------

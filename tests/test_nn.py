@@ -1,5 +1,6 @@
 """Conv substrate: naive-loop oracle, finite differences, Adam, checkpoints."""
 
+import re
 import struct
 
 import numpy as np
@@ -286,6 +287,16 @@ def test_checkpoint_crash_mid_write_keeps_previous_file(tmp_path, monkeypatch):
     store, _, iteration = load_checkpoint(path)
     assert iteration == 1 and np.array_equal(store.params["w"], np.ones(30))
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.ckpt"]
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, ParameterStore.create({"w": np.ones(3)}, 0.1))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{bad}: trailing bytes after the last checkpoint record")):
+        load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT_META))

@@ -417,6 +417,13 @@ def test_config_validation():
         TrainConfig(iterations=-1)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "beta0", "tau", "epsilon"])
+@pytest.mark.parametrize("value", [0.0, math.nan])
+def test_config_refuses_a_zero_or_nan_rate(field, value):
+    with pytest.raises(ConfigError, match="must be positive"):
+        TrainConfig(**{field: value})
+
+
 def test_config_from_dict():
     cfg = from_dict(TrainConfig, {"iterations": 5, "batch_size": 2})
     assert cfg.iterations == 5 and cfg.batch_size == 2
