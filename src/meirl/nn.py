@@ -3,6 +3,16 @@
 No autograd graph here; the network topology is fixed and small, so every
 backward pass is written out explicitly and checked against finite differences
 in the test suite.
+
+Convolution is a shifted-window GEMM. The input is zero-padded by p on every
+side, given one spare bottom row, and flattened to (c, (h+2p+1)*wp), wp = w+2p.
+Output pixel (i, j) then sits at flat index i*wp + j, and tap (u, v) reads the
+contiguous window of h*wp entries that starts at u*d*wp + v*d, so each tap is
+one BLAS call on a view, with no patch copy. The spare row keeps the last
+tap's window inside the buffer. Each output row carries wp - w junk columns:
+the forward pass crops them, and the backward pass feeds them zero gradient.
+Kernel taps go to BLAS as strided views, as tensordot passes them, so that
+forward and grad_input round exactly as the tensordot reference in the tests.
 """
 
 from __future__ import annotations
@@ -68,20 +78,30 @@ def _check_input(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return x
 
 
+def _flat_windows(x: np.ndarray, layer: ConvLayer):
+    """The flat padded input (c, (h+2p+1)*wp), wp, and (u, v, window start) per
+    tap in u, v order."""
+    c, h, w = x.shape
+    k, d, p = layer.kernel.shape[2], layer.dilation, layer.padding
+    wp = w + 2 * p
+    xf = np.zeros((c, h + 2 * p + 1, wp))
+    xf[:, p : p + h, p : p + w] = x
+    taps = [(u, v, u * d * wp + v * d) for u in range(k) for v in range(k)]
+    return xf.reshape(c, -1), wp, taps
+
+
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Dilated cross-correlation, accumulated over the k*k taps via shifted slices."""
+    """Dilated cross-correlation: bias + sum over taps of K[:, :, u, v] @ window,
+    then the junk columns cropped."""
     x = _check_input(x, layer)
-    k = layer.kernel.shape[2]
-    d, p = layer.dilation, layer.padding
     h, w = x.shape[1], x.shape[2]
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    out = np.empty((layer.out_channels, h, w))
-    out[:] = layer.bias[:, None, None]
-    for u in range(k):
-        for v in range(k):
-            patch = xp[:, u * d : u * d + h, v * d : v * d + w]
-            out += np.tensordot(layer.kernel[:, :, u, v], patch, axes=(1, 0))
-    return out
+    xf, wp, taps = _flat_windows(x, layer)
+    n = h * wp
+    out = np.empty((layer.out_channels, n))
+    out[:] = layer.bias[:, None]
+    for u, v, s in taps:
+        out += layer.kernel[:, :, u, v] @ xf[:, s : s + n]
+    return out.reshape(-1, h, wp)[:, :, :w]
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
@@ -89,29 +109,29 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
 
     Returns (grad_input, grad_kernel, grad_bias). Derived directly from
     out[o,i,j] = b[o] + sum_{c,u,v} K[o,c,u,v] * xpad[c, i+u*d, j+v*d].
+    With gp the gradient padded by zero junk columns to width wp, grad_input
+    is the cropped sum of K[:, :, u, v].T @ gp scattered into each tap's
+    window, and grad_kernel[:, :, u, v] = gp @ window, each window read from
+    one channels-last copy of the flat padded input.
     """
     x = _check_input(x, layer)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    h, w = x.shape[1], x.shape[2]
-    if grad_out.shape != (layer.out_channels, h, w):
-        raise ConfigError(
-            f"grad_out shape {grad_out.shape} does not match output ({layer.out_channels}, {h}, {w})"
-        )
-    k = layer.kernel.shape[2]
-    d, p = layer.dilation, layer.padding
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    grad_bias = grad_out.sum(axis=(1, 2))
-    grad_kernel = np.zeros_like(layer.kernel)
-    grad_xp = np.zeros_like(xp)
-    for u in range(k):
-        for v in range(k):
-            patch = xp[:, u * d : u * d + h, v * d : v * d + w]
-            grad_kernel[:, :, u, v] = np.tensordot(grad_out, patch, axes=([1, 2], [1, 2]))
-            grad_xp[:, u * d : u * d + h, v * d : v * d + w] += np.tensordot(
-                layer.kernel[:, :, u, v], grad_out, axes=(0, 0)
-            )
-    grad_input = grad_xp[:, p : p + h, p : p + w] if p else grad_xp
-    return grad_input, grad_kernel, grad_bias
+    c, h, w = x.shape
+    o, p = layer.out_channels, layer.padding
+    if grad_out.shape != (o, h, w):
+        raise ConfigError(f"grad_out shape {grad_out.shape} does not match output ({o}, {h}, {w})")
+    xf, wp, taps = _flat_windows(x, layer)
+    n = h * wp
+    xt = np.ascontiguousarray(xf.T)
+    gp = np.zeros((o, n))
+    gp.reshape(o, h, wp)[:, :, :w] = grad_out
+    grad_taps = np.empty(layer.kernel.shape[2:] + (o, c))
+    grad_xf = np.zeros_like(xf)
+    for u, v, s in taps:
+        np.matmul(gp, xt[s : s + n], out=grad_taps[u, v])
+        grad_xf[:, s : s + n] += layer.kernel[:, :, u, v].T @ gp
+    grad_input = grad_xf.reshape(c, -1, wp)[:, p : p + h, p : p + w]
+    return grad_input, grad_taps.transpose(2, 3, 0, 1).copy(), grad_out.sum(axis=(1, 2))
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:

@@ -195,12 +195,30 @@ def bend_cells(mask) -> list:
     return _cells(mask & (up ^ down) & (left ^ right))
 
 
+def _erode(mask, radius):
+    return ~_dilate(~mask, radius)
+
+
 def classify_tag(mask, future) -> str:
-    junctions = set(junction_cells(mask))
-    visited = {(int(r), int(c)) for r, c in np.asarray(future)}
-    if visited & junctions:
+    """"intersection" if the future passes a junction, else "curve" if it
+    passes a bend, else "straight".
+
+    A trail of width 2r + 1 is a width-1 trail grown by _dilate(., r), so
+    junctions and bends are those of its core, the mask eroded by r (the
+    deepest erosion that leaves trail cells), and the future passes one when
+    it comes within r cells of it. On the raw mask every inner cell of a wide
+    trail would count as a junction.
+    """
+    radius = 0
+    while _erode(mask, radius + 1).any():
+        radius += 1
+    core = _erode(mask, radius)
+    visited = np.zeros_like(mask)
+    visited[tuple(np.asarray(future).T)] = True
+    near = set(_cells(_dilate(visited, radius)))
+    if near & set(junction_cells(core)):
         return "intersection"
-    if visited & set(bend_cells(mask)):
+    if near & set(bend_cells(core)):
         return "curve"
     return "straight"
 

@@ -260,6 +260,15 @@ def test_batched_planner_equals_each_single_demo_slice(batch):
     assert plans.sweeps == sum(p.sweeps for p in plans)
 
 
+@settings(max_examples=40, deadline=None)
+@given(batch=planning_batches())
+def test_batched_policies_are_distributions(batch):
+    rewards, _, _, gamma, beta = batch
+    for plan in value_iteration(rewards, gamma=gamma, epsilon=1e-4, beta=beta):
+        assert np.all(plan.probs >= 0.0)
+        assert np.max(np.abs(plan.probs.sum(axis=0) - 1.0)) <= 1e-12
+
+
 def test_batch_positions_freeze_at_their_own_sweep():
     gamma = 0.9
     rewards = np.zeros((2, 6, 6))

@@ -1,5 +1,6 @@
-"""Conv substrate: naive-loop oracle, finite differences, Adam, checkpoints."""
+"""Conv substrate: naive-loop and tensordot oracles, finite differences, Adam, checkpoints."""
 
+import itertools
 import re
 import struct
 
@@ -12,6 +13,7 @@ from conftest import CORRUPT_META, with_meta_block
 from meirl import checkpoint
 from meirl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from meirl.errors import ConfigError
+from meirl.kinematics import N_FEATURE_CHANNELS
 from meirl.nn import (ConvLayer, ParameterStore, conv2d_backward, conv2d_forward,
                       kaiming_conv, leaky_relu, leaky_relu_grad, update_parameters)
 
@@ -41,6 +43,40 @@ def conv2d_naive(x, layer):
 def random_layer(rng, in_ch, out_ch, k=3, dilation=1):
     return ConvLayer(kernel=rng.normal(size=(out_ch, in_ch, k, k)),
                      bias=rng.normal(size=out_ch), dilation=dilation)
+
+
+def tensordot_forward(x, layer):
+    """Reference conv: one tensordot per tap over a copied shifted patch."""
+    k = layer.kernel.shape[2]
+    d, p = layer.dilation, layer.padding
+    h, w = x.shape[1], x.shape[2]
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    out = np.empty((layer.out_channels, h, w))
+    out[:] = layer.bias[:, None, None]
+    for u in range(k):
+        for v in range(k):
+            patch = xp[:, u * d : u * d + h, v * d : v * d + w]
+            out += np.tensordot(layer.kernel[:, :, u, v], patch, axes=(1, 0))
+    return out
+
+
+def tensordot_backward(x, layer, grad_out):
+    """Adjoints of tensordot_forward, tap by tap on the same patches."""
+    k = layer.kernel.shape[2]
+    d, p = layer.dilation, layer.padding
+    h, w = x.shape[1], x.shape[2]
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    grad_bias = grad_out.sum(axis=(1, 2))
+    grad_kernel = np.zeros_like(layer.kernel)
+    grad_xp = np.zeros_like(xp)
+    for u in range(k):
+        for v in range(k):
+            patch = xp[:, u * d : u * d + h, v * d : v * d + w]
+            grad_kernel[:, :, u, v] = np.tensordot(grad_out, patch, axes=([1, 2], [1, 2]))
+            grad_xp[:, u * d : u * d + h, v * d : v * d + w] += np.tensordot(
+                layer.kernel[:, :, u, v], grad_out, axes=(0, 0)
+            )
+    return grad_xp[:, p : p + h, p : p + w], grad_kernel, grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +182,39 @@ def test_backward_shape_mismatch_raises(rng):
     layer = random_layer(rng, 2, 3)
     with pytest.raises(ConfigError):
         conv2d_backward(rng.normal(size=(2, 8, 8)), layer, rng.normal(size=(3, 7, 8)))
+
+
+# ---------------------------------------------------------------------------
+# shifted-window GEMM against the tensordot reference
+
+def _inputs(rng, c, h, w, layout):
+    """A (c, h, w) input: contiguous, a leading channel slice of a taller
+    stack (as the feature slice of a stage-2 gradient is), or a column-strided
+    view."""
+    if layout == "channel_slice":
+        return rng.normal(size=(N_FEATURE_CHANNELS + c, h, w))[:c]
+    if layout == "strided":
+        return rng.normal(size=(c, h, 2 * w))[:, :, ::2]
+    return rng.normal(size=(c, h, w))
+
+
+@pytest.mark.parametrize("shape", [(8, 13), (13, 8), (32, 32)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("dilation", [1, 2, 3, 4])
+def test_conv_equals_tensordot_reference(rng, shape, k, dilation):
+    h, w = shape
+    for (in_ch, out_ch), layout in zip(
+            [(1, 1), (1, 30), (30, 1), (5, 16), (24, 25), (25, 4), (16, 8)],
+            itertools.cycle(["contiguous", "channel_slice", "strided"])):
+        layer = random_layer(rng, in_ch, out_ch, k=k, dilation=dilation)
+        x = _inputs(rng, in_ch, h, w, layout)
+        g_out = _inputs(rng, out_ch, h, w, layout)
+        assert np.array_equal(conv2d_forward(x, layer), tensordot_forward(x, layer))
+        gx, gk, gb = conv2d_backward(x, layer, g_out)
+        want_gx, want_gk, want_gb = tensordot_backward(x, layer, g_out)
+        assert np.array_equal(gx, want_gx)
+        assert np.array_equal(gb, want_gb)
+        assert np.max(np.abs(gk - want_gk)) <= 1e-12 * np.max(np.abs(want_gk))
 
 
 # ---------------------------------------------------------------------------

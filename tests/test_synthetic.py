@@ -386,3 +386,36 @@ def test_classify_tag_priority():
     straight_cell = next(tuple(rc) for rc in np.argwhere(mask)
                          if tuple(rc) not in set(junction_cells(mask)))
     assert classify_tag(mask, np.array([straight_cell])) == "straight"
+
+
+@pytest.mark.parametrize("layout", ["straight", "curve", "tee", "cross"])
+def test_width_one_tags_read_the_raw_mask(layout):
+    for seed in range(4):
+        mask = trail_mask(world_for(layout, seed=seed))
+        junctions, bends = set(junction_cells(mask)), set(bend_cells(mask))
+        for cell in map(tuple, np.argwhere(mask)):
+            want = ("intersection" if cell in junctions
+                    else "curve" if cell in bends else "straight")
+            assert classify_tag(mask, np.array([cell])) == want
+
+
+def test_wide_straight_trail_is_tagged_straight():
+    for seed in range(6):
+        mask = trail_mask(world_for("straight", seed=seed, trail_width=3))
+        assert junction_cells(mask)  # the raw mask would call it a junction
+        assert classify_tag(mask, np.argwhere(mask)) == "straight"
+
+
+@pytest.mark.parametrize("layout, tag, find", [("tee", "intersection", junction_cells),
+                                               ("curve", "curve", bend_cells)])
+def test_wide_trail_tags_its_feature_and_only_there(layout, tag, find):
+    # the width-1 world of the same seed is the wide trail's core
+    for seed in range(4):
+        (feature,) = find(trail_mask(world_for(layout, seed=seed)))
+        mask = trail_mask(world_for(layout, seed=seed, trail_width=3))
+        # a future that passes the feature one cell off the core
+        r, c = feature
+        assert classify_tag(mask, np.array([[r - 1, c - 1], [r - 1, c], [r - 1, c + 1]])) == tag
+        far = [tuple(rc) for rc in np.argwhere(mask)
+               if max(abs(rc[0] - r), abs(rc[1] - c)) > 1]
+        assert classify_tag(mask, np.array(far)) == "straight"
