@@ -3,8 +3,8 @@
 
 Loads a trained two-stage checkpoint, synthesizes two straight approaches to
 the same junction that differ only in speed, and reports terminal entropy and
-per-branch mass of each forecast, planned at the discount and tolerance the
-checkpoint was trained with. A speed-aware model should commit to the
+per-branch mass of each forecast, planned by `meirl.cli.forecast` as in
+`predict` and `eval`. A speed-aware model should commit to the
 straight-through branch when approaching fast and hedge across both branches
 when approaching slowly.
 """
@@ -18,8 +18,7 @@ from meirl.kinematics import PastTrack
 from meirl.maps import save_map_csv, save_map_pgm
 from meirl.mdp import ACTION_DELTAS, cells_to_xy, neighbors, state_distribution
 from meirl.metrics import terminal_entropy
-from meirl.synthetic import (DEMO_BETA, Demonstration, WorldSpec,
-                             generate_world, junction_cells, trail_mask)
+from meirl.synthetic import Demonstration, WorldSpec, generate_world, junction_cells, trail_mask
 
 
 def parse_args():
@@ -33,8 +32,6 @@ def parse_args():
     p.add_argument("--horizon", type=int, default=15)
     p.add_argument("--approach", type=int, default=3,
                    help="start this many cells before the junction")
-    p.add_argument("--beta", type=float, default=DEMO_BETA,
-                   help="forecast temperature (the demonstrators' by default)")
     p.add_argument("--out", help="also write terminal maps here as csv/pgm")
     return p.parse_args()
 
@@ -88,7 +85,7 @@ def straight_past(start, heading, speed, resolution):
 def main():
     args = parse_args()
     try:
-        net, settings = load_model(args.checkpoint, "ours")
+        net = load_model(args.checkpoint, "ours")
         world = generate_world(WorldSpec(seed=args.world_seed, rows=args.rows,
                                          cols=args.cols, layout="tee"))
         start, heading, regions = scenario(world, args.approach)
@@ -103,7 +100,7 @@ def main():
                            future=np.array([start]), expert_speed=speed, seed=0,
                            tag="intersection")
              for speed in speeds.values()]
-    policies, _ = forecast(net, settings, demos, args.beta)
+    policies, _ = forecast(net, demos)
     entropies = {}
     for (label, speed), policy in zip(speeds.items(), policies):
         entropies[label] = terminal_entropy(policy, start, args.horizon - 1)

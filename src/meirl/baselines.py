@@ -211,6 +211,8 @@ class BcConfig:
             raise ConfigError("patience must be at least 1")
         if not self.learning_rate > 0:  # NaN too
             raise ConfigError("learning rate must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def bc_policy(net, demo: Demonstration) -> Policy:

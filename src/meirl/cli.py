@@ -189,6 +189,8 @@ class PredictConfig:
             raise ConfigError("demo index must be nonnegative")
         if self.samples < 0:
             raise ConfigError("samples must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _constant_env_world(world: GridWorld) -> GridWorld:
@@ -200,45 +202,25 @@ def _constant_env_world(world: GridWorld) -> GridWorld:
                      resolution=world.resolution, env=env)
 
 
-def _forecast_beta(manifest: dict) -> float:
-    """Sharpness of the forecast policy.
-
-    Held-out likelihood is only meaningful when the planner runs at the
-    temperature the experts were sampled at; the dataset manifest carries it.
-    """
-    return float((manifest.get("config") or {}).get("demo_beta", DEMO_BETA))
-
-
 def load_model(path, method: str):
-    """The net a checkpoint holds, which must be the one `method` fits, and the
-    TrainConfig it was trained with, whose gamma and epsilon the planner
-    reuses; None for a cloning head."""
+    """The net a checkpoint holds, which must be the one `method` fits."""
     store, meta, _ = load_checkpoint(path)
     try:
-        net = net_from_store(meta, store.params, METHOD_KIND[method])
+        return net_from_store(meta, store.params, METHOD_KIND[method])
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
-    if net.kind == "action_head":
-        return net, None
-    data = dict(meta.get("config") or {})
-    # older checkpoints also hold "workers" (the retired thread pool) and
-    # "use_kinematics" (which the net's kind now says); neither is a setting now
-    data.pop("workers", None)
-    data.pop("use_kinematics", None)
-    return net, configio.from_dict(TrainConfig, data)
 
 
-def forecast(net, settings: TrainConfig | None, demos, beta: float):
-    """Forecast policies for a list of demos at temperature `beta`, planned in
-    one value_iteration call, plus the reward maps behind them when the net
-    defines them (else None)."""
+def forecast(net, demos):
+    """Forecast policies for a list of demos, planned in one value_iteration
+    call at the experts' temperature (held-out likelihood means something only
+    there), plus the reward maps behind them when the net defines them (else
+    None)."""
     demos = list(demos)
     if net.kind == "action_head":  # the cloning head is a policy; no planner runs
         return [bc_policy(net, demo) for demo in demos], None
     rewards = [forward(net, demo)[0] for demo in demos]
-    plans = value_iteration(rewards, gamma=settings.gamma, epsilon=settings.epsilon,
-                            beta=beta)
-    return list(plans), rewards
+    return list(value_iteration(rewards, beta=DEMO_BETA)), rewards
 
 
 def _write_samples_csv(path, rollouts: np.ndarray) -> None:
@@ -253,7 +235,7 @@ def _write_samples_csv(path, rollouts: np.ndarray) -> None:
 def cmd_predict(args) -> None:
     cfg = _resolve(PredictConfig, args)
 
-    train_demos, test_demos, manifest = load_dataset(args.dataset)
+    train_demos, test_demos, _ = load_dataset(args.dataset)
     pool = test_demos if cfg.which == "test" else train_demos
     if cfg.demo >= len(pool):
         raise ConfigError(f"demo index {cfg.demo} out of range, "
@@ -264,7 +246,7 @@ def cmd_predict(args) -> None:
     if cfg.method in METHOD_KIND:
         if args.checkpoint is None:
             raise ConfigError(f"--checkpoint is required for method {cfg.method!r}")
-        model = load_model(args.checkpoint, cfg.method)
+        net = load_model(args.checkpoint, cfg.method)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -287,7 +269,7 @@ def cmd_predict(args) -> None:
         if cfg.method == "random":
             policy = random_policy(demo.world)
         else:
-            policies, rewards = forecast(*model, [demo], _forecast_beta(manifest))
+            policies, rewards = forecast(net, [demo])
             policy = policies[0]
             if rewards is not None:
                 save_map_csv(out / "reward.csv", rewards[0])
@@ -337,6 +319,8 @@ class EvalConfig:
             raise ConfigError("duplicate methods requested")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 _CKPT_ARG = {"ours": "checkpoint", "irl_nokin": "checkpoint_nokin",
@@ -348,7 +332,7 @@ def _demo_seed(base: int, index: int) -> int:
                                       spawn_key=(index,)).generate_state(1)[0])
 
 
-def _eval_method(method, demos, cfg: EvalConfig, nets, beta: float):
+def _eval_method(method, demos, cfg: EvalConfig, nets):
     """One EvalResult over the demos, in order."""
     if method == "ekf":
         hds = []
@@ -361,7 +345,7 @@ def _eval_method(method, demos, cfg: EvalConfig, nets, beta: float):
     if method == "random":
         policies = [random_policy(demo.world) for demo in demos]
     else:
-        policies = forecast(*nets[method], demos, beta)[0]
+        policies = forecast(nets[method], demos)[0]
     nlls, hds, entropies = [], [], []
     for i, (demo, policy) in enumerate(zip(demos, policies)):
         hds.append(mean_sampled_hd(policy, demo, n_samples=cfg.samples,
@@ -388,14 +372,13 @@ def cmd_eval(args) -> None:
     if missing:
         raise ConfigError("missing artifacts: " + "; ".join(missing))
 
-    _, test_demos, manifest = load_dataset(args.dataset)
+    _, test_demos, _ = load_dataset(args.dataset)
     if not test_demos:
         raise ConfigError("the dataset has no test demonstrations to evaluate")
-    beta = _forecast_beta(manifest)
 
     nets = {method: load_model(path, method) for method, path in paths.items()}
 
-    results = [_eval_method(m, test_demos, cfg, nets, beta) for m in cfg.methods]
+    results = [_eval_method(m, test_demos, cfg, nets) for m in cfg.methods]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -456,10 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="IRL iterations, or epochs for --method bc")
     t.add_argument("--batch-size", type=int, dest="batch_size")
     t.add_argument("--learning-rate", type=float, dest="learning_rate")
-    t.add_argument("--gamma", type=float)
-    t.add_argument("--epsilon", type=float)
-    t.add_argument("--beta0", type=float)
-    t.add_argument("--tau", type=float)
     t.add_argument("--seed", type=int)
     # runs are serial; "--workers 1" is still accepted so existing command lines parse
     t.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)

@@ -25,9 +25,8 @@ from . import config as configio
 from .errors import ConfigError
 from .kinematics import PastTrack
 from .mdp import GridWorld
-from .synthetic import (DEMO_BETA, LAYOUTS, TAG_CODES, TAGS, Demonstration, WorldSpec,
-                        balance_dataset, balance_fractions, generate_demonstrations,
-                        generate_world)
+from .synthetic import (LAYOUTS, TAG_CODES, TAGS, Demonstration, WorldSpec, balance_dataset,
+                        balance_fractions, generate_demonstrations, generate_world)
 
 FORMAT_NAME = "meirl-demos-v1"
 EXPERT_CHUNK = 16  # experts planned per value_iteration call during generation
@@ -46,12 +45,13 @@ class GenerateConfig:
     speeds: tuple = (2.0, 8.0)
     horizon_min: int = 15
     horizon_max: int = 25
-    demo_beta: float = DEMO_BETA
     balance: Optional[dict] = None
 
     def __post_init__(self):
         if self.n_demos < 1:
             raise ConfigError("n_demos must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.split <= 1.0:
             raise ConfigError(f"split must be in (0, 1], got {self.split}")
         if not self.layouts:
@@ -94,8 +94,7 @@ def generate_dataset(config: GenerateConfig):
     for first in range(0, config.n_demos, EXPERT_CHUNK):
         last = min(first + EXPERT_CHUNK, config.n_demos)
         demos.extend(generate_demonstrations(
-            [_expert_request(config, i) for i in range(first, last)],
-            demo_beta=config.demo_beta))
+            [_expert_request(config, i) for i in range(first, last)]))
     if config.balance is not None:
         demos = balance_dataset(demos, config.balance)
     shuffle_rng = np.random.default_rng(

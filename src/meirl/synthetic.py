@@ -32,9 +32,7 @@ FAST_THRESHOLD = 0.5     # normalized speed above which the straight-ahead ramp 
 OFF_TRAIL_PENALTY = -2.0
 RAY_RATE = 0.25          # per-cell increment of the straight-ahead ramp
 MARGIN = 2               # trail inset from the border, keeps boundary clipping out of play
-DEMO_BETA = 2.5
-DEMO_GAMMA = 0.95        # discount of the expert's planner
-DEMO_EPSILON = 1e-4      # and its value-iteration tolerance
+DEMO_BETA = 2.5          # temperature of the expert's policy, and of every forecast
 
 # terrain palette: (low, high) bands drawn per cell; the two variance bands must
 # not straddle VAR_THRESHOLD, so the trail stays recoverable by thresholding
@@ -364,15 +362,14 @@ def _expert_setup(world: GridWorld, speed: float, seed: int, start=None,
     return rng, start, past, horizon, reward
 
 
-def generate_demonstrations(requests, demo_beta: float = DEMO_BETA) -> list:
+def generate_demonstrations(requests) -> list:
     """One expert per request, a dict of generate_demonstration's per-demo
     arguments (world, speed, seed; optionally start, past_direction, horizon).
     All experts plan in one value_iteration call; each draws only from its own
     seeded generator, so every demo equals the one generated alone."""
     requests = list(requests)
     setups = [_expert_setup(**request) for request in requests]
-    plans = value_iteration([reward for *_, reward in setups], gamma=DEMO_GAMMA,
-                            epsilon=DEMO_EPSILON, beta=demo_beta)
+    plans = value_iteration([reward for *_, reward in setups], beta=DEMO_BETA)
     demos = []
     for request, (rng, start, past, horizon, _), policy in zip(requests, setups, plans):
         world = request["world"]
@@ -386,13 +383,12 @@ def generate_demonstrations(requests, demo_beta: float = DEMO_BETA) -> list:
 
 def generate_demonstration(world: GridWorld, speed: float = 4.0, seed: int = 0, *,
                            start=None, past_direction: Optional[int] = None,
-                           horizon: Optional[int] = None,
-                           demo_beta: float = DEMO_BETA) -> Demonstration:
+                           horizon: Optional[int] = None) -> Demonstration:
     """Sample one expert: synthesize a past along the trail, then roll the
     annealed-softmax policy of the ground-truth reward forward."""
     request = dict(world=world, speed=speed, seed=seed, start=start,
                    past_direction=past_direction, horizon=horizon)
-    return generate_demonstrations([request], demo_beta)[0]
+    return generate_demonstrations([request])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from .reward_net import backward, build_net, forward, net_from_store
 from .synthetic import Demonstration, augment_rotations
 
 REPORT_COLUMNS = ("iteration", "nll", "grad_norm", "vi_sweeps", "svf_l1")
+BETA0 = 1.0   # planner temperature at iteration 0
+TAU = 50.0    # iterations over which the temperature grows by BETA0
 
 
 @dataclass
@@ -38,10 +40,6 @@ class TrainConfig:
     iterations: int = 300
     batch_size: int = 16
     learning_rate: float = 1e-3
-    gamma: float = 0.95
-    epsilon: float = 1e-4
-    beta0: float = 1.0
-    tau: float = 50.0
     seed: int = 0
     checkpoint_every: int = 50
     augment: bool = False
@@ -51,21 +49,16 @@ class TrainConfig:
             raise ConfigError("iterations must be nonnegative")
         if self.batch_size < 1:
             raise ConfigError("batch size must be at least 1")
-        # `not x > 0` so that NaN is refused too
-        if not self.beta0 > 0:
-            raise ConfigError("beta0 must be positive")
-        if not self.tau > 0:
-            raise ConfigError("tau must be positive")
-        if not self.learning_rate > 0:
+        if not self.learning_rate > 0:  # NaN too
             raise ConfigError("learning rate must be positive")
-        if not 0 <= self.gamma < 1:
-            raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.checkpoint_every < 0:  # 0 keeps only the final checkpoint
+            raise ConfigError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
 
 
-def training_beta(config: TrainConfig, iteration: int) -> float:
-    return config.beta0 * (1.0 + iteration / config.tau)
+def training_beta(iteration: int) -> float:
+    return BETA0 * (1.0 + iteration / TAU)
 
 
 def demo_svf(demo: Demonstration) -> np.ndarray:
@@ -81,7 +74,7 @@ def demo_stack(net, demo: Demonstration):
     return forward(net, demo)[1].stack
 
 
-def train_step(net, batch, config: TrainConfig, iteration: int):
+def train_step(net, batch, iteration: int):
     """Batch gradient (already divided by batch size) plus the report row.
     Parameters are left untouched; the caller applies the update.
 
@@ -96,8 +89,7 @@ def train_step(net, batch, config: TrainConfig, iteration: int):
     for k, (reward, _) in enumerate(outputs):
         if not np.isfinite(reward).all():
             raise ConvergenceError(f"batch demo {k}: reward map contains non-finite values")
-    plans = value_iteration([reward for reward, _ in outputs], gamma=config.gamma,
-                            epsilon=config.epsilon, beta=training_beta(config, iteration))
+    plans = value_iteration([reward for reward, _ in outputs], beta=training_beta(iteration))
     expected = compute_svf(plans, [demo.future[0] for demo in batch],
                            [demo.horizon for demo in batch])
 
@@ -170,7 +162,7 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None,
         batch = [demos[int(j)] for j in picks]
         started = time.perf_counter()
         try:
-            grads, row = train_step(net, batch, config, i)
+            grads, row = train_step(net, batch, i)
         except ConvergenceError as e:
             raise ConvergenceError(f"training iteration {i}: {e}") from e
         update_parameters(store, grads)

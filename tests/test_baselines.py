@@ -257,6 +257,8 @@ def test_bc_config_validation():
         BcConfig(patience=0)
     with pytest.raises(ConfigError, match="learning rate"):
         BcConfig(learning_rate=math.nan)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        BcConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +272,7 @@ def test_random_policy_uniform_and_ln4(right_dataset):
 
 
 def test_irl_no_kinematics_strips_the_second_stage(right_dataset):
-    cfg = TrainConfig(iterations=2, batch_size=2, gamma=0.9, epsilon=1e-3)
+    cfg = TrainConfig(iterations=2, batch_size=2)
     net, _, reports, _ = train(right_dataset[:3], cfg, kind="env_only")
     assert net.kind == "env_only"
     assert len(reports) == 2

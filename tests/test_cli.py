@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import filecmp
+import functools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CORRUPT_META, with_meta_block
+from meirl import trainer
 from meirl.baselines import bc_policy
 from meirl.cli import METHOD_KIND, EvalConfig, PredictConfig, build_parser, main
 from meirl.checkpoint import load_checkpoint, save_checkpoint
@@ -19,6 +21,7 @@ from meirl.mdp import (compute_svf, sample_trajectories, state_distribution, uni
                        value_iteration)
 from meirl.metrics import METHOD_ORDER
 from meirl.reward_net import build_net, forward, net_from_store
+from meirl.synthetic import DEMO_BETA
 from meirl.trainer import TrainConfig
 
 GEN_ARGS = ["--demos", "8", "--rows", "16", "--cols", "16", "--split", "0.75",
@@ -229,15 +232,17 @@ def test_mistyped_config_values_exit_2(dataset_dir, ours_ckpt, tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
-def test_checkpoint_config_of_the_wrong_type_exits_2(dataset_dir, ours_ckpt, tmp_path,
-                                                     capsys):
-    store, meta, iteration = load_checkpoint(ours_ckpt)
-    meta["config"]["gamma"] = "0.95"
-    bad = tmp_path / "bad.ckpt"
-    save_checkpoint(bad, store, meta=meta, iteration=iteration)
-    assert run("predict", "--dataset", dataset_dir, "--out", tmp_path / "x",
-               "--checkpoint", bad) == 2
-    assert "TrainConfig field 'gamma' must be of type float" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["generate", "train", "train_bc", "predict", "eval"])
+def test_negative_seed_exits_2_naming_the_seed(dataset_dir, ours_ckpt, tmp_path, capsys,
+                                               command):
+    inputs = {"generate": ["generate"],
+              "train": ["train", "--dataset", dataset_dir],
+              "train_bc": ["train", "--dataset", dataset_dir, "--method", "bc"],
+              "predict": ["predict", "--dataset", dataset_dir, "--checkpoint", ours_ckpt],
+              "eval": ["eval", "--dataset", dataset_dir, "--checkpoint", ours_ckpt]}[command]
+    assert run(*inputs, "--out", tmp_path / "x", "--seed", "-1") == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # the arguments of each command that are not fields of its config class
@@ -317,13 +322,13 @@ def test_train_bc_rejects_resume(dataset_dir, ours_ckpt, tmp_path, capsys):
     assert "resume" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["bad_config", "zero_epsilon", "wrong_resume",
+@pytest.mark.parametrize("case", ["bad_config", "negative_seed", "wrong_resume",
                                   "bc_bad_config"])
 def test_train_rejected_run_leaves_no_output_directory(dataset_dir, bc_ckpt, tmp_path,
                                                        case):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"iterations": -1}))
-    given = {"bad_config": ["--config", cfg], "zero_epsilon": ["--epsilon", "0"],
+    given = {"bad_config": ["--config", cfg], "negative_seed": ["--seed", "-1"],
              "wrong_resume": ["--resume", bc_ckpt, "--iterations", "1"],
              "bc_bad_config": ["--method", "bc", "--config", cfg]}[case]
     assert run("train", "--dataset", dataset_dir, "--out", tmp_path / "x", *given) == 2
@@ -332,10 +337,10 @@ def test_train_rejected_run_leaves_no_output_directory(dataset_dir, bc_ckpt, tmp
 
 def test_train_bc_rejects_irl_only_flags(dataset_dir, tmp_path, capsys):
     rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "b",
-             "--method", "bc", "--batch-size", "2", "--gamma", "0.9", "--no-augment")
+             "--method", "bc", "--batch-size", "2", "--checkpoint-every", "5", "--no-augment")
     assert rc == 2
     err = capsys.readouterr().err
-    assert "--batch-size, --gamma, --augment" in err
+    assert "--batch-size, --checkpoint-every, --augment" in err
     assert not (tmp_path / "b").exists()
     assert run("train", "--dataset", dataset_dir, "--out", tmp_path / "ok",
                "--method", "bc", "--iterations", "1", "--workers", "1") == 0
@@ -386,12 +391,14 @@ def test_train_augment_flag_beats_config_file(dataset_dir, tmp_path, in_file, fl
     assert resolved["config"]["augment"] is (not in_file)
 
 
-def test_train_nonconvergence_exits_3(dataset_dir, tmp_path, capsys):
+def test_train_nonconvergence_exits_3(dataset_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(trainer, "value_iteration",
+                        functools.partial(value_iteration, max_sweeps=3))
     rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "nc",
-             "--iterations", "1", "--batch-size", "1",
-             "--gamma", "0.99", "--epsilon", "1e-12")
+             "--iterations", "1", "--batch-size", "1")
     assert rc == 3
-    assert "iteration 1" in capsys.readouterr().err
+    assert "training iteration 1: value iteration did not converge" in \
+        capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +502,7 @@ def test_predict_forecasts_each_trained_net_under_its_own_method(
     assert run("predict", "--dataset", dataset_dir, "--out", out, "--method", method,
                "--checkpoint", ckpt, "--demo", "1", "--samples", "7", "--seed", "4") == 0
     # the same forecast, planned here straight from the stored net
-    _, test_demos, manifest = load_dataset(dataset_dir)
+    _, test_demos, _ = load_dataset(dataset_dir)
     demo = test_demos[1]
     store, meta, _ = load_checkpoint(ckpt)
     net = net_from_store(meta, store.params, METHOD_KIND[method])
@@ -504,9 +511,7 @@ def test_predict_forecasts_each_trained_net_under_its_own_method(
         assert not (out / "reward.csv").exists()
     else:
         reward = forward(net, demo)[0]
-        policy = value_iteration([reward], gamma=meta["config"]["gamma"],
-                                 epsilon=meta["config"]["epsilon"],
-                                 beta=manifest["config"]["demo_beta"])[0]
+        policy = value_iteration([reward], beta=DEMO_BETA)[0]
         assert np.array_equal(load_map_csv(out / "reward.csv"), reward)
     start = tuple(demo.future[0])
     svf = compute_svf([policy], [start], [demo.horizon])[0]
@@ -581,20 +586,34 @@ def test_eval_tables_byte_identical_across_runs(dataset_dir, ours_ckpt, tmp_path
 
 def test_eval_and_predict_accept_checkpoint_with_retired_config_keys(
         dataset_dir, ours_ckpt, tmp_path):
-    # older checkpoints carry "use_kinematics": true, and those written while
-    # training had a thread pool also "workers": 1
+    # Older checkpoints carry the planner settings that are constants now
+    # (gamma, epsilon, beta0, tau), "use_kinematics" (which the net's kind
+    # says) and, from the thread-pool days, "workers"; older manifests carry
+    # the experts' temperature "demo_beta". Each holds the value the program
+    # now fixes, and none of them is read.
     store, meta, iteration = load_checkpoint(ours_ckpt)
-    assert "use_kinematics" not in meta["config"]
-    meta["config"].update(workers=1, use_kinematics=True)
+    assert {"gamma", "epsilon", "beta0", "tau", "use_kinematics"}.isdisjoint(meta["config"])
+    meta["config"].update(gamma=0.95, epsilon=1e-4, beta0=1.0, tau=50.0, workers=1,
+                          use_kinematics=True)
     legacy = tmp_path / "legacy.ckpt"
     save_checkpoint(legacy, store, meta=meta, iteration=iteration)
-    for ckpt, name in ((ours_ckpt, "now"), (legacy, "legacy")):
-        assert run("eval", "--dataset", dataset_dir, "--out", tmp_path / f"ev_{name}",
+    legacy_data = tmp_path / "legacy_ds"
+    shutil.copytree(dataset_dir, legacy_data)
+    manifest = json.loads((legacy_data / "manifest.json").read_text())
+    assert "demo_beta" not in manifest["config"]
+    manifest["config"]["demo_beta"] = DEMO_BETA
+    (legacy_data / "manifest.json").write_text(json.dumps(manifest))
+    for ckpt, data, name in ((ours_ckpt, dataset_dir, "now"), (legacy, legacy_data, "legacy")):
+        assert run("eval", "--dataset", data, "--out", tmp_path / f"ev_{name}",
                    "--checkpoint", ckpt, "--methods", "ours", "--samples", "10") == 0
-        assert run("predict", "--dataset", dataset_dir, "--out", tmp_path / f"pr_{name}",
+        assert run("predict", "--dataset", data, "--out", tmp_path / f"pr_{name}",
                    "--checkpoint", ckpt, "--samples", "5") == 0
+        assert run("train", "--dataset", data, "--out", tmp_path / f"tr_{name}",
+                   "--iterations", "1", "--batch-size", "2", "--resume", ckpt) == 0
     assert dir_bytes(tmp_path / "ev_legacy") == dir_bytes(tmp_path / "ev_now")
     assert dir_bytes(tmp_path / "pr_legacy") == dir_bytes(tmp_path / "pr_now")
+    assert dir_bytes(tmp_path / "tr_legacy", skip=("resolved_config.json", "timings.csv")) \
+        == dir_bytes(tmp_path / "tr_now", skip=("resolved_config.json", "timings.csv"))
 
 
 def test_eval_rejects_checkpoint_of_another_method(dataset_dir, nokin_ckpt, tmp_path,

@@ -163,6 +163,8 @@ def test_config_validation():
         GenerateConfig(horizon_min=10)
     with pytest.raises(ConfigError):
         GenerateConfig(speeds=(0.0,))
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        GenerateConfig(seed=-1)
 
 
 def test_config_from_dict_round_trip():

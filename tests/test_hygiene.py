@@ -3,12 +3,14 @@
 No linter ships with the project, so this stands in for two of its checks. A
 name bound by an import in `src/meirl/*.py` or `scripts/*.py` must be read
 somewhere in that module (code or annotations) or be listed in its `__all__`.
-A top-level def or class in `src/meirl` must be read, by name or as an
-attribute, somewhere in `src/meirl` or `scripts` outside its own definition,
-or be wrapped by the benchmark's traced run (`TRACED` in `perfbench/spans.py`).
+A top-level def, class or UPPER_CASE constant in `src/meirl` must be read, by
+name or as an attribute, somewhere in `src/meirl` or `scripts` outside its own
+definition, or be wrapped by the benchmark's traced run (`TRACED` in
+`perfbench/spans.py`).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ SPANS = ROOT / "perfbench" / "spans.py"
 # library code with no caller in the program: the exact reference the
 # planner tests compare against
 TEST_REFERENCES = {("mdp", "enumerate_trajectory_distribution")}
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -76,18 +79,28 @@ def referenced(node: ast.AST) -> set:
             or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
+def defined_names(node: ast.stmt) -> set:
+    """Names a top-level statement defines that need a reader: a def or class,
+    or the UPPER_CASE names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {t.id for t in targets if isinstance(t, ast.Name) and CONSTANT.match(t.id)}
+
+
 def unread_definitions(library: dict, callers: dict) -> list:
-    """(module, name) of each top-level def or class in `library` that no
-    top-level statement of `library` or `callers` reads, its own definition
-    aside. Both map a module name to its source."""
+    """(module, name) of each top-level def, class or constant in `library`
+    that no top-level statement of `library` or `callers` reads, its own
+    definition aside. Both map a module name to its source."""
     trees = {name: ast.parse(source) for name, source in {**callers, **library}.items()}
-    reads = [(module, getattr(node, "name", None), referenced(node))
+    reads = [(module, defined_names(node), referenced(node))
              for module, tree in trees.items() for node in tree.body]
     return sorted(
-        (module, node.name) for module in library for node in trees[module].body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not any(node.name in names and (reader, owner) != (module, node.name)
-                    for reader, owner, names in reads))
+        (module, name) for module in library for node in trees[module].body
+        for name in defined_names(node)
+        if not any(name in names and not (reader == module and name in owners)
+                   for reader, owners, names in reads))
 
 
 def test_every_library_definition_has_a_caller():
@@ -107,3 +120,11 @@ def test_checker_flags_a_definition_without_a_caller():
     callers = {"script": "import a\na.Kept()\n"}
     assert unread_definitions(library, callers) == [("a", "dead")]
     assert unread_definitions(library, {}) == [("a", "Kept"), ("a", "dead")]
+
+
+def test_checker_flags_a_constant_without_a_reader():
+    library = {"a": "RATE = 0.5\nLEFTOVER = RATE * 2\nlower = 1\n__all__ = []\n\n\n"
+                    "def scaled(x):\n    return RATE * x\n",
+               "b": "from a import scaled\nscaled(1)\n"}
+    assert unread_definitions(library, {}) == [("a", "LEFTOVER")]
+    assert unread_definitions(library, {"script": "import a\na.LEFTOVER\n"}) == []

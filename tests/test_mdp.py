@@ -496,7 +496,7 @@ def test_training_generation_and_eval_plan_once_per_batch(monkeypatch, tmp_path)
 
     vi = _count_calls(monkeypatch, trainer, "value_iteration")
     svf = _count_calls(monkeypatch, trainer, "compute_svf")
-    trainer.train_step(build_net("two_stage"), train[:5], trainer.TrainConfig(), 1)
+    trainer.train_step(build_net("two_stage"), train[:5], 1)
     assert vi == [5] and svf == [5]
 
     data = tmp_path / "data"

@@ -11,7 +11,7 @@ import numpy as np
 import meirl
 from meirl.cli import forecast, load_model, main
 from meirl.mdp import state_distribution
-from meirl.synthetic import DEMO_BETA, Demonstration, WorldSpec, generate_world
+from meirl.synthetic import Demonstration, WorldSpec, generate_world
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -33,12 +33,12 @@ def test_run_pipeline_quick_writes_five_row_table(tmp_path):
         ["ekf", "bc", "random", "irl_nokin", "ours"]
 
 
-def test_speed_entropy_experiment_plans_at_the_checkpoint_gamma(tmp_path):
+def test_speed_entropy_experiment_matches_the_cli_forecast(tmp_path):
     data, run_dir, maps = tmp_path / "data", tmp_path / "ours", tmp_path / "maps"
     assert main(["generate", "--out", str(data), "--demos", "4", "--rows", "16",
                  "--cols", "16", "--seed", "2"]) == 0
     assert main(["train", "--dataset", str(data), "--out", str(run_dir),
-                 "--iterations", "1", "--batch-size", "2", "--gamma", "0.8"]) == 0
+                 "--iterations", "1", "--batch-size", "2"]) == 0
     ckpt = run_dir / "checkpoint.ckpt"
     proc = subprocess.run([sys.executable, str(SCRIPTS / "speed_entropy_experiment.py"),
                            "--checkpoint", str(ckpt), "--out", str(maps)],
@@ -46,19 +46,19 @@ def test_speed_entropy_experiment_plans_at_the_checkpoint_gamma(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "entropy gap (slow - fast):" in proc.stdout
 
-    # the slow-approach terminal map, recomputed at the checkpoint's gamma
+    # the slow-approach terminal map, recomputed through the forecast that
+    # predict and eval run
     spec = importlib.util.spec_from_file_location(
         "speed_entropy_experiment", SCRIPTS / "speed_entropy_experiment.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    net, settings = load_model(ckpt, "ours")
-    assert settings.gamma == 0.8
+    net = load_model(ckpt, "ours")
     world = generate_world(WorldSpec(seed=0, rows=16, cols=16, layout="tee"))
     start, heading, _ = script.scenario(world, 3)
     demo = Demonstration(world=world, past=script.straight_past(start, heading, 2.0, 1.0),
                          future=np.array([start]), expert_speed=2.0, seed=0,
                          tag="intersection")
-    (policy,), _ = forecast(net, settings, [demo], DEMO_BETA)
+    (policy,), _ = forecast(net, [demo])
     expected = state_distribution(policy, start, 14)
     written = np.loadtxt(maps / "terminal_slow.csv", delimiter=",")
     assert np.array_equal(written, expected)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import BOOL_MASKS
+from meirl import synthetic
 from meirl.errors import ConfigError
 from meirl.kinematics import KinematicContext, extract_velocity
 from meirl.mdp import ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy
@@ -216,10 +217,11 @@ def test_demo_deterministic():
     assert not (np.array_equal(a.future, c.future) and np.array_equal(a.past.xy, c.past.xy))
 
 
-def test_high_beta_stays_on_trail():
+def test_high_beta_stays_on_trail(monkeypatch):
+    monkeypatch.setattr(synthetic, "DEMO_BETA", 50.0)
     world = world_for("straight", seed=4)
     mask = trail_mask(world)
-    demo = generate_demonstration(world, speed=2.0, seed=9, demo_beta=50.0)
+    demo = generate_demonstration(world, speed=2.0, seed=9)
     assert all(mask[r, c] for r, c in demo.future)
 
 

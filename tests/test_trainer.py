@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from meirl.mdp import ACTION_DELTAS, GridWorld, value_iteration
 from meirl.metrics import nll
 from meirl.reward_net import backward, build_net, forward
 from meirl.synthetic import Demonstration
-from meirl.trainer import (REPORT_COLUMNS, TrainConfig, demo_svf, train,
+from meirl.trainer import (BETA0, REPORT_COLUMNS, TAU, TrainConfig, demo_svf, train,
                            train_step, training_beta, write_report, write_timings)
 
 
@@ -65,10 +66,9 @@ def max_abs(grads):
 # schedule and demo counts
 
 def test_training_beta_schedule():
-    cfg = TrainConfig(beta0=2.0, tau=50.0)
-    assert training_beta(cfg, 0) == 2.0
-    assert training_beta(cfg, 50) == 4.0
-    assert training_beta(cfg, 25) == pytest.approx(3.0)
+    assert training_beta(0) == BETA0 == 1.0
+    assert training_beta(TAU) == 2.0 * BETA0
+    assert training_beta(TAU / 2) == pytest.approx(1.5 * BETA0)
 
 
 def test_demo_svf_mass_equals_horizon():
@@ -90,23 +90,21 @@ def test_demo_svf_counts_revisits():
 # ---------------------------------------------------------------------------
 # gradient content
 
-def test_gradient_vanishes_at_fixed_point():
+def test_gradient_vanishes_at_fixed_point(monkeypatch):
     """A demo that is exactly the greedy rollout of the net's own policy, at a
     beta high enough to make the softmax numerically deterministic, gives a
     zero visitation gap and hence zero parameter gradient."""
+    monkeypatch.setattr(trainer, "BETA0", 1e5)
     w = grid(seed=3)
     net = build_net("two_stage", seed=5)
-    cfg = TrainConfig(iterations=1, batch_size=1, beta0=1e5, tau=1e12,
-                      gamma=0.9, epsilon=1e-6)
-    beta = training_beta(cfg, 1)
     past = past_to((5, 2))
     reward, _ = forward(net, Demonstration(world=w, past=past, future=[(5, 2)],
                                            expert_speed=3.0, seed=0, tag="straight"))
-    policy = value_iteration([reward], gamma=0.9, epsilon=1e-6, beta=beta)[0]
+    policy = value_iteration([reward], beta=training_beta(1))[0]
     future = greedy_rollout(policy, (5, 2), 8)
     demo = Demonstration(world=w, past=past, future=future, expert_speed=3.0,
                          seed=0, tag="straight")
-    grads, report = train_step(net, [demo], cfg, iteration=1)
+    grads, report = train_step(net, [demo], iteration=1)
     assert report["svf_l1"] < 1e-8
     assert max_abs(grads) < 1e-8
 
@@ -114,16 +112,14 @@ def test_gradient_vanishes_at_fixed_point():
 def test_train_step_batch_of_one_matches_manual_pipeline():
     w = grid(seed=11)
     net = build_net("two_stage", seed=7)
-    cfg = TrainConfig(gamma=0.9, epsilon=1e-4, beta0=1.5, tau=40.0)
     demo = straight_demo(w)
-    beta = training_beta(cfg, 2)
     reward, acts = forward(net, demo)
-    policy = value_iteration([reward], gamma=0.9, epsilon=1e-4, beta=beta)[0]
+    policy = value_iteration([reward], beta=training_beta(2))[0]
     from meirl.mdp import compute_svf
     diff = demo_svf(demo) - compute_svf([policy], [(5, 2)], [demo.horizon])[0]
     manual = backward(net, acts, -diff)
 
-    grads, report = train_step(net, [demo], cfg, iteration=2)
+    grads, report = train_step(net, [demo], iteration=2)
     assert set(grads) == set(manual)
     for name in grads:
         assert np.array_equal(grads[name], manual[name])
@@ -205,7 +201,7 @@ def conv_calls(monkeypatch):
 def test_training_demo_runs_each_layer_forward_once(monkeypatch, kind, layers):
     calls = conv_calls(monkeypatch)
     net = build_net(kind, seed=1)
-    train_step(net, [straight_demo(grid(seed=6))], TrainConfig(batch_size=1), iteration=1)
+    train_step(net, [straight_demo(grid(seed=6))], iteration=1)
     assert calls == {"forward": layers, "backward": layers}
 
 
@@ -230,7 +226,7 @@ def test_non_finite_reward_names_the_batch_position(monkeypatch):
     monkeypatch.setattr(trainer, "forward", forward)
     with pytest.raises(ConvergenceError,
                        match="batch demo 1: reward map contains non-finite values"):
-        train_step(build_net("two_stage", seed=1), batch, TrainConfig(), iteration=1)
+        train_step(build_net("two_stage", seed=1), batch, iteration=1)
 
 
 def test_non_finite_gradient_stops_before_the_update(monkeypatch):
@@ -255,10 +251,9 @@ def test_env_only_gradient_ignores_past_speed():
     future = [(5, c) for c in range(2, 8)]
     slow = demo_from_future(w, future, speed=2.0)
     fast = demo_from_future(w, future, speed=8.0)
-    cfg = TrainConfig()
     net = build_net("env_only", seed=2)
-    g_slow, _ = train_step(net, [slow], cfg, iteration=1)
-    g_fast, _ = train_step(net, [fast], cfg, iteration=1)
+    g_slow, _ = train_step(net, [slow], iteration=1)
+    g_fast, _ = train_step(net, [fast], iteration=1)
     for name in g_slow:
         assert np.array_equal(g_slow[name], g_fast[name])
 
@@ -266,14 +261,14 @@ def test_env_only_gradient_ignores_past_speed():
 def test_train_step_empty_batch_rejected():
     net = build_net("two_stage", seed=0)
     with pytest.raises(ConfigError):
-        train_step(net, [], TrainConfig(), iteration=1)
+        train_step(net, [], iteration=1)
 
 
 def test_action_head_net_rejected_by_irl_step():
     w = grid()
     net = build_net("action_head", seed=0)
     with pytest.raises(ConfigError):
-        train_step(net, [straight_demo(w)], TrainConfig(), iteration=1)
+        train_step(net, [straight_demo(w)], iteration=1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +282,7 @@ def small_dataset():
 
 
 def quick_config(**kw):
-    base = dict(iterations=3, batch_size=2, learning_rate=1e-3, gamma=0.9,
-                epsilon=1e-3, beta0=1.0, tau=50.0, seed=0)
+    base = dict(iterations=3, batch_size=2, learning_rate=1e-3, seed=0)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -369,10 +363,12 @@ def test_augmented_training_runs():
     assert len(reports) == 1
 
 
-def test_nonconvergent_vi_reports_iteration():
-    cfg = quick_config(iterations=1, gamma=0.99, epsilon=1e-12)
-    with pytest.raises(ConvergenceError, match="iteration 1"):
-        train(small_dataset(), cfg)
+def test_nonconvergent_vi_reports_iteration(monkeypatch):
+    monkeypatch.setattr(trainer, "value_iteration",
+                        functools.partial(value_iteration, max_sweeps=3))
+    with pytest.raises(ConvergenceError, match="training iteration 1: value iteration "
+                                               "did not converge in 3 sweeps"):
+        train(small_dataset(), quick_config(iterations=1))
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +404,15 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
-        TrainConfig(beta0=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(tau=-1.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(gamma=1.0)
-    with pytest.raises(ConfigError):
         TrainConfig(iterations=-1)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ConfigError, match="checkpoint_every must be nonnegative"):
+        TrainConfig(checkpoint_every=-5)
+    TrainConfig(checkpoint_every=0)  # only the final checkpoint
 
 
-@pytest.mark.parametrize("field", ["learning_rate", "beta0", "tau", "epsilon"])
+@pytest.mark.parametrize("field", ["learning_rate"])
 @pytest.mark.parametrize("value", [0.0, math.nan])
 def test_config_refuses_a_zero_or_nan_rate(field, value):
     with pytest.raises(ConfigError, match="must be positive"):
@@ -433,3 +428,7 @@ def test_config_from_dict():
         from_dict(TrainConfig, {"workers": 1})
     with pytest.raises(ConfigError, match="use_kinematics"):  # the net's kind says it
         from_dict(TrainConfig, {"use_kinematics": False})
+    # the planner's discount, tolerance and temperature schedule are constants
+    for key in ("gamma", "epsilon", "beta0", "tau"):
+        with pytest.raises(ConfigError, match=key):
+            from_dict(TrainConfig, {key: 0.5})
