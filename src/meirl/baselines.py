@@ -2,10 +2,10 @@
 random.
 
 The EKF estimates (x, y, heading, speed, steering) from position measurements
-alone and forecasts by freezing speed and steering. Behavior cloning reuses the
-exact IRL input stack (same code path) but trains a 4-channel action head with
-cross-entropy instead of a reward. The kinematics-free IRL ablation is the
-trainer run on an `env_only` net.
+alone and forecasts by freezing speed and steering. The behavior-cloning
+policy is the softmax of a 4-channel action head that reads the exact IRL
+input stack (same code path); `trainer.bc_train` fits it with cross-entropy.
+The kinematics-free IRL ablation is the trainer run on an `env_only` net.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 from .kinematics import PastTrack
 from .mdp import GridWorld, Policy, annealed_softmax, uniform_policy
-from .nn import ParameterStore, update_parameters
-from .reward_net import backward, build_net, forward
+from .reward_net import forward
 from .synthetic import Demonstration
 
 WHEELBASE = 1.8
@@ -194,113 +193,10 @@ def ekf_forecast_cells(demo: Demonstration, noise: EkfNoise | None = None) -> np
 # ---------------------------------------------------------------------------
 # behavior cloning
 
-@dataclass
-class BcConfig:
-    epochs: int = 200
-    learning_rate: float = 1e-3
-    val_split: float = 0.2
-    patience: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if not 0 <= self.val_split < 1:
-            raise ConfigError("validation split must be in [0, 1)")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
-        if not self.learning_rate > 0:  # NaN too
-            raise ConfigError("learning rate must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-
-
 def bc_policy(net, demo: Demonstration) -> Policy:
     """Per-cell action distribution of the cloning head for one demo context."""
     logits = forward(net, demo)[0]
     return Policy(probs=annealed_softmax(logits, 1.0, axis=0))
-
-
-def _bc_logit_loss(logits, demo: Demonstration):
-    """Mean cross-entropy of the demo's actions under the logits, and its
-    gradient with respect to the logits."""
-    probs = annealed_softmax(logits, 1.0, axis=0)
-    actions = demo.actions
-    n_pairs = len(actions)
-    loss = 0.0
-    grad_logits = np.zeros_like(logits)
-    for a, (r, c) in zip(actions, demo.future[:-1]):
-        loss -= math.log(probs[a, r, c])
-        grad_logits[:, r, c] += probs[:, r, c] / n_pairs
-        grad_logits[a, r, c] -= 1.0 / n_pairs
-    return loss / n_pairs, grad_logits
-
-
-def _bc_demo_loss_and_grad(net, demo: Demonstration):
-    logits, acts = forward(net, demo)
-    loss, grad_logits = _bc_logit_loss(logits, demo)
-    return loss, backward(net, acts, grad_logits)
-
-
-def _bc_val_loss(net, demos) -> float:
-    return float(np.mean([_bc_logit_loss(forward(net, d)[0], d)[0] for d in demos]))
-
-
-def bc_train(demos, config: BcConfig | None = None):
-    """Cross-entropy training of the action head with early stopping.
-
-    Returns (net, report rows); each row carries epoch, training loss, and the
-    validation loss it was early-stopped on (equal to the training loss when
-    the dataset is too small to split).
-    """
-    config = config or BcConfig()
-    demos = list(demos)
-    if not demos:
-        raise ConfigError("cannot clone from an empty dataset")
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
-    order = rng.permutation(len(demos))
-    n_val = int(round(len(demos) * config.val_split))
-    if len(demos) - n_val < 1:
-        n_val = 0
-    val = [demos[int(i)] for i in order[:n_val]]
-    fit = [demos[int(i)] for i in order[n_val:]]
-
-    net = build_net("action_head", seed=config.seed)
-    store = ParameterStore.create(net.parameters(), learning_rate=config.learning_rate)
-
-    best = {k: v.copy() for k, v in net.parameters().items()}
-    best_val = _bc_val_loss(net, val or fit)
-    stale = 0
-    rows = []
-    for epoch in range(1, config.epochs + 1):
-        total = {name: np.zeros_like(p) for name, p in net.parameters().items()}
-        losses = []
-        for demo in fit:
-            loss, grads = _bc_demo_loss_and_grad(net, demo)
-            losses.append(loss)
-            for name in total:
-                total[name] += grads[name]
-        for name in total:
-            total[name] /= len(fit)
-        update_parameters(store, total)
-
-        val_loss = _bc_val_loss(net, val or fit)
-        rows.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                     "val_loss": val_loss})
-        if val_loss < best_val - 1e-6:
-            best_val = val_loss
-            best = {k: v.copy() for k, v in net.parameters().items()}
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    # hand back the weights that scored best on validation
-    params = net.parameters()
-    for name in params:
-        params[name][...] = best[name]
-    return net, rows
 
 
 # ---------------------------------------------------------------------------

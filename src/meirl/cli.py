@@ -23,19 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from . import config as configio
-from .baselines import (BcConfig, bc_policy, bc_train, ekf_forecast_cells,
-                        random_policy)
-from .checkpoint import load_checkpoint, save_checkpoint
+from .baselines import bc_policy, ekf_forecast_cells, random_policy
+from .checkpoint import load_checkpoint
 from .dataset import GenerateConfig, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ConvergenceError
 from .maps import save_map_csv, save_map_pgm
 from .mdp import GridWorld, cells_to_xy, compute_svf, sample_trajectories, value_iteration
 from .metrics import (METHOD_ORDER, EvalResult, export_csv, export_json, hausdorff,
                       mean_sampled_hd, nll, terminal_entropy)
-from .nn import ParameterStore
 from .reward_net import forward, net_from_store
 from .synthetic import DEMO_BETA, TAGS
-from .trainer import TrainConfig, train, write_report, write_timings
+from .trainer import (BC_REPORT_COLUMNS, REPORT_COLUMNS, BcConfig, TrainConfig, bc_train,
+                      train, write_report, write_timings)
 
 
 # ---------------------------------------------------------------------------
@@ -129,41 +128,28 @@ def cmd_train(args) -> None:
 
     train_demos, _, _ = load_dataset(args.dataset)
     out = Path(args.out)
-
     if args.method == "bc":
-        net, rows = bc_train(train_demos, cfg)
-        out.mkdir(parents=True, exist_ok=True)
-        store = ParameterStore.create(net.parameters(), cfg.learning_rate)
-        save_checkpoint(out / "checkpoint.ckpt", store,
-                        meta={"arch": net.arch_meta(), "method": "bc",
-                              "config": configio.to_dict(cfg)},
-                        iteration=len(rows))
-        write_report(rows, out / "report.csv", ("epoch", "train_loss", "val_loss"))
-        _write_resolved(out, "train", {"method": "bc", "dataset": str(args.dataset),
-                                       "out": str(out),
-                                       "config": configio.to_dict(cfg)})
-        last = rows[-1]["val_loss"] if rows else float("nan")
-        print(f"behavior cloning ran {len(rows)} epochs, "
-              f"best validation loss {last:.4f}")
-        print(f"checkpoint: {out / 'checkpoint.ckpt'}")
-        return
-
-    # train loads --resume before it creates the output directory
-    _, _, reports, timings = train(train_demos, cfg, out_dir=out, resume=args.resume,
-                                   kind=METHOD_KIND[args.method])
-    write_report(reports, out / "report.csv")
-    write_timings(timings, out / "timings.csv")
+        _, reports, timings, (kept, best) = bc_train(train_demos, cfg, out_dir=out)
+        columns = BC_REPORT_COLUMNS
+        summary = (f"behavior cloning ran {len(reports)} epochs, kept epoch {kept}, "
+                   f"best validation loss {best:.4f}")
+    else:
+        # train loads --resume before it creates the output directory
+        _, _, reports, timings = train(train_demos, cfg, out_dir=out, resume=args.resume,
+                                       kind=METHOD_KIND[args.method])
+        columns = REPORT_COLUMNS
+        summary = (f"trained iterations {reports[0]['iteration']}..."
+                   f"{reports[-1]['iteration']}, final training NLL "
+                   f"{reports[-1]['nll']:.4f}, final SVF L1 gap "
+                   f"{reports[-1]['svf_l1']:.4f}" if reports else
+                   "no iterations requested; checkpoint holds the initialization")
+    write_report(reports, out / "report.csv", columns)
+    write_timings(timings, out / "timings.csv", counter=columns[0])
     _write_resolved(out, "train", {"method": args.method,
                                    "dataset": str(args.dataset), "out": str(out),
                                    "resume": args.resume and str(args.resume),
                                    "config": configio.to_dict(cfg)})
-    if reports:
-        print(f"trained iterations {reports[0]['iteration']}..."
-              f"{reports[-1]['iteration']}, final training NLL "
-              f"{reports[-1]['nll']:.4f}, final SVF L1 gap "
-              f"{reports[-1]['svf_l1']:.4f}")
-    else:
-        print("no iterations requested; checkpoint holds the initialization")
+    print(summary)
     print(f"checkpoint: {out / 'checkpoint.ckpt'}")
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from meirl.baselines import (BcConfig, EkfNoise, EkfState, WHEELBASE, bc_policy,
-                             bc_train, ekf_forecast_cells, ekf_init,
+from meirl.baselines import (EkfNoise, EkfState, WHEELBASE, bc_policy,
+                             ekf_forecast_cells, ekf_init,
                              ekf_predict_trajectory, ekf_run, ekf_update,
                              random_policy, rasterize_positions,
                              wrap_angle)
@@ -14,7 +14,7 @@ from meirl.mdp import GridWorld, cells_to_xy
 from meirl.metrics import hausdorff, nll
 from meirl.reward_net import build_net
 from meirl.synthetic import Demonstration
-from meirl.trainer import TrainConfig, demo_stack, train
+from meirl.trainer import BcConfig, TrainConfig, bc_train, demo_stack, train
 
 QUIET = EkfNoise(process=(1e-10,) * 5, measurement=(1e-8, 1e-8))
 
@@ -200,11 +200,12 @@ def right_dataset():
 
 @pytest.fixture(scope="module")
 def trained_bc(right_dataset):
-    return bc_train(right_dataset, BcConfig(epochs=150, learning_rate=3e-3, seed=0))
+    net, rows, _, _ = bc_train(right_dataset, BcConfig(epochs=150, learning_rate=3e-3, seed=0))
+    return net, rows
 
 
 def test_bc_initial_loss_near_ln4(right_dataset):
-    _, rows = bc_train(right_dataset, BcConfig(epochs=1, seed=0))
+    _, rows, _, _ = bc_train(right_dataset, BcConfig(epochs=1, seed=0))
     assert rows[0]["train_loss"] == pytest.approx(math.log(4.0), abs=0.1)
 
 
@@ -228,8 +229,8 @@ def test_bc_policy_rows_sum_to_one(trained_bc, right_dataset):
 
 
 def test_bc_zero_epochs_keeps_near_uniform_init(right_dataset):
-    net, rows = bc_train(right_dataset, BcConfig(epochs=0, seed=0))
-    assert rows == []
+    net, rows, timings, (kept, _) = bc_train(right_dataset, BcConfig(epochs=0, seed=0))
+    assert rows == [] and timings == [] and kept == 0
     probs = bc_policy(net, right_dataset[0]).probs
     assert np.abs(probs - 0.25).max() < 0.1
 

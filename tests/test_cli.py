@@ -359,6 +359,52 @@ def test_train_non_finite_reward_exits_3_with_iteration_and_demo(
     assert "training iteration 4: batch demo 0: reward map contains non-finite values" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["learning_rate_ours", "learning_rate_bc", "resolution",
+                                  "split", "speeds"])
+def test_non_finite_float_flag_exits_2_without_output(dataset_dir, tmp_path, capsys,
+                                                      flag, value):
+    # "--flag=value", so argparse reads "-inf" as a value and not as a flag
+    given = {"learning_rate_ours": ["train", "--dataset", dataset_dir,
+                                    f"--learning-rate={value}"],
+             "learning_rate_bc": ["train", "--dataset", dataset_dir, "--method", "bc",
+                                  f"--learning-rate={value}"],
+             "resolution": ["generate", *GEN_ARGS, f"--resolution={value}"],
+             "split": ["generate", *GEN_ARGS, f"--split={value}"],
+             "speeds": ["generate", *GEN_ARGS, f"--speeds={value}"]}[flag]
+    assert run(*given, "--out", tmp_path / "x") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("rate, why", [("1e300", "action logits contain non-finite values"),
+                                       ("1", "a demo action has probability 0")])
+def test_train_bc_divergence_exits_3_with_the_epoch(dataset_dir, tmp_path, capsys, rate, why):
+    rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "d",
+             "--method", "bc", "--iterations", "3", "--learning-rate", rate)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: epoch 1: ") and err.rstrip().endswith(why)
+    assert not (tmp_path / "d").exists()
+
+
+def test_train_methods_write_the_same_files(dataset_dir, tmp_path, capsys):
+    files = {}
+    for method in METHOD_KIND:
+        out = tmp_path / method
+        irl_only = [] if method == "bc" else ["--batch-size", "2"]
+        assert run("train", "--dataset", dataset_dir, "--out", out, "--method", method,
+                   "--iterations", "2", *irl_only) == 0
+        files[method] = sorted(p.name for p in out.iterdir())
+    assert files["ours"] == files["irl_nokin"] == files["bc"] == [
+        "checkpoint.ckpt", "report.csv", "resolved_config.json", "timings.csv"]
+    assert (tmp_path / "bc" / "timings.csv").read_text().splitlines()[0] == "epoch,seconds"
+    kept = capsys.readouterr().out.split("kept epoch ")[1].split(",")[0]
+    assert load_checkpoint(tmp_path / "bc" / "checkpoint.ckpt")[2] == int(kept)
+
+
 @pytest.mark.parametrize("command, extra", [
     ("train", ("--iterations", "0")),
     ("eval", ("--methods", "random", "--samples", "5")),

@@ -6,7 +6,9 @@ somewhere in that module (code or annotations) or be listed in its `__all__`.
 A top-level def, class or UPPER_CASE constant in `src/meirl` must be read, by
 name or as an attribute, somewhere in `src/meirl` or `scripts` outside its own
 definition, or be wrapped by the benchmark's traced run (`TRACED` in
-`perfbench/spans.py`).
+`perfbench/spans.py`). And one module fits nets: within `src/meirl`, only
+`trainer` reads `update_parameters` (the Adam step) or `save_checkpoint`, so
+a second training loop cannot come back unnoticed.
 """
 
 import ast
@@ -24,6 +26,8 @@ SPANS = ROOT / "perfbench" / "spans.py"
 # planner tests compare against
 TEST_REFERENCES = {("mdp", "enumerate_trajectory_distribution")}
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
+# the one module allowed to step a net's parameters or write a checkpoint
+SOLE_READER = {"update_parameters": "trainer", "save_checkpoint": "trainer"}
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -128,3 +132,23 @@ def test_checker_flags_a_constant_without_a_reader():
                "b": "from a import scaled\nscaled(1)\n"}
     assert unread_definitions(library, {}) == [("a", "LEFTOVER")]
     assert unread_definitions(library, {"script": "import a\na.LEFTOVER\n"}) == []
+
+
+def readers(library: dict, name: str) -> list:
+    """The modules of `library` (module name -> source) that read `name`,
+    bare or as an attribute; importing it alone is not a read."""
+    return sorted(module for module, source in library.items()
+                  if name in referenced(ast.parse(source)))
+
+
+@pytest.mark.parametrize("name", sorted(SOLE_READER))
+def test_only_the_trainer_fits_nets(name):
+    assert readers({p.stem: p.read_text() for p in LIBRARY}, name) == [SOLE_READER[name]]
+
+
+def test_checker_finds_every_reader():
+    library = {"a": "from nn import step\nstep(store, grads)\n",
+               "b": "import nn\nfit = nn.step\n",
+               "c": "from nn import step\n",
+               "nn": "def step(store, grads):\n    pass\n"}
+    assert readers(library, "step") == ["a", "b"]

@@ -8,14 +8,14 @@ from meirl.checkpoint import load_checkpoint
 from meirl.config import from_dict
 from meirl.errors import ConfigError, ConvergenceError
 from meirl import reward_net, trainer
-from meirl.baselines import BcConfig, bc_train
 from meirl.kinematics import PastTrack
 from meirl.mdp import ACTION_DELTAS, GridWorld, value_iteration
 from meirl.metrics import nll
 from meirl.reward_net import backward, build_net, forward
 from meirl.synthetic import Demonstration
-from meirl.trainer import (BETA0, REPORT_COLUMNS, TAU, TrainConfig, demo_svf, train,
-                           train_step, training_beta, write_report, write_timings)
+from meirl.trainer import (BETA0, REPORT_COLUMNS, TAU, BcConfig, TrainConfig, bc_train,
+                           demo_svf, train, train_step, training_beta, write_report,
+                           write_timings)
 
 
 def grid(rows=10, cols=10, seed=3):
@@ -244,6 +244,62 @@ def test_non_finite_gradient_stops_before_the_update(monkeypatch):
                                                "is not finite in s2.0.bias"):
         train(small_dataset(), quick_config())
     assert updates == []
+
+
+def test_bc_non_finite_gradient_stops_before_the_update(monkeypatch):
+    real_backward = trainer.backward
+    updates = []
+
+    def backward(net, acts, grad_out):
+        grads = real_backward(net, acts, grad_out)
+        grads["s2.0.bias"][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", backward)
+    monkeypatch.setattr(trainer, "update_parameters", lambda *a: updates.append(a))
+    with pytest.raises(ConvergenceError,
+                       match="epoch 1: summed gradient is not finite in s2.0.bias"):
+        bc_train(small_dataset(), BcConfig(epochs=2))
+    assert updates == []
+
+
+# with no validation split, forward runs over the three demos once for the
+# initial validation, then per epoch once to train and once to validate
+@pytest.mark.parametrize("call, where", [(2, "epoch 0: validation demo 1"),
+                                         (5, "epoch 1: training demo 1"),
+                                         (9, "epoch 1: validation demo 2")])
+def test_bc_non_finite_logits_name_the_epoch_and_demo(monkeypatch, call, where):
+    real_forward = trainer.forward
+    calls = []
+
+    def forward(net, demo):
+        calls.append(demo)
+        logits, acts = real_forward(net, demo)
+        return (logits * np.nan if len(calls) == call else logits), acts
+
+    monkeypatch.setattr(trainer, "forward", forward)
+    with pytest.raises(ConvergenceError,
+                       match=f"^{where}: action logits contain non-finite values$"):
+        bc_train(small_dataset(), BcConfig(epochs=2, val_split=0.0))
+
+
+def test_bc_checkpoint_holds_the_kept_epoch(tmp_path):
+    demos = small_dataset()
+    net, rows, timings, (kept, best) = bc_train(
+        demos, BcConfig(epochs=6, patience=3, learning_rate=3e-3, seed=1), out_dir=tmp_path)
+    assert len(rows) == 6 and kept == 4  # the last epoch is not the best one
+    assert best == rows[kept - 1]["val_loss"] == min(row["val_loss"] for row in rows)
+    assert [row["epoch"] for row in timings] == [1, 2, 3, 4, 5, 6]
+    store, meta, iteration = load_checkpoint(tmp_path / "checkpoint.ckpt")
+    assert iteration == kept and store.step == len(rows)
+    assert sorted(meta) == ["adam", "arch", "config", "iteration"]
+    for name, p in net.parameters().items():
+        assert store.params[name].tobytes() == p.tobytes()
+    # the kept weights are those of a run that stops at the kept epoch
+    short, _, _, _ = bc_train(demos, BcConfig(epochs=kept, patience=3, learning_rate=3e-3,
+                                              seed=1))
+    for name, p in short.parameters().items():
+        assert store.params[name].tobytes() == p.tobytes()
 
 
 def test_env_only_gradient_ignores_past_speed():
