@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 from .errors import ConfigError
@@ -70,4 +71,12 @@ def load_json(path):
 
 
 def dump_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write `obj` to a sibling file and rename it over `path`, so a write that
+    stops partway leaves no half-written JSON at `path`."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

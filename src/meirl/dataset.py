@@ -169,7 +169,7 @@ def save_dataset(root, train, test, config: GenerateConfig, overwrite: bool = Fa
     if manifest_path.exists() and not overwrite:
         raise ConfigError(f"dataset already exists at {root} (manifest.json present)")
     # without a manifest, a write that stops partway leaves no loadable mix of
-    # new and old records behind
+    # new and old records behind; dump_json renames the manifest into place last
     manifest_path.unlink(missing_ok=True)
     for split_name, demos in (("train", train), ("test", test)):
         sub = root / split_name

@@ -297,19 +297,19 @@ def sample_trajectories(policy: Policy, start, horizon: int, n: int,
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
     flat_next = flat_transition_table(rows, cols)
-    probs_flat = policy.probs.reshape(N_ACTIONS, -1)
+    # the action CDF of every cell; a step gathers the columns of its cells
+    cum_flat = np.cumsum(policy.probs.reshape(N_ACTIONS, -1), axis=0)
     cur = np.full(n, r * cols + c, dtype=np.int64)
     cells = np.empty((n, horizon), dtype=np.int64)
     cells[:, 0] = cur
     for t in range(1, horizon):
-        p = probs_flat[:, cur]
-        cum = np.cumsum(p, axis=0)
+        cum = cum_flat[:, cur]
         u = rng.random(n)
         a = np.minimum((u[None, :] > cum).sum(axis=0), N_ACTIONS - 1)
         cur = flat_next[a, cur]
         cells[:, t] = cur
     out = np.empty((n, horizon, 2), dtype=np.int64)
-    out[:, :, 0], out[:, :, 1] = np.divmod(cells, cols)
+    np.divmod(cells, cols, out=(out[:, :, 0], out[:, :, 1]))
     return out
 
 

@@ -5,6 +5,18 @@ every demonstration. Hausdorff distances are symmetric and measured in meters
 on cell centers. Terminal entropy is that of the forecast's last cell, whose
 state distribution (`horizon - 1` moves from the start cell) is propagated
 exactly, not sampled.
+
+Sampled HD scores all rollouts of a demo at once, on integer cells. A table
+holds the squared cell distance from every grid cell to every future cell
+(int32, rows*cols by H); gathering its rows at the rollout cells gives both
+directed terms as integer min/max reductions, and one square root times the
+resolution gives each distance. Rollouts go through in chunks whose gathered
+(chunk, H, H) block stays near HD_CHUNK_BYTES, so the working memory beyond
+the rollouts and their n distances does not grow with the sample count.
+At resolution 1.0 (or any power of two) each distance equals `hausdorff` on
+the cell centres bitwise. At other resolutions it is within one ulp of the
+exact distance, while `hausdorff` rounds each scaled coordinate before it
+subtracts, so the two can differ in the last few ulp.
 """
 
 from __future__ import annotations
@@ -17,10 +29,11 @@ import numpy as np
 
 from .config import dump_json
 from .errors import ConfigError
-from .mdp import Policy, cells_to_xy, sample_trajectories, state_distribution
+from .mdp import Policy, sample_trajectories, state_distribution
 from .synthetic import Demonstration
 
 METHOD_ORDER = ("ekf", "bc", "random", "irl_nokin", "ours")
+HD_CHUNK_BYTES = 4 << 20  # the gathered int32 block of one sampled-HD chunk
 
 
 def nll(policy: Policy, demo: Demonstration) -> float:
@@ -57,11 +70,34 @@ def mean_sampled_hd(policy: Policy, demo: Demonstration,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rollouts = sample_trajectories(policy, tuple(demo.future[0]), demo.horizon,
                                    n_samples, rng)
-    demo_xy = cells_to_xy(demo.future, demo.world.resolution)
     total = 0.0
-    for k in range(n_samples):
-        total += hausdorff(demo_xy, cells_to_xy(rollouts[k], demo.world.resolution))
+    # a left-to-right sum: np.sum's pairwise order would move the last bits
+    for d in sampled_hausdorff(rollouts, demo.future, demo.world.shape,
+                               demo.world.resolution).tolist():
+        total += d
     return total / n_samples
+
+
+def sampled_hausdorff(rollouts, future, shape, resolution: float) -> np.ndarray:
+    """Symmetric HD in meters between each (h, 2) cell path of `rollouts`
+    (n, h, 2) and the (H, 2) `future`, all cells on a `shape` grid."""
+    rows, cols = shape
+    future = np.asarray(future, dtype=np.int64)
+    rollouts = np.asarray(rollouts, dtype=np.int64)
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    d2 = ((r[:, None] - future[:, 0]) ** 2
+          + (c[:, None] - future[:, 1]) ** 2).astype(np.int32)
+    to_future = d2.min(axis=1)
+    n, h = rollouts.shape[:2]
+    chunk = max(1, HD_CHUNK_BYTES // (h * len(future) * d2.itemsize))
+    out = np.empty(n)
+    for lo in range(0, n, chunk):
+        part = rollouts[lo:lo + chunk]
+        flat = part[:, :, 0] * cols + part[:, :, 1]
+        rollout_to_future = to_future[flat].max(axis=1)
+        future_to_rollout = d2[flat].min(axis=1).max(axis=1)
+        out[lo:lo + chunk] = np.sqrt(np.maximum(rollout_to_future, future_to_rollout))
+    return out * resolution
 
 
 def terminal_entropy(policy: Policy, start, steps: int) -> float:

@@ -198,10 +198,12 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None,
         batch = [demos[int(j)] for j in picks]
         started = time.perf_counter()
         try:
-            grads, row = train_step(net, batch, i)
+            # a diverging net overflows here; the non-finite guards are its one report
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads, row = train_step(net, batch, i)
+                update_parameters(store, grads)
         except ConvergenceError as e:
             raise ConvergenceError(f"training iteration {i}: {e}") from e
-        update_parameters(store, grads)
         reports.append(row)
         timings.append({"iteration": i, "seconds": time.perf_counter() - started})
         if out_dir is not None and config.checkpoint_every > 0 \
@@ -266,11 +268,13 @@ def bc_train(demos, config: BcConfig, out_dir=None):
     for epoch in range(config.epochs + 1):  # epoch 0 scores the initialization
         started, losses = time.perf_counter(), []
         try:
-            if epoch:
-                update_parameters(store, mean_gradient(net, (
-                    _bc_demo_grads(net, demo, k, losses) for k, demo in enumerate(fit))))
-            val_loss = float(np.mean([_bc_loss(net, demo, f"validation demo {k}")[0]
-                                      for k, demo in enumerate(val or fit)]))
+            # a diverging net overflows here; the non-finite guards are its one report
+            with np.errstate(over="ignore", invalid="ignore"):
+                if epoch:
+                    update_parameters(store, mean_gradient(net, (
+                        _bc_demo_grads(net, demo, k, losses) for k, demo in enumerate(fit))))
+                val_loss = float(np.mean([_bc_loss(net, demo, f"validation demo {k}")[0]
+                                          for k, demo in enumerate(val or fit)]))
         except ConvergenceError as e:
             raise ConvergenceError(f"epoch {epoch}: {e}") from e
         if epoch:

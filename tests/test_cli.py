@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -377,8 +378,6 @@ def test_non_finite_float_flag_exits_2_without_output(dataset_dir, tmp_path, cap
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("rate, why", [("1e300", "action logits contain non-finite values"),
                                        ("1", "a demo action has probability 0")])
 def test_train_bc_divergence_exits_3_with_the_epoch(dataset_dir, tmp_path, capsys, rate, why):
@@ -388,6 +387,21 @@ def test_train_bc_divergence_exits_3_with_the_epoch(dataset_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("runtime error: epoch 1: ") and err.rstrip().endswith(why)
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("method", list(METHOD_KIND))
+def test_diverging_train_reports_one_runtime_error_line(dataset_dir, tmp_path, capsys,
+                                                        method):
+    irl_only = [] if method == "bc" else ["--batch-size", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "d",
+                 "--method", method, "--iterations", "3", "--learning-rate", "1e300",
+                 *irl_only)
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and err.count("\n") == 1
 
 
 def test_train_methods_write_the_same_files(dataset_dir, tmp_path, capsys):

@@ -134,6 +134,23 @@ def test_overwrite_that_stops_partway_leaves_no_loadable_dataset(tmp_path, monke
         load_dataset(tmp_path / "ds")
 
 
+def test_manifest_write_that_stops_partway_leaves_no_manifest(tmp_path, monkeypatch):
+    train, test = generate_dataset(tiny_config())
+    real_write = Path.write_text
+
+    def write_half(path, text, *args, **kwargs):
+        real_write(path, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    with pytest.raises(OSError):
+        save_dataset(tmp_path / "ds", train, test, tiny_config())
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == ["test", "train"]
+    with pytest.raises(ConfigError):
+        load_dataset(tmp_path / "ds")
+
+
 def test_missing_record_listed(tmp_path):
     train, test = generate_dataset(tiny_config())
     save_dataset(tmp_path / "ds", train, test, tiny_config())

@@ -1,16 +1,20 @@
 import json
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from meirl import metrics
 from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
-from meirl.mdp import GridWorld, Policy, cells_to_xy, uniform_policy
-from meirl.metrics import (EvalResult, export_csv, export_json,
-                           hausdorff, mean_sampled_hd, nll, terminal_entropy)
+from meirl.mdp import GridWorld, Policy, cells_to_xy, sample_trajectories, uniform_policy
+from meirl.metrics import (EvalResult, export_csv, export_json, hausdorff,
+                           mean_sampled_hd, nll, sampled_hausdorff, terminal_entropy)
 from meirl.synthetic import Demonstration
 
 LN4 = math.log(4.0)
@@ -182,6 +186,92 @@ def test_mean_sampled_hd_seeded():
     assert a == b
     assert a > 0.0
     assert a != c
+
+
+def per_sample_mean_hd(policy, demo, n_samples, seed=0):
+    """The reference sampled HD: one float `hausdorff` call per rollout on the
+    cell centres, summed in sample order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rollouts = sample_trajectories(policy, tuple(demo.future[0]), demo.horizon,
+                                   n_samples, rng)
+    demo_xy = cells_to_xy(demo.future, demo.world.resolution)
+    total = 0.0
+    for k in range(n_samples):
+        total += hausdorff(demo_xy, cells_to_xy(rollouts[k], demo.world.resolution))
+    return total / n_samples
+
+
+def random_cells(rng, rows, cols, *lead):
+    return np.stack([rng.integers(0, rows, size=lead), rng.integers(0, cols, size=lead)],
+                    axis=-1)
+
+
+# a chunk budget of 1 to 3 rollouts at the longest horizons, so that sample
+# counts up to 60 run through many chunks
+SMALL_CHUNKS = st.integers(1, 3 * 40 * 40 * 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), h_future=st.integers(1, 40),
+       h_rollout=st.integers(1, 40), n=st.integers(1, 60), chunk_bytes=SMALL_CHUNKS,
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=1, cols=9, h_future=40, h_rollout=40, n=60, chunk_bytes=6400, seed=0)
+@example(rows=7, cols=1, h_future=1, h_rollout=40, n=17, chunk_bytes=160, seed=1)
+def test_sampled_hausdorff_matches_hausdorff_per_rollout(rows, cols, h_future, h_rollout,
+                                                          n, chunk_bytes, seed):
+    rng = np.random.default_rng(seed)
+    future = random_cells(rng, rows, cols, h_future)
+    rollouts = random_cells(rng, rows, cols, n, h_rollout)
+    with mock.patch.object(metrics, "HD_CHUNK_BYTES", chunk_bytes):
+        got = {res: sampled_hausdorff(rollouts, future, (rows, cols), res)
+               for res in (1.0, 0.5, 0.7, 0.3, 1 / 3)}
+    d2 = [round(h * h) for h in got[1.0]]  # exact, once the bitwise check holds
+    for res, dists in got.items():
+        assert dists.shape == (n,)
+        want = np.array([hausdorff(cells_to_xy(future, res), cells_to_xy(r, res))
+                         for r in rollouts])
+        if res in (1.0, 0.5):  # the scaled coordinates are exact: bitwise
+            assert np.array_equal(dists, want)
+            continue
+        # within one ulp of the exact distance sqrt(d2) * res ...
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = np.array([float(Decimal(k).sqrt() * Decimal(res)) for k in d2])
+        assert np.all(np.abs(dists - exact) <= np.spacing(exact))
+        # ... while `hausdorff` rounds each coordinate before it subtracts, so
+        # it may miss by a few ulp of the largest coordinate on short distances
+        extent = max(rows, cols) * res
+        assert np.all(np.abs(dists - want) <= 4 * np.finfo(float).eps * (want + extent))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(8, 14), cols=st.integers(8, 14), horizon=st.integers(2, 40),
+       n=st.integers(1, 60), chunk_bytes=SMALL_CHUNKS, seed=st.integers(0, 2**32 - 1))
+def test_mean_sampled_hd_equals_the_per_sample_loop_bitwise(rows, cols, horizon, n,
+                                                              chunk_bytes, seed):
+    rng = np.random.default_rng(seed)
+    w = grid(rows=rows, cols=cols, seed=seed % 1000)
+    start = (int(rng.integers(rows)), int(rng.integers(cols)))
+    walk = sample_trajectories(uniform_policy(rows, cols), start, horizon, 1, rng)[0]
+    demo = demo_from_future(w, walk)
+    policy = Policy(probs=rng.dirichlet(np.ones(4), size=(rows, cols)).transpose(2, 0, 1))
+    with mock.patch.object(metrics, "HD_CHUNK_BYTES", chunk_bytes):
+        got = mean_sampled_hd(policy, demo, n_samples=n, seed=seed % 97)
+    assert got == per_sample_mean_hd(policy, demo, n, seed=seed % 97)
+
+
+def test_sampled_hausdorff_memory_is_bounded_per_chunk():
+    # unchunked, the gathered block of 20,000 rollouts at H = 25 would be 50 MB
+    rng = np.random.default_rng(2)
+    future, rollouts = random_cells(rng, 16, 16, 25), random_cells(rng, 16, 16, 20_000, 25)
+    tracemalloc.start()
+    try:
+        sampled_hausdorff(rollouts, future, (16, 16), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the float64 results, one chunk's working set
+    assert peak - 8 * len(rollouts) < 2 * metrics.HD_CHUNK_BYTES
 
 
 def test_terminal_entropy_deterministic_zero():
