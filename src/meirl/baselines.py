@@ -1,5 +1,5 @@
-"""Comparison predictors: bicycle-model EKF, behavior cloning and uniform
-random.
+"""Comparison predictors: bicycle-model EKF and behavior cloning (the uniform
+random baseline is `mdp.uniform_policy`).
 
 The EKF estimates (x, y, heading, speed, steering) from position measurements
 alone and forecasts by freezing speed and steering. The behavior-cloning
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .kinematics import PastTrack
-from .mdp import GridWorld, Policy, annealed_softmax, uniform_policy
+from .mdp import GridWorld, Policy, annealed_softmax
 from .reward_net import forward
 from .synthetic import Demonstration
 
@@ -197,11 +197,3 @@ def bc_policy(net, demo: Demonstration) -> Policy:
     """Per-cell action distribution of the cloning head for one demo context."""
     logits = forward(net, demo)[0]
     return Policy(probs=annealed_softmax(logits, 1.0, axis=0))
-
-
-# ---------------------------------------------------------------------------
-# the random baseline
-
-def random_policy(world: GridWorld) -> Policy:
-    return uniform_policy(world.rows, world.cols)
-

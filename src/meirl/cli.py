@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import config as configio
-from .baselines import bc_policy, ekf_forecast_cells, random_policy
+from .baselines import bc_policy, ekf_forecast_cells
 from .checkpoint import load_checkpoint
 from .dataset import GenerateConfig, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ConvergenceError
 from .maps import save_map_csv, save_map_pgm
-from .mdp import GridWorld, cells_to_xy, compute_svf, sample_trajectories, value_iteration
+from .mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories, uniform_policy,
+                  value_iteration)
 from .metrics import (METHOD_ORDER, EvalResult, export_csv, export_json, hausdorff,
                       mean_sampled_hd, nll, terminal_entropy)
 from .reward_net import forward, net_from_store
@@ -209,15 +210,6 @@ def forecast(net, demos):
     return list(value_iteration(rewards, beta=DEMO_BETA)), rewards
 
 
-def _write_samples_csv(path, rollouts: np.ndarray) -> None:
-    lines = ["sample,step,row,col"]
-    for s in range(rollouts.shape[0]):
-        for t in range(rollouts.shape[1]):
-            lines.append(f"{s},{t},{rollouts[s, t, 0]},{rollouts[s, t, 1]}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def cmd_predict(args) -> None:
     cfg = _resolve(PredictConfig, args)
 
@@ -242,18 +234,16 @@ def cmd_predict(args) -> None:
     if cfg.method == "ekf":
         cells = ekf_forecast_cells(demo)
         xy = cells_to_xy(cells, demo.world.resolution)
-        lines = ["step,row,col,x,y"]
-        for k in range(len(cells)):
-            lines.append(f"{k},{cells[k, 0]},{cells[k, 1]},"
-                         f"{xy[k, 0]:.17g},{xy[k, 1]:.17g}")
-        (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        configio.write_csv(out / "trajectory.csv", ("step", "row", "col", "x", "y"),
+                           ((k, r, c, f"{x:.17g}", f"{y:.17g}") for k, ((r, c), (x, y))
+                            in enumerate(zip(cells.tolist(), xy.tolist()))))
         summary = {"method": "ekf", "horizon": horizon, "start": list(start)}
         hd = hausdorff(xy, cells_to_xy(demo.future, demo.world.resolution))
         summary["hd"] = hd
         print(f"EKF forecast written; HD to the demonstration {hd:.3f} m")
     else:
         if cfg.method == "random":
-            policy = random_policy(demo.world)
+            policy = uniform_policy(demo.world.rows, demo.world.cols)
         else:
             policies, rewards = forecast(net, [demo])
             policy = policies[0]
@@ -268,8 +258,11 @@ def cmd_predict(args) -> None:
         save_map_pgm(out / "svf.pgm", svf)
         if cfg.samples > 0:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-            rollouts = sample_trajectories(policy, start, horizon, cfg.samples, rng)
-            _write_samples_csv(out / "samples.csv", rollouts)
+            cells = sample_trajectories(policy, start, horizon, cfg.samples, rng).ravel()
+            table = np.column_stack([*np.divmod(np.arange(cells.size), horizon),
+                                     *np.divmod(cells, demo.world.cols)])
+            configio.write_csv(out / "samples.csv", ("sample", "step", "row", "col"),
+                               table.tolist())
         entropy = terminal_entropy(policy, start, horizon - 1)
         summary = {
             "method": cfg.method, "horizon": horizon, "start": list(start),
@@ -329,7 +322,7 @@ def _eval_method(method, demos, cfg: EvalConfig, nets):
         return EvalResult(method="ekf", hd_per_demo=hds)
 
     if method == "random":
-        policies = [random_policy(demo.world) for demo in demos]
+        policies = [uniform_policy(demo.world.rows, demo.world.cols) for demo in demos]
     else:
         policies = forecast(nets[method], demos)[0]
     nlls, hds, entropies = [], [], []

@@ -1,11 +1,18 @@
-"""Config dataclass <-> JSON plumbing with unknown-key rejection."""
+"""File plumbing: config dataclasses <-> JSON with unknown-key rejection, the
+one file writer (`write_file`; only `dataset.save_demo` writes around it) and
+the one binary decoder (`Reader`).
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
+import struct
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -71,12 +78,58 @@ def load_json(path):
 
 
 def dump_json(path, obj) -> None:
-    """Write `obj` to a sibling file and rename it over `path`, so a write that
-    stops partway leaves no half-written JSON at `path`."""
+    """`obj` as sorted, indented JSON, through `write_file`."""
+    write_file(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+
+
+def write_file(path, data: bytes) -> None:
+    """Put `data` at `path` through a flushed and fsynced sibling `.tmp` file
+    renamed over it, so `path` holds either its previous bytes or all of `data`."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_csv(path, header, rows) -> None:
+    """The header and then each row as one comma-joined line of str() items."""
+    write_file(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]).encode())
+
+
+class Reader:
+    """Decodes a binary file held in memory front to back. Each read checks its
+    length, as a Python int, against the bytes left before it slices or
+    allocates, so a corrupt length, a short read or trailing bytes raise
+    ConfigError naming `what`, the kind of record, never MemoryError."""
+
+    def __init__(self, buf: bytes, what: str):
+        self.buf, self.what, self.pos = buf, what, 0
+
+    def take(self, n: int) -> bytes:
+        if n > len(self.buf) - self.pos:
+            raise ConfigError(f"truncated {self.what}")
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, shape) -> np.ndarray:
+        """The next `shape` values of `dtype`, copied out as native float64 or int64."""
+        dtype = np.dtype(dtype)
+        raw = self.take(math.prod(shape) * dtype.itemsize)
+        try:  # a zero dimension next to huge ones still overflows numpy's size
+            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except ValueError as e:
+            raise ConfigError(f"{self.what} has an array of shape {tuple(shape)}: {e}") from e
+        return arr.astype(np.int64 if dtype.kind in "iu" else np.float64)
+
+    def end(self) -> None:
+        if self.pos != len(self.buf):
+            raise ConfigError(f"trailing bytes after the last {self.what}")

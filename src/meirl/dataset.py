@@ -8,6 +8,10 @@ Each record is self-contained and little-endian:
     u32 n_past, then n_past * (f64 t, f64 x, f64 y)
     u32 horizon, then horizon * (u32 row, u32 col)
     f64 expert speed, i64 seed, u8 tag code
+
+Records are decoded through `config.Reader`, so a truncated or corrupt one is
+a ConfigError naming its path. The manifest is renamed into place last, after
+every record, so a dataset whose generation stopped partway does not load.
 """
 
 from __future__ import annotations
@@ -109,54 +113,37 @@ def generate_dataset(config: GenerateConfig):
 # record IO
 
 def save_demo(path, demo: Demonstration) -> None:
+    """The one write outside `config.write_file`: a record is only ever read
+    through a manifest, which `save_dataset` removes first and writes last."""
     world = demo.world
-    parts = [struct.pack("<IId", world.rows, world.cols, world.resolution),
-             np.ascontiguousarray(world.env, dtype="<f4").tobytes()]
-    n = len(demo.past.t)
-    tri = np.empty((n, 3))
-    tri[:, 0] = demo.past.t
-    tri[:, 1:] = demo.past.xy
-    parts.append(struct.pack("<I", n))
-    parts.append(tri.astype("<f8").tobytes())
-    parts.append(struct.pack("<I", len(demo.future)))
-    parts.append(np.ascontiguousarray(demo.future, dtype="<u4").tobytes())
-    parts.append(struct.pack("<dq", demo.expert_speed, demo.seed))
-    parts.append(struct.pack("<B", TAG_CODES[demo.tag]))
-    Path(path).write_bytes(b"".join(parts))
-
-
-def _take(buf: bytes, offset: int, size: int, path) -> bytes:
-    if offset + size > len(buf):
-        raise ConfigError(f"truncated demo record: {path}")
-    return buf[offset:offset + size]
+    tri = np.column_stack([demo.past.t, demo.past.xy]).astype("<f8")
+    Path(path).write_bytes(b"".join([
+        struct.pack("<IId", world.rows, world.cols, world.resolution),
+        np.ascontiguousarray(world.env, dtype="<f4").tobytes(),
+        struct.pack("<I", len(tri)), tri.tobytes(),
+        struct.pack("<I", len(demo.future)),
+        np.ascontiguousarray(demo.future, dtype="<u4").tobytes(),
+        struct.pack("<dqB", demo.expert_speed, demo.seed, TAG_CODES[demo.tag])]))
 
 
 def load_demo(path) -> Demonstration:
-    buf = Path(path).read_bytes()
-    off = 0
-    rows, cols, resolution = struct.unpack("<IId", _take(buf, off, 16, path))
-    off += 16
-    env_bytes = 5 * rows * cols * 4
-    env = np.frombuffer(_take(buf, off, env_bytes, path), dtype="<f4")
-    env = env.reshape(5, rows, cols).astype(np.float64)
-    off += env_bytes
-    (n,) = struct.unpack("<I", _take(buf, off, 4, path))
-    off += 4
-    tri = np.frombuffer(_take(buf, off, n * 24, path), dtype="<f8").reshape(n, 3)
-    off += n * 24
-    (h,) = struct.unpack("<I", _take(buf, off, 4, path))
-    off += 4
-    future = np.frombuffer(_take(buf, off, h * 8, path), dtype="<u4")
-    future = future.reshape(h, 2).astype(np.int64)
-    off += h * 8
-    speed, seed = struct.unpack("<dq", _take(buf, off, 16, path))
-    off += 16
-    (tag_code,) = struct.unpack("<B", _take(buf, off, 1, path))
-    off += 1
-    if off != len(buf):
-        raise ConfigError(f"trailing bytes in demo record: {path}")
+    try:
+        return _decode_demo(configio.Reader(Path(path).read_bytes(), "demo record field"))
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _decode_demo(reader: configio.Reader) -> Demonstration:
+    rows, cols, resolution = reader.unpack("<IId")
+    env = reader.array("<f4", (5, rows, cols))
+    (n,) = reader.unpack("<I")
+    tri = reader.array("<f8", (n, 3))
+    (h,) = reader.unpack("<I")
+    future = reader.array("<u4", (h, 2))
+    speed, seed, tag_code = reader.unpack("<dqB")
+    reader.end()
     if tag_code >= len(TAGS):
-        raise ConfigError(f"bad tag code {tag_code} in {path}")
+        raise ConfigError(f"bad tag code {tag_code}")
     world = GridWorld(rows=rows, cols=cols, resolution=resolution, env=env)
     past = PastTrack(t=tri[:, 0].copy(), xy=tri[:, 1:].copy())
     return Demonstration(world=world, past=past, future=future,

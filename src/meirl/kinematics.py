@@ -42,10 +42,10 @@ class PastTrack:
             )
         if len(self.t) == 0:
             raise ConfigError("track is empty")
-        if len(self.t) > 1 and not (np.diff(self.t) > 0).all():
-            raise ConfigError("track timestamps must be strictly increasing")
         if not (np.isfinite(self.t).all() and np.isfinite(self.xy).all()):
             raise ConfigError("track contains non-finite values")
+        if len(self.t) > 1 and not (np.diff(self.t) > 0).all():
+            raise ConfigError("track timestamps must be strictly increasing")
 
     def __len__(self):
         return len(self.t)

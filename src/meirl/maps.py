@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import write_file
 from .errors import ConfigError
 
 
@@ -11,7 +12,8 @@ def save_map_csv(path, grid: np.ndarray) -> None:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ConfigError(f"map must be 2-d, got shape {grid.shape}")
-    np.savetxt(path, grid, delimiter=",", fmt="%.17g")
+    write_file(path, "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                             for row in grid.tolist()).encode())
 
 
 def save_map_pgm(path, grid: np.ndarray) -> None:
@@ -26,8 +28,5 @@ def save_map_pgm(path, grid: np.ndarray) -> None:
         scaled = np.round((grid - lo) / (hi - lo) * 65535.0)
     else:
         scaled = np.zeros_like(grid)
-    img = scaled.astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n65535\n".encode("ascii"))
-        fh.write(img.tobytes())
-
+    header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n65535\n".encode("ascii")
+    write_file(path, header + scaled.astype(">u2").tobytes())

@@ -289,7 +289,8 @@ def state_distribution(policy: Policy, start, steps: int) -> np.ndarray:
 
 def sample_trajectories(policy: Policy, start, horizon: int, n: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """n rollouts of `horizon` cells each; returns int array (n, horizon, 2)."""
+    """n rollouts of `horizon` cells each, as flat cell indices `row * cols + col`;
+    returns int64 (n, horizon)."""
     rows, cols = policy.shape
     r, c = _check_cell(start, rows, cols)
     if horizon < 1:
@@ -308,9 +309,7 @@ def sample_trajectories(policy: Policy, start, horizon: int, n: int,
         a = np.minimum((u[None, :] > cum).sum(axis=0), N_ACTIONS - 1)
         cur = flat_next[a, cur]
         cells[:, t] = cur
-    out = np.empty((n, horizon, 2), dtype=np.int64)
-    np.divmod(cells, cols, out=(out[:, :, 0], out[:, :, 1]))
-    return out
+    return cells
 
 
 def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:

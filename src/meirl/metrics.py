@@ -8,9 +8,10 @@ exactly, not sampled.
 
 Sampled HD scores all rollouts of a demo at once, on integer cells. A table
 holds the squared cell distance from every grid cell to every future cell
-(int32, rows*cols by H); gathering its rows at the rollout cells gives both
-directed terms as integer min/max reductions, and one square root times the
-resolution gives each distance. Rollouts go through in chunks whose gathered
+(int32, rows*cols by H); gathering its rows at the rollouts' flat cell
+indices, as the sampler returns them, gives both directed terms as integer
+min/max reductions, and one square root times the resolution gives each
+distance. Rollouts go through in chunks whose gathered
 (chunk, H, H) block stays near HD_CHUNK_BYTES, so the working memory beyond
 the rollouts and their n distances does not grow with the sample count.
 At resolution 1.0 (or any power of two) each distance equals `hausdorff` on
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import dump_json
+from .config import dump_json, write_csv
 from .errors import ConfigError
 from .mdp import Policy, sample_trajectories, state_distribution
 from .synthetic import Demonstration
@@ -79,8 +80,8 @@ def mean_sampled_hd(policy: Policy, demo: Demonstration,
 
 
 def sampled_hausdorff(rollouts, future, shape, resolution: float) -> np.ndarray:
-    """Symmetric HD in meters between each (h, 2) cell path of `rollouts`
-    (n, h, 2) and the (H, 2) `future`, all cells on a `shape` grid."""
+    """Symmetric HD in meters between each path of flat cells `row * cols + col`
+    in `rollouts` (n, h) and the (H, 2) `future`, all cells on a `shape` grid."""
     rows, cols = shape
     future = np.asarray(future, dtype=np.int64)
     rollouts = np.asarray(rollouts, dtype=np.int64)
@@ -88,12 +89,11 @@ def sampled_hausdorff(rollouts, future, shape, resolution: float) -> np.ndarray:
     d2 = ((r[:, None] - future[:, 0]) ** 2
           + (c[:, None] - future[:, 1]) ** 2).astype(np.int32)
     to_future = d2.min(axis=1)
-    n, h = rollouts.shape[:2]
+    n, h = rollouts.shape
     chunk = max(1, HD_CHUNK_BYTES // (h * len(future) * d2.itemsize))
     out = np.empty(n)
     for lo in range(0, n, chunk):
-        part = rollouts[lo:lo + chunk]
-        flat = part[:, :, 0] * cols + part[:, :, 1]
+        flat = rollouts[lo:lo + chunk]
         rollout_to_future = to_future[flat].max(axis=1)
         future_to_rollout = d2[flat].min(axis=1).max(axis=1)
         out[lo:lo + chunk] = np.sqrt(np.maximum(rollout_to_future, future_to_rollout))
@@ -178,13 +178,9 @@ def _fmt(value) -> str:
 def export_csv(results, path) -> None:
     cols = ("method", "nll", "nll_se", "hd", "hd_se", "terminal_entropy",
             "n_demos", "n_infinite_nll")
-    lines = [",".join(cols)]
-    for r in _ordered(results):
-        row = r.summary()
-        lines.append(",".join(str(row[c]) if c in ("method", "n_demos", "n_infinite_nll")
-                              else _fmt(row[c]) for c in cols))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    rows = (r.summary() for r in _ordered(results))
+    write_csv(path, cols, ([row[c] if c in ("method", "n_demos", "n_infinite_nll")
+                            else _fmt(row[c]) for c in cols] for row in rows))
 
 
 def export_json(results, path) -> None:

@@ -274,8 +274,8 @@ class Demonstration:
             raise ConfigError(f"future must be (H, 2) cells, got {self.future.shape}")
         if self.tag not in TAGS:
             raise ConfigError(f"unknown scenario tag {self.tag!r}")
-        if self.expert_speed <= 0:
-            raise ConfigError("expert speed must be positive")
+        if not 0 < self.expert_speed < math.inf:
+            raise ConfigError(f"expert speed must be finite and positive, got {self.expert_speed}")
         # adjacency audit: replaying the recovered actions must reproduce the cells
         self.actions = actions_from_cells(self.future, self.world.rows, self.world.cols)
         gap = self.past.xy[-1] - cells_to_xy(self.future[:1], self.world.resolution)[0]
@@ -373,7 +373,8 @@ def generate_demonstrations(requests) -> list:
     demos = []
     for request, (rng, start, past, horizon, _), policy in zip(requests, setups, plans):
         world = request["world"]
-        future = sample_trajectories(policy, start, horizon, 1, rng)[0]
+        flat = sample_trajectories(policy, start, horizon, 1, rng)[0]
+        future = np.stack(np.divmod(flat, world.cols), axis=1)
         demos.append(Demonstration(world=world, past=past, future=future,
                                    expert_speed=float(request["speed"]),
                                    seed=int(request["seed"]),

@@ -301,17 +301,11 @@ def write_report(rows, path, columns=REPORT_COLUMNS) -> None:
     """One CSV line per row: the first column as an integer, the rest as
     round-trip floats."""
     first, *rest = columns
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join([str(row[first])] + [f"{row[c]:.17g}" for c in rest]))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    configio.write_csv(path, columns, ([row[first]] + [f"{row[c]:.17g}" for c in rest]
+                                       for row in rows))
 
 
 def write_timings(rows, path, counter: str = "iteration") -> None:
     """One CSV line per row: the loop counter and the row's wall time."""
-    lines = [f"{counter},seconds"]
-    for row in rows:
-        lines.append(f"{row[counter]},{row['seconds']:.6f}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    configio.write_csv(path, (counter, "seconds"),
+                       ((row[counter], f"{row['seconds']:.6f}") for row in rows))

@@ -25,13 +25,13 @@ from meirl.checkpoint import load_checkpoint
 from meirl.cli import main as cli
 from meirl.kinematics import PastTrack
 from meirl.mdp import (GridWorld, cells_to_xy, compute_svf, enumerate_trajectory_distribution,
-                       sample_trajectories, state_distribution, value_iteration,
-                       ACTION_DELTAS)
+                       sample_trajectories, state_distribution, uniform_policy,
+                       value_iteration, ACTION_DELTAS)
 from meirl.metrics import hausdorff, nll, terminal_entropy
 from meirl.reward_net import backward, build_net, forward, net_from_store
 from meirl.synthetic import (DEMO_BETA, Demonstration, WorldSpec, generate_world,
                              ground_truth_reward, trail_mask)
-from meirl.baselines import ekf_forecast_cells, random_policy
+from meirl.baselines import ekf_forecast_cells
 from meirl.kinematics import kinematic_context
 
 
@@ -179,8 +179,7 @@ def test_3_dp_visitation_matches_monte_carlo():
         start = tuple(rng.integers(0, 5, size=2))
         dp = compute_svf([policy], [start], [horizon])[0]
         rolls = sample_trajectories(policy, start, horizon, n, rng)
-        counts = np.zeros((5, 5))
-        np.add.at(counts, (rolls[:, :, 0].ravel(), rolls[:, :, 1].ravel()), 1.0)
+        counts = np.bincount(rolls.ravel(), minlength=25).reshape(5, 5)
         worst = max(worst, float(np.abs(counts / n - dp).sum()))
     elapsed = time.perf_counter() - t0
     assert worst < 0.02
@@ -217,7 +216,7 @@ def test_4_branch_frequencies_match_enumeration():
     policy = value_iteration([reward], gamma=0.95, epsilon=1e-4, beta=DEMO_BETA)[0]
     rng = np.random.default_rng(np.random.SeedSequence(2))
     futures = sample_trajectories(policy, junction, n_actions + 1, 1000, rng)
-    first = futures[:, 1] - futures[:, 0]
+    first = np.stack(np.divmod(futures[:, 1], cols), axis=1) - junction
     freq = np.array([np.mean((first[:, 0] == d[0]) & (first[:, 1] == d[1]))
                      for d in ACTION_DELTAS])
     gap = float(np.abs(freq - exact_marginal).max())
@@ -302,7 +301,7 @@ def test_8_baseline_sanity():
     hd_cells = hausdorff(cells_to_xy(cells, 1.0), cells_to_xy(future, 1.0))
     assert hd_cells <= 1.0 + 1e-9
 
-    random_nll = nll(random_policy(world), demo)
+    random_nll = nll(uniform_policy(world.rows, world.cols), demo)
     assert random_nll == math.log(4.0)
     print(f"\n[8] baseline sanity: PASS  EKF straight-track HD {hd_cells:.3f} "
           f"cells over 20 steps, random NLL == ln 4 exactly")

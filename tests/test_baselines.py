@@ -6,11 +6,10 @@ import pytest
 from meirl.baselines import (EkfNoise, EkfState, WHEELBASE, bc_policy,
                              ekf_forecast_cells, ekf_init,
                              ekf_predict_trajectory, ekf_run, ekf_update,
-                             random_policy, rasterize_positions,
-                             wrap_angle)
+                             rasterize_positions, wrap_angle)
 from meirl.errors import ConfigError, ConvergenceError
 from meirl.kinematics import PastTrack
-from meirl.mdp import GridWorld, cells_to_xy
+from meirl.mdp import GridWorld, cells_to_xy, uniform_policy
 from meirl.metrics import hausdorff, nll
 from meirl.reward_net import build_net
 from meirl.synthetic import Demonstration
@@ -267,7 +266,7 @@ def test_bc_config_validation():
 
 def test_random_policy_uniform_and_ln4(right_dataset):
     w = flat_world()
-    policy = random_policy(w)
+    policy = uniform_policy(w.rows, w.cols)
     assert np.all(policy.probs == 0.25)
     assert nll(policy, right_dataset[0]) == math.log(4.0)
 

@@ -576,10 +576,12 @@ def test_predict_forecasts_each_trained_net_under_its_own_method(
     start = tuple(demo.future[0])
     svf = compute_svf([policy], [start], [demo.horizon])[0]
     assert np.array_equal(load_map_csv(out / "svf.csv"), svf)
-    rollouts = sample_trajectories(policy, start, demo.horizon, 7,
-                                   np.random.default_rng(np.random.SeedSequence(4)))
+    cells = sample_trajectories(policy, start, demo.horizon, 7,
+                                np.random.default_rng(np.random.SeedSequence(4))).ravel()
     samples = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, dtype=np.int64)
-    assert np.array_equal(samples[:, 2:].reshape(rollouts.shape), rollouts)
+    assert np.array_equal(samples[:, :2], np.stack(np.divmod(np.arange(cells.size),
+                                                             demo.horizon), axis=1))
+    assert np.array_equal(samples[:, 2] * demo.world.cols + samples[:, 3], cells)
     assert json.loads((out / "summary.json").read_text())["method"] == method
 
 

@@ -2,13 +2,14 @@
 
 import filecmp
 import math
+import os
 import struct
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
 
-from meirl import dataset
+from meirl import config, dataset
 from meirl.config import from_dict
 from meirl.dataset import (GenerateConfig, generate_dataset, load_dataset, load_demo,
                            save_dataset, save_demo, split_counts)
@@ -65,6 +66,38 @@ def test_record_with_infinite_resolution_rejected(tmp_path):
     path.write_bytes(data[:8] + struct.pack("<d", math.inf) + data[16:])
     with pytest.raises(ConfigError, match="resolution must be finite and positive"):
         load_demo(path)
+
+
+def past_offset(rows, cols):
+    """Byte offset of a record's first (t, x, y) past entry."""
+    return 16 + 5 * rows * cols * 4 + 4
+
+
+def test_record_with_infinite_timestamps_names_them_without_a_warning(tmp_path):
+    path = tmp_path / "demo.bin"
+    save_demo(path, one_demo())
+    data = bytearray(path.read_bytes())
+    at = past_offset(16, 16)
+    # the first two timestamps: inf - inf is what warned before the finiteness check
+    data[at:at + 8] = data[at + 24:at + 32] = struct.pack("<d", math.inf)
+    path.write_bytes(bytes(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="track contains non-finite values"):
+            load_demo(path)
+
+
+@pytest.mark.parametrize("speed", [math.nan, math.inf, 0.0])
+def test_record_with_a_speed_that_is_not_finite_and_positive_rejected(tmp_path, speed):
+    path = tmp_path / "demo.bin"
+    save_demo(path, one_demo())
+    data = path.read_bytes()
+    # the speed is the f64 before the i64 seed and the u8 tag
+    path.write_bytes(data[:-17] + struct.pack("<d", speed) + data[-9:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="expert speed must be finite and positive"):
+            load_demo(path)
 
 
 def test_split_arithmetic():
@@ -136,13 +169,12 @@ def test_overwrite_that_stops_partway_leaves_no_loadable_dataset(tmp_path, monke
 
 def test_manifest_write_that_stops_partway_leaves_no_manifest(tmp_path, monkeypatch):
     train, test = generate_dataset(tiny_config())
-    real_write = Path.write_text
 
-    def write_half(path, text, *args, **kwargs):
-        real_write(path, text[:len(text) // 2], *args, **kwargs)
+    def stop_halfway(fd):  # write_file's sync of the manifest; records are not synced
+        os.ftruncate(fd, os.fstat(fd).st_size // 2)
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_text", write_half)
+    monkeypatch.setattr(config.os, "fsync", stop_halfway)
     with pytest.raises(OSError):
         save_dataset(tmp_path / "ds", train, test, tiny_config())
     monkeypatch.undo()

@@ -8,7 +8,10 @@ name or as an attribute, somewhere in `src/meirl` or `scripts` outside its own
 definition, or be wrapped by the benchmark's traced run (`TRACED` in
 `perfbench/spans.py`). And one module fits nets: within `src/meirl`, only
 `trainer` reads `update_parameters` (the Adam step) or `save_checkpoint`, so
-a second training loop cannot come back unnoticed.
+a second training loop cannot come back unnoticed. Likewise one module writes
+files: within `src/meirl`, only `config` opens a file for writing or calls
+`write_text`, `write_bytes`, `savetxt` or `tofile`, apart from the listed
+`dataset.save_demo`, so every output keeps its rename into place.
 """
 
 import ast
@@ -28,6 +31,11 @@ TEST_REFERENCES = {("mdp", "enumerate_trajectory_distribution")}
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
 # the one module allowed to step a net's parameters or write a checkpoint
 SOLE_READER = {"update_parameters": "trainer", "save_checkpoint": "trainer"}
+# the one module that writes files, and the one write outside it: a dataset
+# record, which loads only once its manifest is renamed into place after it
+FILE_WRITER = "config"
+DIRECT_WRITES = {("dataset", "save_demo")}
+WRITE_CALLS = {"write_text", "write_bytes", "savetxt", "tofile"}
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -152,3 +160,51 @@ def test_checker_finds_every_reader():
                "c": "from nn import step\n",
                "nn": "def step(store, grads):\n    pass\n"}
     assert readers(library, "step") == ["a", "b"]
+
+
+def open_mode(call: ast.Call):
+    """The mode an `open` call gives, as a constant string; None if it gives
+    none, "?" if it is not a constant."""
+    given = [k.value for k in call.keywords if k.arg == "mode"]
+    # open(path, mode) or path.open(mode)
+    given += call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]
+    if not given:
+        return None
+    return given[0].value if isinstance(given[0], ast.Constant) else "?"
+
+
+def file_writes(source: str) -> list:
+    """(top-level def or class, or None at module level; line) of each call
+    that writes a file: `open` in a write mode, or one of WRITE_CALLS."""
+    out = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            name = call.func.id if isinstance(call.func, ast.Name) else \
+                getattr(call.func, "attr", None)
+            mode = open_mode(call) if name == "open" else None
+            if name in WRITE_CALLS or mode is not None and set(mode) & set("wxa+?"):
+                out.append((owner, call.lineno))
+    return out
+
+
+def test_only_config_writes_files():
+    writes = {(p.stem, owner) for p in LIBRARY if p.stem != FILE_WRITER
+              for owner, _ in file_writes(p.read_text())}
+    assert writes == DIRECT_WRITES
+    assert file_writes((ROOT / "src" / "meirl" / f"{FILE_WRITER}.py").read_text())
+
+
+def test_checker_finds_every_file_write():
+    source = ("import numpy as np\n"
+              "def a(p):\n    open(p, 'w').write('x')\n"
+              "def b(p):\n    with open(p, mode='ab') as f:\n        pass\n"
+              "def c(p):\n    p.write_text('x')\n"
+              "def d(p, g):\n    np.savetxt(p, g)\n"
+              "def e(p):\n    return open(p).read() + open(p, 'rb').read() + p.read_text()\n"
+              "def f(p):\n    p.open('r+')\n"
+              "def g(p, mode):\n    open(p, mode)\n"
+              "LOG = open('log', 'w')\n")
+    assert [owner for owner, _ in file_writes(source)] == ["a", "b", "c", "d", "f", "g", None]

@@ -369,7 +369,8 @@ def test_sample_trajectory_seeded_deterministic(rng):
 def test_sample_first_step_frequencies_uniform():
     pol = uniform_policy(9, 9)
     trajs = sample_trajectories(pol, (4, 4), 2, 100_000, np.random.default_rng(11))
-    steps = trajs[:, 1] - trajs[:, 0]
+    assert np.all(trajs[:, 0] == 4 * 9 + 4)
+    steps = np.stack(np.divmod(trajs[:, 1], 9), axis=1) - (4, 4)
     for dr, dc in ACTION_DELTAS:
         freq = np.mean((steps[:, 0] == dr) & (steps[:, 1] == dc))
         assert freq == pytest.approx(0.25, abs=0.005)
@@ -379,9 +380,7 @@ def test_sampled_visits_match_dp_svf(rng):
     probs = random_policy_probs(rng, 5, 5)
     pol = Policy(probs=probs)
     trajs = sample_trajectories(pol, (1, 1), 6, 200_000, np.random.default_rng(21))
-    counts = np.zeros((5, 5))
-    np.add.at(counts, (trajs[:, :, 0].ravel(), trajs[:, :, 1].ravel()), 1.0)
-    counts /= len(trajs)
+    counts = np.bincount(trajs.ravel(), minlength=25).reshape(5, 5) / len(trajs)
     dp = compute_svf([pol], [(1, 1)], [6])[0]
     assert np.abs(dp - counts).sum() < 0.02
 

@@ -197,7 +197,8 @@ def per_sample_mean_hd(policy, demo, n_samples, seed=0):
     demo_xy = cells_to_xy(demo.future, demo.world.resolution)
     total = 0.0
     for k in range(n_samples):
-        total += hausdorff(demo_xy, cells_to_xy(rollouts[k], demo.world.resolution))
+        cells = np.stack(np.divmod(rollouts[k], demo.world.cols), axis=1)
+        total += hausdorff(demo_xy, cells_to_xy(cells, demo.world.resolution))
     return total / n_samples
 
 
@@ -222,8 +223,9 @@ def test_sampled_hausdorff_matches_hausdorff_per_rollout(rows, cols, h_future, h
     rng = np.random.default_rng(seed)
     future = random_cells(rng, rows, cols, h_future)
     rollouts = random_cells(rng, rows, cols, n, h_rollout)
+    flat = rollouts[..., 0] * cols + rollouts[..., 1]
     with mock.patch.object(metrics, "HD_CHUNK_BYTES", chunk_bytes):
-        got = {res: sampled_hausdorff(rollouts, future, (rows, cols), res)
+        got = {res: sampled_hausdorff(flat, future, (rows, cols), res)
                for res in (1.0, 0.5, 0.7, 0.3, 1 / 3)}
     d2 = [round(h * h) for h in got[1.0]]  # exact, once the bitwise check holds
     for res, dists in got.items():
@@ -252,7 +254,8 @@ def test_mean_sampled_hd_equals_the_per_sample_loop_bitwise(rows, cols, horizon,
     rng = np.random.default_rng(seed)
     w = grid(rows=rows, cols=cols, seed=seed % 1000)
     start = (int(rng.integers(rows)), int(rng.integers(cols)))
-    walk = sample_trajectories(uniform_policy(rows, cols), start, horizon, 1, rng)[0]
+    walk = np.stack(np.divmod(sample_trajectories(uniform_policy(rows, cols), start, horizon,
+                                                  1, rng)[0], cols), axis=1)
     demo = demo_from_future(w, walk)
     policy = Policy(probs=rng.dirichlet(np.ones(4), size=(rows, cols)).transpose(2, 0, 1))
     with mock.patch.object(metrics, "HD_CHUNK_BYTES", chunk_bytes):
@@ -263,7 +266,7 @@ def test_mean_sampled_hd_equals_the_per_sample_loop_bitwise(rows, cols, horizon,
 def test_sampled_hausdorff_memory_is_bounded_per_chunk():
     # unchunked, the gathered block of 20,000 rollouts at H = 25 would be 50 MB
     rng = np.random.default_rng(2)
-    future, rollouts = random_cells(rng, 16, 16, 25), random_cells(rng, 16, 16, 20_000, 25)
+    future, rollouts = random_cells(rng, 16, 16, 25), rng.integers(0, 16 * 16, size=(20_000, 25))
     tracemalloc.start()
     try:
         sampled_hausdorff(rollouts, future, (16, 16), 1.0)
