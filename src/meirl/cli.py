@@ -30,12 +30,24 @@ from .errors import ConfigError, ConvergenceError
 from .maps import save_map_csv, save_map_pgm
 from .mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories, uniform_policy,
                   value_iteration)
-from .metrics import (METHOD_ORDER, EvalResult, export_csv, export_json, hausdorff,
-                      mean_sampled_hd, nll, terminal_entropy)
+from .metrics import (export_csv, export_json, hausdorff, mean_sampled_hd, nll, table_row,
+                      terminal_entropy)
 from .reward_net import forward, net_from_store
 from .synthetic import DEMO_BETA, TAGS
 from .trainer import (BC_REPORT_COLUMNS, REPORT_COLUMNS, BcConfig, TrainConfig, bc_train,
                       train, write_report, write_timings)
+
+
+# ---------------------------------------------------------------------------
+# the method tables
+
+# every method, in the order of the table's rows
+METHOD_ORDER = ("ekf", "bc", "random", "irl_nokin", "ours")
+# the net each trainable method fits; train builds it, load_model requires it
+METHOD_KIND = {"ours": "two_stage", "irl_nokin": "env_only", "bc": "action_head"}
+# the eval flag that names each trainable method's checkpoint
+_CKPT_ARG = {"ours": "checkpoint", "irl_nokin": "checkpoint_nokin",
+             "bc": "checkpoint_bc"}
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +119,6 @@ def cmd_generate(args) -> None:
 
 # ---------------------------------------------------------------------------
 # train
-
-# the net each trainable method fits; train builds it, load_model requires it
-METHOD_KIND = {"ours": "two_stage", "irl_nokin": "env_only", "bc": "action_head"}
-
 
 def cmd_train(args) -> None:
     if args.method == "bc":
@@ -267,7 +275,7 @@ def cmd_predict(args) -> None:
         summary = {
             "method": cfg.method, "horizon": horizon, "start": list(start),
             "svf_mass": float(svf.sum()), "terminal_entropy": entropy,
-            "demo_nll": nll(policy, demo) if horizon > 1 else None,
+            "demo_nll": nll(policy, demo),
             "zero_lidar": cfg.zero_lidar,
         }
         print(f"prediction written; terminal entropy {entropy:.3f} nats")
@@ -302,24 +310,20 @@ class EvalConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
-_CKPT_ARG = {"ours": "checkpoint", "irl_nokin": "checkpoint_nokin",
-             "bc": "checkpoint_bc"}
-
-
 def _demo_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=base,
                                       spawn_key=(index,)).generate_state(1)[0])
 
 
 def _eval_method(method, demos, cfg: EvalConfig, nets):
-    """One EvalResult over the demos, in order."""
+    """The method's table row over the demos, scored in order."""
     if method == "ekf":
         hds = []
         for demo in demos:
             res = demo.world.resolution
             hds.append(hausdorff(cells_to_xy(ekf_forecast_cells(demo), res),
                                  cells_to_xy(demo.future, res)))
-        return EvalResult(method="ekf", hd_per_demo=hds)
+        return table_row("ekf", hds)
 
     if method == "random":
         policies = [uniform_policy(demo.world.rows, demo.world.cols) for demo in demos]
@@ -331,8 +335,7 @@ def _eval_method(method, demos, cfg: EvalConfig, nets):
                                    seed=_demo_seed(cfg.seed, i)))
         nlls.append(nll(policy, demo))
         entropies.append(terminal_entropy(policy, tuple(demo.future[0]), demo.horizon - 1))
-    return EvalResult(method=method, nll_per_demo=nlls, hd_per_demo=hds,
-                      terminal_entropies=entropies)
+    return table_row(method, hds, nlls, entropies)
 
 
 def cmd_eval(args) -> None:
@@ -357,22 +360,21 @@ def cmd_eval(args) -> None:
 
     nets = {method: load_model(path, method) for method, path in paths.items()}
 
-    results = [_eval_method(m, test_demos, cfg, nets) for m in cfg.methods]
+    rows = [_eval_method(m, test_demos, cfg, nets) for m in METHOD_ORDER if m in cfg.methods]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    export_csv(results, out / "table.csv")
-    export_json(results, out / "table.json")
+    export_csv(rows, out / "table.csv")
+    export_json(rows, out / "table.json")
     _write_resolved(out, "eval", {
         "dataset": str(args.dataset), "out": str(out),
         "checkpoints": {m: getattr(args, a) and str(getattr(args, a))
                         for m, a in _CKPT_ARG.items()},
         "config": configio.to_dict(cfg)})
 
-    for r in results:
-        s = r.summary()
-        nll_txt = "N.A." if s["nll"] is None else f"{s['nll']:.4f}"
-        print(f"{r.method:>10}:  NLL {nll_txt:>8}   HD {s['hd']:.4f} m")
+    for row in rows:
+        nll_txt = "N.A." if row["nll"] is None else f"{row['nll']:.4f}"
+        print(f"{row['method']:>10}:  NLL {nll_txt:>8}   HD {row['hd']:.4f} m")
     print(f"table: {out / 'table.csv'}")
 
 

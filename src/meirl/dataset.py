@@ -6,7 +6,7 @@ Each record is self-contained and little-endian:
     u32 rows, u32 cols, f64 resolution
     5 * rows * cols   f32 env channels, row-major
     u32 n_past, then n_past * (f64 t, f64 x, f64 y)
-    u32 horizon, then horizon * (u32 row, u32 col)
+    u32 horizon (at least 2), then horizon * (u32 row, u32 col)
     f64 expert speed, i64 seed, u8 tag code
 
 Records are decoded through `config.Reader`, so a truncated or corrupt one is
@@ -139,6 +139,8 @@ def _decode_demo(reader: configio.Reader) -> Demonstration:
     (n,) = reader.unpack("<I")
     tri = reader.array("<f8", (n, 3))
     (h,) = reader.unpack("<I")
+    if h < 2:  # NLL and cloning score transitions, and the start cell has none
+        raise ConfigError(f"demo future needs at least two cells, got {h}")
     future = reader.array("<u4", (h, 2))
     speed, seed, tag_code = reader.unpack("<dqB")
     reader.end()

@@ -1,4 +1,8 @@
-"""Forecast evaluation: action NLL, Hausdorff distance, terminal-state entropy.
+"""Forecast evaluation: action NLL, Hausdorff distance, terminal-state entropy,
+and the results table built from them.
+
+`table_row` turns one method's per-demo scores into its row of the table;
+`export_csv` and `export_json` write the rows in the order they are given.
 
 NLL is normalized per transition, so the uniform policy scores exactly ln 4 on
 every demonstration. Hausdorff distances are symmetric and measured in meters
@@ -23,8 +27,6 @@ subtracts, so the two can differ in the last few ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .errors import ConfigError
 from .mdp import Policy, sample_trajectories, state_distribution
 from .synthetic import Demonstration
 
-METHOD_ORDER = ("ekf", "bc", "random", "irl_nokin", "ours")
 HD_CHUNK_BYTES = 4 << 20  # the gathered int32 block of one sampled-HD chunk
 
 
@@ -119,69 +120,34 @@ def _mean_se(values) -> tuple:
     return mean, se
 
 
-@dataclass
-class EvalResult:
-    """Per-method evaluation. nll_per_demo is None for predictors with no
-    action distribution (EKF); infinite entries are counted, not hidden."""
-
-    method: str
-    hd_per_demo: list
-    nll_per_demo: Optional[list] = None
-    terminal_entropies: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.hd_per_demo:
-            raise ConfigError("EvalResult needs at least one evaluated demo")
-        if any(h < 0 for h in self.hd_per_demo):
-            raise ConfigError("negative Hausdorff distance")
-        if self.nll_per_demo is not None and len(self.nll_per_demo) != len(self.hd_per_demo):
-            raise ConfigError("NLL and HD lists disagree in length")
-
-    @property
-    def n_infinite_nll(self) -> int:
-        if self.nll_per_demo is None:
-            return 0
-        return sum(1 for v in self.nll_per_demo if math.isinf(v))
-
-    def summary(self) -> dict:
-        hd_mean, hd_se = _mean_se(self.hd_per_demo)
-        row = {"method": self.method, "n_demos": len(self.hd_per_demo),
-               "hd": hd_mean, "hd_se": hd_se}
-        if self.nll_per_demo is None:
-            row["nll"] = None
-            row["nll_se"] = None
-        else:
-            row["nll"], row["nll_se"] = _mean_se(self.nll_per_demo)
-        row["n_infinite_nll"] = self.n_infinite_nll
-        if self.terminal_entropies:
-            row["terminal_entropy"], _ = _mean_se(self.terminal_entropies)
-        else:
-            row["terminal_entropy"] = None
-        return row
+TABLE_COLUMNS = ("method", "nll", "nll_se", "hd", "hd_se", "terminal_entropy",
+                 "n_demos", "n_infinite_nll")
 
 
-def _ordered(results) -> list:
-    by_name = {r.method: r for r in results}
-    if len(by_name) != len(results):
-        raise ConfigError("duplicate method rows in evaluation results")
-    known = [m for m in METHOD_ORDER if m in by_name]
-    extra = sorted(set(by_name) - set(METHOD_ORDER))
-    return [by_name[m] for m in known + extra]
+def table_row(method: str, hds, nlls=None, entropies=()) -> dict:
+    """One method's table row from its per-demo scores: means and standard
+    errors of HD and NLL, the mean terminal entropy and the count of infinite
+    NLLs. `nlls` is None for predictors with no action distribution (EKF), and
+    so are its cells; infinite entries are counted, not hidden."""
+    row = {"method": method, "n_demos": len(hds)}
+    row["hd"], row["hd_se"] = _mean_se(hds)
+    row["nll"], row["nll_se"] = (None, None) if nlls is None else _mean_se(nlls)
+    row["n_infinite_nll"] = 0 if nlls is None else sum(1 for v in nlls if math.isinf(v))
+    row["terminal_entropy"] = _mean_se(entropies)[0] if entropies else None
+    return row
 
 
 def _fmt(value) -> str:
     if value is None:
         return "N.A."
-    return f"{value:.17g}"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
-def export_csv(results, path) -> None:
-    cols = ("method", "nll", "nll_se", "hd", "hd_se", "terminal_entropy",
-            "n_demos", "n_infinite_nll")
-    rows = (r.summary() for r in _ordered(results))
-    write_csv(path, cols, ([row[c] if c in ("method", "n_demos", "n_infinite_nll")
-                            else _fmt(row[c]) for c in cols] for row in rows))
+def export_csv(rows, path) -> None:
+    write_csv(path, TABLE_COLUMNS, ([_fmt(row[c]) for c in TABLE_COLUMNS] for row in rows))
 
 
-def export_json(results, path) -> None:
-    dump_json(path, {"methods": [r.summary() for r in _ordered(results)]})
+def export_json(rows, path) -> None:
+    dump_json(path, {"methods": list(rows)})

@@ -125,23 +125,6 @@ def _dilate(mask, radius):
     return mask
 
 
-def _connected(mask) -> bool:
-    cells = np.argwhere(mask)
-    if len(cells) == 0:
-        return False
-    adjacent = neighbors(mask)
-    seen = np.zeros_like(mask)
-    stack = [tuple(cells[0])]
-    seen[stack[0]] = True
-    while stack:
-        r, c = stack.pop()
-        for (dr, dc), adjacent_here in zip(ACTION_DELTAS, adjacent[:, r, c]):
-            if adjacent_here and not seen[r + dr, c + dc]:
-                seen[r + dr, c + dc] = True
-                stack.append((r + dr, c + dc))
-    return bool(np.all(seen[mask]))
-
-
 def generate_world(spec: WorldSpec) -> GridWorld:
     """Deterministic per seed; trail cells recoverable by thresholding channel 1."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
@@ -153,7 +136,6 @@ def generate_world(spec: WorldSpec) -> GridWorld:
     {"straight": _draw_straight, "curve": _draw_curve, "tee": _draw_tee,
      "cross": _draw_cross}[layout](rng, mask)
     mask = _dilate(mask, (spec.trail_width - 1) // 2)
-    assert _connected(mask)
 
     size = (rows, cols)
     env = np.empty((5, rows, cols))

@@ -7,9 +7,9 @@ the demo visitation count minus the expected visitation under the planner, so
 the descent direction handed to Adam is its negation. Each BC epoch descends
 the cross-entropy of the demos' actions and early-stops on a validation split.
 Both sum per-demo gradients in order (`mean_gradient`), keeping runs bitwise
-reproducible. A net output that is not finite stops the run with the demo's
-position, and a summed gradient that is not finite stops it before the
-parameter update.
+reproducible. A net output or a per-demo gradient that is not finite stops
+the run with the demo's position, and a summed gradient that is not finite
+stops it before the parameter update.
 
 Wall-clock timings go to a separate file from the per-iteration report, so the
 report CSV is byte-identical across runs of the same config and seed.
@@ -102,18 +102,27 @@ def demo_stack(net, demo: Demonstration):
     return forward(net, demo)[1].stack
 
 
-def mean_gradient(net, per_demo_grads) -> dict:
-    """Sum per-demo gradient dicts in order, one at a time, divide by their
-    count, and stop on any parameter whose mean is not finite."""
+def _not_finite(grads: dict) -> str:
+    return ", ".join(name for name, g in grads.items() if not np.isfinite(g).all())
+
+
+def mean_gradient(net, per_demo_grads, label: str) -> dict:
+    """Sum per-demo gradient dicts in order, one at a time, and divide by their
+    count. A demo's gradient that is not finite stops the sum, naming it as
+    `label` and its position; a mean that is not finite (an overflow in the
+    sum) stops it too."""
     total = {name: np.zeros_like(p) for name, p in net.parameters().items()}
     for count, grads in enumerate(per_demo_grads, 1):
+        bad = _not_finite(grads)
+        if bad:
+            raise ConvergenceError(f"{label} {count - 1}: gradient is not finite in {bad}")
         for name in total:
             total[name] += grads[name]
     for name in total:
         total[name] /= count
-    bad = [name for name, g in total.items() if not np.isfinite(g).all()]
+    bad = _not_finite(total)
     if bad:
-        raise ConvergenceError(f"summed gradient is not finite in {', '.join(bad)}")
+        raise ConvergenceError(f"summed gradient is not finite in {bad}")
     return total
 
 
@@ -145,7 +154,7 @@ def train_step(net, batch, iteration: int):
             l1s.append(float(np.abs(diff).sum()))
             yield backward(net, acts, -diff)
 
-    total = mean_gradient(net, per_demo())
+    total = mean_gradient(net, per_demo(), "batch demo")
     grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in total.values())))
     report = {
         "iteration": iteration,
@@ -272,7 +281,8 @@ def bc_train(demos, config: BcConfig, out_dir=None):
             with np.errstate(over="ignore", invalid="ignore"):
                 if epoch:
                     update_parameters(store, mean_gradient(net, (
-                        _bc_demo_grads(net, demo, k, losses) for k, demo in enumerate(fit))))
+                        _bc_demo_grads(net, demo, k, losses) for k, demo in enumerate(fit)),
+                        "training demo"))
                 val_loss = float(np.mean([_bc_loss(net, demo, f"validation demo {k}")[0]
                                           for k, demo in enumerate(val or fit)]))
         except ConvergenceError as e:

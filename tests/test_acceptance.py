@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from meirl.checkpoint import load_checkpoint
-from meirl.cli import main as cli
+from meirl.cli import forecast, main as cli
 from meirl.kinematics import PastTrack
 from meirl.mdp import (GridWorld, cells_to_xy, compute_svf, enumerate_trajectory_distribution,
                        sample_trajectories, state_distribution, uniform_policy,
@@ -269,13 +269,14 @@ def test_7_speed_conditioned_junction_forecast(benchmark_run):
     straight_arm = [(9, c) for c in range(9, 14)]
     assert trail_mask(world)[tuple(zip(*straight_arm))].all()
 
+    # planned as eval and predict plan; the forecast's last cell is horizon - 1
+    # moves from the start, where eval and predict take the terminal entropy
+    speeds = {"slow": 2.0, "fast": 8.0}
+    policies, _ = forecast(net, [point_demo(world, start, heading, speed)
+                                 for speed in speeds.values()])
     results = {}
-    for label, speed in (("slow", 2.0), ("fast", 8.0)):
-        demo = point_demo(world, start, heading, speed)
-        reward, _ = forward(net, demo)
-        policy = value_iteration([reward], gamma=0.95, epsilon=1e-4,
-                                 beta=DEMO_BETA)[0]
-        entropy = terminal_entropy(policy, start, horizon)
+    for label, policy in zip(speeds, policies):
+        entropy = terminal_entropy(policy, start, horizon - 1)
         dist = state_distribution(policy, start, horizon - 1)
         straight_mass = float(sum(dist[rc] for rc in straight_arm))
         results[label] = (entropy, straight_mass)

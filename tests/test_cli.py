@@ -14,13 +14,12 @@ import pytest
 from conftest import CORRUPT_META, with_meta_block
 from meirl import trainer
 from meirl.baselines import bc_policy
-from meirl.cli import METHOD_KIND, EvalConfig, PredictConfig, build_parser, main
+from meirl.cli import METHOD_KIND, METHOD_ORDER, EvalConfig, PredictConfig, build_parser, main
 from meirl.checkpoint import load_checkpoint, save_checkpoint
-from meirl.dataset import GenerateConfig, load_dataset
+from meirl.dataset import GenerateConfig, load_dataset, load_demo, save_demo
 from meirl.errors import ConfigError
 from meirl.mdp import (compute_svf, sample_trajectories, state_distribution, uniform_policy,
                        value_iteration)
-from meirl.metrics import METHOD_ORDER
 from meirl.reward_net import build_net, forward, net_from_store
 from meirl.synthetic import DEMO_BETA
 from meirl.trainer import TrainConfig
@@ -404,6 +403,27 @@ def test_diverging_train_reports_one_runtime_error_line(dataset_dir, tmp_path, c
     assert err.startswith("runtime error: ") and err.count("\n") == 1
 
 
+def test_non_finite_demo_gradient_exits_3_naming_iteration_and_demo(dataset_dir, tmp_path,
+                                                                    capsys, monkeypatch):
+    real_backward = trainer.backward
+    calls = []
+
+    def backward(net, acts, grad_out):
+        grads = real_backward(net, acts, grad_out)
+        calls.append(None)
+        if len(calls) == 4:  # batch position 3 of the first iteration
+            grads["s1.0.bias"][:] = np.inf
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", backward)
+    rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "d",
+             "--iterations", "2", "--batch-size", "4")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("runtime error: training iteration 1: batch demo 3: ")
+
+
 def test_train_methods_write_the_same_files(dataset_dir, tmp_path, capsys):
     files = {}
     for method in METHOD_KIND:
@@ -636,6 +656,18 @@ def test_eval_full_table_order(dataset_dir, ours_ckpt, nokin_ckpt, bc_ckpt,
     assert len(data["methods"]) == 5
 
 
+def test_eval_writes_rows_in_table_order(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "ev"
+    assert run("eval", "--dataset", dataset_dir, "--out", out, "--methods", "random,ekf",
+               "--samples", "5") == 0
+    lines = (out / "table.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["ekf", "random"]
+    data = json.loads((out / "table.json").read_text())
+    assert [row["method"] for row in data["methods"]] == ["ekf", "random"]
+    printed = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0].strip() for ln in printed[:2]] == ["ekf", "random"]
+
+
 def test_eval_tables_byte_identical_across_runs(dataset_dir, ours_ckpt, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -733,3 +765,20 @@ def test_eval_unknown_method_rejected(dataset_dir, tmp_path, capsys):
              "--methods", "ours,telepathy")
     assert rc == 2
     assert "telepathy" in capsys.readouterr().err
+
+
+def test_record_with_one_future_cell_exits_2_naming_it(dataset_dir, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    record = data / "train" / "demo_00000.bin"
+    demo = load_demo(record)
+    save_demo(record, dataclasses.replace(demo, future=demo.future[:1]))
+    for command in (("train", "--method", "bc", "--iterations", "2"),
+                    ("train", "--iterations", "2", "--batch-size", "2"),
+                    ("eval", "--methods", "random,ekf"),
+                    ("predict", "--method", "random")):
+        rc = run(*command, "--dataset", data, "--out", tmp_path / "out")
+        assert rc == 2, command
+        err = capsys.readouterr().err
+        assert err == f"error: {record}: demo future needs at least two cells, got 1\n"
+    assert not (tmp_path / "out").exists()

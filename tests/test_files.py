@@ -25,7 +25,7 @@ from meirl.config import Reader, write_file
 from meirl.dataset import load_demo, save_demo
 from meirl.errors import ConfigError
 from meirl.maps import save_map_csv, save_map_pgm
-from meirl.metrics import EvalResult, export_csv, export_json
+from meirl.metrics import export_csv, export_json, table_row
 from meirl.nn import ParameterStore
 from meirl.synthetic import WorldSpec, generate_demonstration, generate_world
 from meirl.trainer import write_report, write_timings
@@ -68,7 +68,7 @@ def dataset_dir(tmp_path_factory):
 
 
 def table(variant):
-    return [EvalResult(method="ekf", hd_per_demo=[1.0 + variant])]
+    return [table_row("ekf", [1.0 + variant])]
 
 
 # each output: its file name and a write of it that differs by `variant`

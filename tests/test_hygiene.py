@@ -11,7 +11,9 @@ definition, or be wrapped by the benchmark's traced run (`TRACED` in
 a second training loop cannot come back unnoticed. Likewise one module writes
 files: within `src/meirl`, only `config` opens a file for writing or calls
 `write_text`, `write_bytes`, `savetxt` or `tofile`, apart from the listed
-`dataset.save_demo`, so every output keeps its rename into place.
+`dataset.save_demo`, so every output keeps its rename into place. And no
+module in `src/meirl` or `scripts` holds an `assert` statement, which
+`python -O` strips: a check the program relies on raises an error of its own.
 """
 
 import ast
@@ -208,3 +210,21 @@ def test_checker_finds_every_file_write():
               "def g(p, mode):\n    open(p, mode)\n"
               "LOG = open('log', 'w')\n")
     assert [owner for owner, _ in file_writes(source)] == ["a", "b", "c", "d", "f", "g", None]
+
+
+def assert_lines(source: str) -> list:
+    """The line of each `assert` statement in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_assert_in_program_code(path):
+    assert assert_lines(path.read_text()) == []
+
+
+def test_checker_finds_every_assert():
+    source = ("assert True\n"
+              "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
+              "class C:\n    def g(self):\n        assert self\n"
+              "ASSERTS = 'assert'\n")
+    assert assert_lines(source) == [1, 4, 8]

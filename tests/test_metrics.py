@@ -13,8 +13,8 @@ from meirl import metrics
 from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
 from meirl.mdp import GridWorld, Policy, cells_to_xy, sample_trajectories, uniform_policy
-from meirl.metrics import (EvalResult, export_csv, export_json, hausdorff,
-                           mean_sampled_hd, nll, sampled_hausdorff, terminal_entropy)
+from meirl.metrics import (TABLE_COLUMNS, export_csv, export_json, hausdorff, mean_sampled_hd,
+                           nll, sampled_hausdorff, table_row, terminal_entropy)
 from meirl.synthetic import Demonstration
 
 LN4 = math.log(4.0)
@@ -299,53 +299,39 @@ def test_terminal_entropy_spreads_with_horizon():
 # aggregation and export
 
 def test_eval_result_summary_means_and_se():
-    r = EvalResult(method="ours", hd_per_demo=[1.0, 2.0, 3.0],
-                   nll_per_demo=[0.5, 0.7, 0.6], terminal_entropies=[1.0, 1.0, 1.0])
-    s = r.summary()
+    s = table_row("ours", [1.0, 2.0, 3.0], [0.5, 0.7, 0.6], [1.0, 1.0, 1.0])
+    assert s["method"] == "ours"
     assert s["hd"] == pytest.approx(2.0)
     assert s["hd_se"] == pytest.approx(1.0 / math.sqrt(3.0))
     assert s["nll"] == pytest.approx(0.6)
     assert s["n_demos"] == 3
     assert s["n_infinite_nll"] == 0
     assert s["terminal_entropy"] == pytest.approx(1.0)
+    assert sorted(s) == sorted(TABLE_COLUMNS)
 
 
 def test_eval_result_counts_infinite_nll():
-    r = EvalResult(method="bc", hd_per_demo=[1.0, 1.0],
-                   nll_per_demo=[0.5, float("inf")])
-    assert r.n_infinite_nll == 1
-    assert math.isinf(r.summary()["nll"])
+    s = table_row("bc", [1.0, 1.0], [0.5, float("inf")])
+    assert s["n_infinite_nll"] == 1
+    assert math.isinf(s["nll"]) and math.isnan(s["nll_se"])
+    assert s["terminal_entropy"] is None
 
 
 def test_eval_result_ekf_has_no_nll():
-    r = EvalResult(method="ekf", hd_per_demo=[2.0])
-    s = r.summary()
+    s = table_row("ekf", [2.0])
     assert s["nll"] is None and s["nll_se"] is None
     assert s["n_infinite_nll"] == 0
 
 
 def test_eval_result_single_demo_zero_se():
-    s = EvalResult(method="ours", hd_per_demo=[1.5], nll_per_demo=[0.4]).summary()
+    s = table_row("ours", [1.5], [0.4])
     assert s["hd_se"] == 0.0 and s["nll_se"] == 0.0
 
 
-def test_eval_result_validation():
-    with pytest.raises(ConfigError):
-        EvalResult(method="ours", hd_per_demo=[])
-    with pytest.raises(ConfigError):
-        EvalResult(method="ours", hd_per_demo=[-0.1])
-    with pytest.raises(ConfigError):
-        EvalResult(method="ours", hd_per_demo=[1.0, 2.0], nll_per_demo=[0.5])
-
-
 def table_rows():
-    mk = lambda m, with_nll=True: EvalResult(
-        method=m, hd_per_demo=[1.0, 2.0],
-        nll_per_demo=[0.5, 0.6] if with_nll else None,
-        terminal_entropies=[0.9, 1.1])
-    # deliberately scrambled insertion order
-    return [mk("ours"), mk("random"), mk("ekf", with_nll=False), mk("bc"),
-            mk("irl_nokin")]
+    # in table order, as eval makes them
+    return [table_row(m, [1.0, 2.0], None if m == "ekf" else [0.5, 0.6], [0.9, 1.1])
+            for m in ("ekf", "bc", "random", "irl_nokin", "ours")]
 
 
 def test_export_csv_row_order_and_na(tmp_path):
@@ -353,12 +339,16 @@ def test_export_csv_row_order_and_na(tmp_path):
     export_csv(table_rows(), path)
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
-    assert header[0] == "method"
+    assert tuple(header) == TABLE_COLUMNS
     methods = [ln.split(",")[0] for ln in lines[1:]]
     assert methods == ["ekf", "bc", "random", "irl_nokin", "ours"]
     ekf = dict(zip(header, lines[1].split(",")))
     assert ekf["nll"] == "N.A." and ekf["nll_se"] == "N.A."
+    assert ekf["hd"] == "1.5" and ekf["n_demos"] == "2" and ekf["n_infinite_nll"] == "0"
     assert path.read_text().endswith("\n")
+    # rows are written in the order given
+    export_csv(table_rows()[::-1], path)
+    assert [ln.split(",")[0] for ln in path.read_text().splitlines()[1:]] == methods[::-1]
 
 
 def test_export_csv_byte_deterministic(tmp_path):
@@ -366,12 +356,6 @@ def test_export_csv_byte_deterministic(tmp_path):
     export_csv(table_rows(), p1)
     export_csv(table_rows(), p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_export_csv_duplicate_method_rejected(tmp_path):
-    rows = table_rows() + [EvalResult(method="ours", hd_per_demo=[1.0])]
-    with pytest.raises(ConfigError):
-        export_csv(rows, tmp_path / "dup.csv")
 
 
 def test_export_json_round_trip(tmp_path):
@@ -383,12 +367,4 @@ def test_export_json_round_trip(tmp_path):
         ["ekf", "bc", "random", "irl_nokin", "ours"]
     assert data["methods"][0]["nll"] is None
     assert data["methods"][4]["nll"] == pytest.approx(0.55)
-
-
-def test_export_unknown_method_sorts_after_known(tmp_path):
-    rows = table_rows() + [EvalResult(method="zzz", hd_per_demo=[1.0],
-                                      nll_per_demo=[0.5])]
-    path = tmp_path / "extra.csv"
-    export_csv(rows, path)
-    methods = [ln.split(",")[0] for ln in path.read_text().splitlines()[1:]]
-    assert methods == ["ekf", "bc", "random", "irl_nokin", "ours", "zzz"]
+    assert data["methods"] == table_rows()

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BOOL_MASKS
 from meirl import synthetic
@@ -93,6 +94,38 @@ def test_tee_and_cross_junctions():
     assert len(junction_cells(tee)) == 1
     cross = trail_mask(world_for("cross", seed=2))
     assert len(junction_cells(cross)) == 1
+
+
+def connected(mask) -> bool:
+    """Whether the mask's cells form one nonempty 4-connected set."""
+    cells = {tuple(rc) for rc in np.argwhere(mask).tolist()}
+    stack = list(cells)[:1]
+    seen = set(stack)
+    while stack:
+        r, c = stack.pop()
+        for dr, dc in ACTION_DELTAS:
+            if (r + dr, c + dc) in cells - seen:
+                seen.add((r + dr, c + dc))
+                stack.append((r + dr, c + dc))
+    return bool(cells) and seen == cells
+
+
+def test_connected_flags_split_and_empty_masks():
+    mask = straight_mask()
+    assert connected(mask)
+    mask[8, 7] = False
+    assert not connected(mask)
+    assert not connected(np.zeros((4, 4), dtype=bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(synthetic.LAYOUTS), st.sampled_from((1, 3, 5)),
+       st.integers(0, 2**31 - 2), st.data())
+def test_every_generated_trail_is_connected(layout, width, seed, data):
+    smallest = max(8, 2 * MARGIN + width + 1)  # GridWorld needs 8x8
+    rows, cols = (data.draw(st.integers(smallest, smallest + 20)) for _ in range(2))
+    assert connected(trail_mask(world_for(layout, seed=seed, rows=rows, cols=cols,
+                                          trail_width=width)))
 
 
 def trail_directions(mask, r, c):

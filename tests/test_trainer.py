@@ -235,7 +235,7 @@ def test_non_finite_gradient_stops_before_the_update(monkeypatch):
 
     def backward(net, acts, grad_out):
         grads = real_backward(net, acts, grad_out)
-        grads["s2.0.bias"][0] = np.inf
+        grads["s2.0.bias"][0] = np.finfo(np.float64).max  # finite; two overflow the sum
         return grads
 
     monkeypatch.setattr(trainer, "backward", backward)
@@ -252,7 +252,7 @@ def test_bc_non_finite_gradient_stops_before_the_update(monkeypatch):
 
     def backward(net, acts, grad_out):
         grads = real_backward(net, acts, grad_out)
-        grads["s2.0.bias"][0] = np.inf
+        grads["s2.0.bias"][0] = np.finfo(np.float64).max  # finite; two overflow the sum
         return grads
 
     monkeypatch.setattr(trainer, "backward", backward)
@@ -261,6 +261,28 @@ def test_bc_non_finite_gradient_stops_before_the_update(monkeypatch):
                        match="epoch 1: summed gradient is not finite in s2.0.bias"):
         bc_train(small_dataset(), BcConfig(epochs=2))
     assert updates == []
+
+
+@pytest.mark.parametrize("fit, where", [
+    (lambda: train(small_dataset(), quick_config()), "training iteration 1: batch demo 1"),
+    (lambda: bc_train(small_dataset(), BcConfig(epochs=2)), "epoch 1: training demo 1")],
+    ids=["irl", "bc"])
+def test_non_finite_demo_gradient_names_its_position(monkeypatch, fit, where):
+    real_backward = trainer.backward
+    calls = []
+
+    def backward(net, acts, grad_out):
+        grads = real_backward(net, acts, grad_out)
+        calls.append(None)
+        if len(calls) == 2:
+            grads["s1.0.kernel"][0, 0, 0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", backward)
+    monkeypatch.setattr(trainer, "update_parameters", lambda *a: pytest.fail("updated"))
+    with pytest.raises(ConvergenceError) as caught:
+        fit()
+    assert str(caught.value) == f"{where}: gradient is not finite in s1.0.kernel"
 
 
 # with no validation split, forward runs over the three demos once for the
