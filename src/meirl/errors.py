@@ -3,4 +3,4 @@ class ConfigError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of its sweep budget."""
+    """A numerical solve or training run failed: it ran out of rounds or its values diverged."""

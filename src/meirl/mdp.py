@@ -1,4 +1,4 @@
-"""Grid MDP: deterministic cardinal moves, annealed-softmax value iteration, SVF.
+"""Grid MDP: deterministic cardinal moves, exact planning, annealed-softmax policies, SVF.
 
 States are cells of a rows x cols grid. The four actions are, in fixed order,
 up (-row), down (+row), left (-col), right (+col); moving off the grid leaves
@@ -8,10 +8,15 @@ take a per-cell reward map and infer the grid from its shape.
 The planners are batch-first: `value_iteration` takes a (B, rows, cols) stack
 of reward maps and `compute_svf` a batch of policies with a start cell and
 horizon each, so one call plans a whole training batch. Batch position b is
-computed exactly as if it were planned alone: its value map freezes at its own
-convergence sweep and its visitation stops at its own horizon, so a single
-demo is just B = 1 and the result does not depend on what else is in the
-batch, to the bit.
+computed exactly as if it were planned alone: its policy freezes at its own
+last policy-iteration round and its visitation stops at its own horizon, so
+a single demo is just B = 1 and the result does not depend on what else is in
+the batch, to the bit.
+
+`value_iteration` keeps its historical name but runs Howard policy
+iteration: each round evaluates a deterministic policy exactly by pointer
+doubling and improves it greedily, so the returned V is the exact value of
+the final greedy policy, with no tolerance to tune.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from .errors import ConfigError, ConvergenceError
 
 N_ACTIONS = 4
 ACTION_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-VALUE_SENTINEL = -1e9
+MAX_ROUNDS = 10_000  # policy-iteration rounds before value_iteration gives up
+SWITCH_TOL = 1e-12  # relative Q gain a cell needs to switch action
+DOUBLING_FLOOR = 2.0 ** -60  # path weight below which policy evaluation stops
 MAX_ENUMERATED_PATHS = 4096
 
 ENV_CHANNEL_NAMES = ("max_height", "height_variance", "mean_r", "mean_g", "mean_b")
@@ -144,18 +151,50 @@ class Plans(tuple):
 
     @property
     def sweeps(self) -> int:
-        """Bellman sweeps summed over the batch."""
+        """Policy-iteration rounds summed over the batch."""
         return sum(p.sweeps for p in self)
 
 
-def value_iteration(rewards, gamma: float = 0.95, epsilon: float = 1e-4,
-                    beta: float = 1.0, max_sweeps: int | None = None) -> Plans:
-    """Max-Bellman sweeps to a fixed point, then an annealed-softmax policy over Q,
-    for each reward map of a (B, rows, cols) stack (or a list of same-shape maps).
+def _doublings(gamma: float) -> int:
+    """The K at which gamma^(2^K) first drops below DOUBLING_FLOOR (10 at
+    gamma = 0.95): the doublings that sum a path's rewards to full precision."""
+    k, tail = 0, gamma
+    while tail >= DOUBLING_FLOOR:
+        tail *= tail
+        k += 1
+    return k
 
-    Values start from a large negative sentinel; position b stops at the first
-    sweep whose sup change on its own map drops below epsilon, and later sweeps
-    leave it untouched. Q(s, a) = r(s) + gamma * V(next(s, a)).
+
+def _policy_values(reward: np.ndarray, succ: np.ndarray, gamma: float,
+                   doublings: int) -> np.ndarray:
+    """Discounted return of every cell under deterministic successors `succ`
+    (flat indices into `reward`, both (m, rows*cols)), by pointer doubling:
+    S_{k+1}(s) = S_k(s) + gamma^(2^k) * S_k(next^(2^k)(s)), from S_0 = r, so
+    S_k sums the first 2^k rewards of each cell's path."""
+    v, succ, weight = reward.reshape(-1), succ.reshape(-1), gamma
+    for k in range(doublings):
+        step = v.take(succ)
+        step *= weight
+        step += v
+        v = step
+        if k + 1 < doublings:
+            succ, weight = succ.take(succ), weight * weight
+    return v.reshape(reward.shape)
+
+
+def value_iteration(rewards, gamma: float = 0.95, beta: float = 1.0) -> Plans:
+    """Howard policy iteration to the optimal values, then an annealed-softmax
+    policy over Q, for each reward map of a (B, rows, cols) stack (or a list
+    of same-shape maps). Q(s, a) = r(s) + gamma * V(next(s, a)).
+
+    The first policy moves each cell to its best-rewarded neighbour. A round
+    evaluates the current deterministic policy exactly (`_policy_values`),
+    then switches every cell whose best Q beats its current action's by more
+    than SWITCH_TOL times the largest |Q| of its map (at least 1), to the
+    first best action. Position b stops at the first round in which none of
+    its cells switches, so its V is the exact value of its final policy, and
+    later rounds leave it untouched. A position still switching after
+    MAX_ROUNDS rounds is a ConvergenceError.
     """
     rewards = _stack(rewards, "reward maps", 3)
     bad = np.flatnonzero(~np.isfinite(rewards).all(axis=(1, 2)))
@@ -164,53 +203,54 @@ def value_iteration(rewards, gamma: float = 0.95, epsilon: float = 1e-4,
                           "non-finite values")
     if not 0.0 <= gamma < 1.0:
         raise ConfigError(f"gamma must be in [0, 1), got {gamma}")
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
     n, rows, cols = rewards.shape
-    if max_sweeps is None:
-        # the sentinel start needs ~log(range)/log(1/gamma) sweeps to wash out,
-        # which the area-scaled budget undershoots on tiny grids
-        max_sweeps = max(10 * rows * cols, 1000)
+    doublings = _doublings(gamma)
     # value[:, next_cell] is V(next(s, a)) per position, shaped (n, 4, rows*cols);
-    # the sweeps take it from the live rows of v by flat index, the first k
-    # rows of `gather` serving k live positions
+    # the rounds take it from the live rows of v by flat index, the first k
+    # rows of `gather` serving k live positions. In any (k, 4, rows*cols)
+    # array, (b, a, s) sits at flat index cell[b, s] + a * rows*cols, which
+    # picks each policy's successors out of `gather` and its Q out of q.
     next_cell = flat_transition_table(rows, cols)
     gather = next_cell[None] + (np.arange(n) * (rows * cols))[:, None, None]
+    cell = np.arange(n)[:, None] * (N_ACTIONS * rows * cols) + np.arange(rows * cols)
     reward = rewards.reshape(n, 1, rows * cols)
     value = np.empty((n, rows * cols))
-    sweeps = np.zeros(n, dtype=np.int64)
-    live = np.arange(n)  # positions still sweeping, with their rows of r and v
-    r, v = reward, np.full((n, rows * cols), VALUE_SENTINEL)
-    residual = np.full(n, np.inf)
-    for sweep in range(1, max_sweeps + 1):
-        q = v.take(gather[:len(v)])
-        q *= gamma
-        q += r
-        new_v = q.max(axis=1)
-        residual = np.abs(new_v - v).max(axis=1)
-        v = new_v
-        if residual.min() < epsilon:  # a non-finite residual never passes
-            done = residual < epsilon
-            value[live[done]] = v[done]
-            sweeps[live[done]] = sweep
-            keep = ~done
-            live, r, v, residual = live[keep], r[keep], v[keep], residual[keep]
-            if not live.size:
-                break
-    else:
+    rounds = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)  # positions still improving, with their rows of r and act
+    r, act = reward, reward.take(gather).argmax(axis=1)
+    for round_ in range(1, MAX_ROUNDS + 1):
+        m = len(live)
+        chosen = cell[:m] + act * (rows * cols)
+        v = _policy_values(r[:, 0], gather.take(chosen), gamma, doublings)
         overflow = ~np.isfinite(v).all(axis=1)
         if overflow.any():
             raise ConvergenceError(f"value iteration produced non-finite values at batch "
                                    f"positions {live[overflow].tolist()}")
+        q = v.take(gather[:m])
+        q *= gamma
+        q += r
+        margin = SWITCH_TOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))
+        switch = q.max(axis=1) - q.take(chosen) > margin[:, None]
+        if switch.any():
+            act[switch] = q.transpose(0, 2, 1)[switch].argmax(axis=1)
+        done = ~switch.any(axis=1)
+        if done.any():
+            value[live[done]] = v[done]
+            rounds[live[done]] = round_
+            keep = ~done
+            live, r, act = live[keep], r[keep], act[keep]
+            if not live.size:
+                break
+    else:
         raise ConvergenceError(
-            f"value iteration did not converge in {max_sweeps} sweeps at batch "
-            f"positions {live.tolist()} (residual {residual.max():.3e}, "
-            f"epsilon {epsilon:.1e})"
+            f"value iteration did not converge in {MAX_ROUNDS} rounds at batch "
+            f"positions {live.tolist()} ({int(switch[~done].sum())} cells still "
+            "switching action)"
         )
     q = reward + gamma * value[:, next_cell]
     probs = annealed_softmax(q, beta, axis=1).reshape(n, N_ACTIONS, rows, cols)
     value = value.reshape(n, rows, cols)
-    return Plans(Policy(probs=probs[b], value=value[b], sweeps=int(sweeps[b]))
+    return Plans(Policy(probs=probs[b], value=value[b], sweeps=int(rounds[b]))
                  for b in range(n))
 
 

@@ -89,6 +89,15 @@ def training_beta(iteration: int) -> float:
     return BETA0 * (1.0 + iteration / TAU)
 
 
+def _check_futures(demos) -> None:
+    """Both fitting paths score the transitions of each demo's future, so a
+    demo with a one-cell future (which a forecast may use) cannot be fitted."""
+    short = [k for k, demo in enumerate(demos) if demo.horizon < 2]
+    if short:
+        raise ConfigError(f"demos at positions {short} have a one-cell future; "
+                          "fitting needs at least one transition per demo")
+
+
 def demo_svf(demo: Demonstration) -> np.ndarray:
     """Visit counts along the demo future; total mass equals the horizon."""
     counts = np.zeros((demo.world.rows, demo.world.cols))
@@ -186,6 +195,7 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None,
     demos = list(demos)
     if not demos:
         raise ConfigError("cannot train on an empty dataset")
+    _check_futures(demos)
     if config.augment:
         demos = [rot for demo in demos for rot in augment_rotations(demo)]
 
@@ -262,6 +272,7 @@ def bc_train(demos, config: BcConfig, out_dir=None):
     demos = list(demos)
     if not demos:
         raise ConfigError("cannot clone from an empty dataset")
+    _check_futures(demos)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     order = rng.permutation(len(demos))

@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import filecmp
-import functools
 import json
 import math
 import os
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CORRUPT_META, with_meta_block
-from meirl import trainer
+from meirl import mdp, trainer
 from meirl.baselines import bc_policy
 from meirl.cli import METHOD_KIND, METHOD_ORDER, EvalConfig, PredictConfig, build_parser, main
 from meirl.checkpoint import load_checkpoint, save_checkpoint
@@ -472,8 +471,9 @@ def test_train_augment_flag_beats_config_file(dataset_dir, tmp_path, in_file, fl
 
 
 def test_train_nonconvergence_exits_3(dataset_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(trainer, "value_iteration",
-                        functools.partial(value_iteration, max_sweeps=3))
+    # one round settles only a map whose neighbour-greedy first policy is
+    # already optimal, which a fresh net's reward map is not
+    monkeypatch.setattr(mdp, "MAX_ROUNDS", 1)
     rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "nc",
              "--iterations", "1", "--batch-size", "1")
     assert rc == 3

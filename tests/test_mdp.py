@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import BOOL_MASKS, make_world
 from meirl.errors import ConfigError, ConvergenceError
-from meirl.mdp import (ACTION_DELTAS, VALUE_SENTINEL, GridWorld, Policy,
+from meirl import mdp
+from meirl.mdp import (ACTION_DELTAS, GridWorld, Policy,
                        actions_from_cells, annealed_softmax, compute_svf,
                        enumerate_trajectory_distribution, flat_transition_table,
                        neighbors, sample_trajectories, state_distribution, uniform_policy,
@@ -51,20 +52,38 @@ def mc_svf_naive(probs, start, horizon, n, rng):
     return counts / n
 
 
-def vi_one_demo(reward, gamma, epsilon, beta):
-    """Reference: the per-demo value-iteration loop, sentinel start, stopping
-    at the first sweep whose sup change drops below epsilon."""
+def sweep_reference(reward, gamma, beta):
+    """Reference: plain max-Bellman sweeps from V = 0, run until the values stop
+    changing (at most 3000 sweeps, past where gamma^k of any start error
+    underflows the values' precision), then the softmax over Q."""
     rows, cols = reward.shape
     next_cell = flat_transition_table(rows, cols).reshape(4, rows, cols)
-    value = np.full((rows, cols), VALUE_SENTINEL)
-    for sweeps in range(1, max(10 * rows * cols, 1000) + 1):
+    value = np.zeros((rows, cols))
+    for _ in range(3000):
         new_value = (reward[None] + gamma * value.reshape(-1)[next_cell]).max(axis=0)
-        residual = np.abs(new_value - value).max()
-        value = new_value
-        if residual < epsilon:
+        if np.array_equal(new_value, value):
             break
+        value = new_value
     q = reward[None] + gamma * value.reshape(-1)[next_cell]
-    return value, annealed_softmax(q, beta, axis=0), sweeps
+    return value, annealed_softmax(q, beta, axis=0)
+
+
+def bellman_residual(plan, reward, gamma):
+    """|V - max_a(r + gamma V(next))| per cell, over max(1, |V|)."""
+    rows, cols = reward.shape
+    next_cell = flat_transition_table(rows, cols).reshape(4, rows, cols)
+    best = (reward[None] + gamma * plan.value.reshape(-1)[next_cell]).max(axis=0)
+    return np.abs(plan.value - best) / np.maximum(1.0, np.abs(plan.value))
+
+
+def peak_map(rows=8, cols=8):
+    """Zero reward but 1.0 at (0, 0). The first policy sends (0, 2), whose
+    neighbours all have reward 0, up into the wall, where it stays at value 0;
+    after round 1, (0, 1) is worth more than 0, so (0, 2) switches left: the
+    map provably needs a second round."""
+    reward = np.zeros((rows, cols))
+    reward[0, 0] = 1.0
+    return reward
 
 
 def svf_one_demo(probs, start, horizon):
@@ -171,14 +190,14 @@ def test_softmax_shift_invariance(shift, beta):
 
 def test_vi_uniform_reward_fixed_point():
     reward = np.full((6, 7), -1.0)
-    pol = value_iteration([reward], gamma=0.9, epsilon=1e-6, beta=1.0)[0]
-    assert np.max(np.abs(pol.value - (-10.0))) < 1e-4
+    pol = value_iteration([reward], gamma=0.9, beta=1.0)[0]
+    assert np.max(np.abs(pol.value - (-10.0))) < 1e-12
 
 
 def test_vi_gamma_zero_returns_reward():
     rng = np.random.default_rng(3)
     reward = rng.normal(size=(5, 5))
-    pol = value_iteration([reward], gamma=0.0, epsilon=1e-8)[0]
+    pol = value_iteration([reward], gamma=0.0)[0]
     assert np.allclose(pol.value, reward, atol=1e-12)
     # and every Q row is constant, so the policy is uniform
     assert np.allclose(pol.probs, 0.25, atol=1e-12)
@@ -186,21 +205,21 @@ def test_vi_gamma_zero_returns_reward():
 
 def test_vi_two_cell_line():
     reward = np.array([[0.0, 1.0]])
-    pol = value_iteration([reward], gamma=0.5, epsilon=1e-10)[0]
-    assert np.allclose(pol.value, [[1.0, 2.0]], atol=1e-8)
+    pol = value_iteration([reward], gamma=0.5)[0]
+    assert np.allclose(pol.value, [[1.0, 2.0]], atol=1e-12)
 
 
-def test_vi_nonconvergence_reports_residual():
-    reward = np.zeros((8, 8))
-    with pytest.raises(ConvergenceError, match="residual"):
-        value_iteration([reward], gamma=0.95, epsilon=1e-12, max_sweeps=3)
+def test_vi_nonconvergence_reports_the_round_cap(monkeypatch):
+    assert value_iteration([peak_map()], gamma=0.95)[0].sweeps >= 2
+    monkeypatch.setattr(mdp, "MAX_ROUNDS", 1)
+    with pytest.raises(ConvergenceError, match=r"did not converge in 1 rounds at batch "
+                                               r"positions \[0\] \(\d+ cells still"):
+        value_iteration([peak_map()], gamma=0.95)
 
 
 def test_vi_rejects_bad_args():
     with pytest.raises(ConfigError):
         value_iteration([np.zeros((4, 4))], gamma=1.0)
-    with pytest.raises(ConfigError):
-        value_iteration([np.zeros((4, 4))], epsilon=0.0)
     with pytest.raises(ConfigError):
         value_iteration([np.full((4, 4), np.nan)])
 
@@ -208,9 +227,30 @@ def test_vi_rejects_bad_args():
 def test_vi_policy_prefers_high_reward_neighbor():
     reward = np.zeros((8, 8))
     reward[4, 6] = 5.0
-    pol = value_iteration([reward], gamma=0.9, epsilon=1e-6, beta=5.0)[0]
+    pol = value_iteration([reward], gamma=0.9, beta=5.0)[0]
     # at (4, 5) the best action is right, toward the peak
     assert pol.probs[3, 4, 5] > 0.9
+
+
+def test_vi_converges_on_offset_maps_with_exact_ties():
+    # values near 1e9 carry rounding noise near 1e-7, so a switch margin that
+    # does not scale with |Q| lets noise swap actions back and forth on maps
+    # whose Q values tie to within it (the jittered maps), and on maps whose
+    # actions tie exactly (whole-valued and uniform ones) it must not switch
+    gamma = 0.95
+    rng = np.random.default_rng(5)
+    rewards = np.concatenate([
+        5e7 + rng.normal(size=(12, 16, 16)) * 1e-7,
+        5e7 + rng.integers(0, 2, size=(3, 16, 16)),
+        np.full((1, 16, 16), 5e7)])
+    plans = value_iteration(rewards, gamma=gamma)
+    for b, plan in enumerate(plans):
+        assert plan.sweeps <= 50
+        assert bellman_residual(plan, rewards[b], gamma).max() <= 1e-9
+        (alone,) = value_iteration(rewards[b:b + 1], gamma=gamma)
+        assert np.array_equal(plan.value, alone.value)
+        assert np.array_equal(plan.probs, alone.probs)
+    assert plans[-1].sweeps == 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +259,17 @@ def test_vi_policy_prefers_high_reward_neighbor():
 @st.composite
 def planning_batches(draw):
     """A (B, rows, cols) reward stack with a start cell and horizon per
-    position. Some positions sit next to the sentinel's fixed point, so they
-    converge within a few sweeps while the rest take hundreds."""
+    position. Some positions are rounded to whole numbers, so many of their
+    actions tie exactly, and scale 0 ties them all."""
     n = draw(st.integers(1, 5))
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     gamma = draw(st.sampled_from((0.0, 0.5, 0.9, 0.95)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = np.array(draw(st.lists(st.sampled_from((0.0, 1e-3, 1.0, 30.0)),
                                    min_size=n, max_size=n)))
-    near = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    whole = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     rewards = rng.normal(size=(n, rows, cols)) * scale[:, None, None]
-    rewards += np.where(near, VALUE_SENTINEL * (1.0 - gamma), 0.0)[:, None, None]
+    rewards[whole] = np.round(rewards[whole])
     starts = [tuple(int(v) for v in rng.integers(0, (rows, cols))) for _ in range(n)]
     horizons = draw(st.lists(st.integers(1, 25), min_size=n, max_size=n))
     beta = draw(st.sampled_from((0.0, 1.0, 2.5, 50.0)))
@@ -240,21 +280,22 @@ def planning_batches(draw):
 @given(batch=planning_batches())
 def test_batched_planner_equals_each_single_demo_slice(batch):
     rewards, starts, horizons, gamma, beta = batch
-    plans = value_iteration(rewards, gamma=gamma, epsilon=1e-4, beta=beta)
+    plans = value_iteration(rewards, gamma=gamma, beta=beta)
     svf = compute_svf(plans, starts, horizons)
     assert len(plans) == len(rewards) and svf.shape == rewards.shape
     for b in range(len(rewards)):
-        (alone,) = value_iteration(rewards[b:b + 1], gamma=gamma, epsilon=1e-4, beta=beta)
+        (alone,) = value_iteration(rewards[b:b + 1], gamma=gamma, beta=beta)
         assert np.array_equal(plans[b].value, alone.value)
         assert np.array_equal(plans[b].probs, alone.probs)
-        assert plans[b].sweeps == alone.sweeps
+        assert plans[b].sweeps == alone.sweeps >= 1
         assert np.array_equal(svf[b], compute_svf([alone], starts[b:b + 1], horizons[b:b + 1])[0])
-        # and both equal the per-demo loops
-        value, probs, sweeps = vi_one_demo(rewards[b], gamma, 1e-4, beta)
-        assert np.array_equal(plans[b].value, value)
-        assert np.array_equal(plans[b].probs, probs)
-        assert plans[b].sweeps == sweeps
-        assert np.array_equal(svf[b], svf_one_demo(probs, starts[b], horizons[b]))
+        # V is a Bellman fixed point, and both V and the policy equal the
+        # long-run sweep reference's
+        assert bellman_residual(plans[b], rewards[b], gamma).max() <= 1e-9
+        value, probs = sweep_reference(rewards[b], gamma, beta)
+        assert np.all(np.abs(plans[b].value - value) <= 1e-9 * np.maximum(1.0, np.abs(value)))
+        assert np.abs(plans[b].probs - probs).max() <= 1e-9
+        assert np.array_equal(svf[b], svf_one_demo(plans[b].probs, starts[b], horizons[b]))
         # each position's visitation mass is its own horizon
         assert svf[b].sum() == pytest.approx(horizons[b], abs=1e-9)
     assert plans.sweeps == sum(p.sweeps for p in plans)
@@ -264,21 +305,23 @@ def test_batched_planner_equals_each_single_demo_slice(batch):
 @given(batch=planning_batches())
 def test_batched_policies_are_distributions(batch):
     rewards, _, _, gamma, beta = batch
-    for plan in value_iteration(rewards, gamma=gamma, epsilon=1e-4, beta=beta):
+    for plan in value_iteration(rewards, gamma=gamma, beta=beta):
         assert np.all(plan.probs >= 0.0)
         assert np.max(np.abs(plan.probs.sum(axis=0) - 1.0)) <= 1e-12
 
 
 def test_batch_positions_freeze_at_their_own_sweep():
-    gamma = 0.9
-    rewards = np.zeros((2, 6, 6))
-    rewards[1] = VALUE_SENTINEL * (1.0 - gamma)  # starts at its fixed point
-    plans = value_iteration(rewards, gamma=gamma, epsilon=1e-4)
+    # an all-zero map ties every action, so its first policy is already
+    # stable; the peak map needs a second round
+    rewards = np.stack([peak_map(6, 6), np.zeros((6, 6))])
+    plans = value_iteration(rewards, gamma=0.9)
     assert plans[1].sweeps == 1 < plans[0].sweeps
     assert plans.sweeps == plans[0].sweeps + 1
+    (alone,) = value_iteration(rewards[:1], gamma=0.9)
+    assert np.array_equal(plans[0].probs, alone.probs) and plans[0].sweeps == alone.sweeps
 
 
-def test_vi_errors_name_the_batch_positions():
+def test_vi_errors_name_the_batch_positions(monkeypatch):
     rewards = np.zeros((3, 8, 8))
     rewards[1, 0, 0] = np.inf
     with pytest.raises(ConfigError, match=r"batch positions \[1\]"):
@@ -288,10 +331,10 @@ def test_vi_errors_name_the_batch_positions():
     with pytest.raises(ConvergenceError, match=r"non-finite values at batch positions \[2\]"), \
             np.errstate(over="ignore", invalid="ignore"):
         value_iteration(rewards, gamma=0.9)
-    rewards = np.zeros((3, 8, 8))
-    rewards[0] = VALUE_SENTINEL * (1.0 - 0.95)
+    rewards = np.stack([np.zeros((8, 8)), peak_map(), peak_map()])
+    monkeypatch.setattr(mdp, "MAX_ROUNDS", 1)
     with pytest.raises(ConvergenceError, match=r"batch positions \[1, 2\]"):
-        value_iteration(rewards, gamma=0.95, max_sweeps=3)
+        value_iteration(rewards, gamma=0.95)
 
 
 def test_mixed_grid_shapes_are_a_config_error():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import BOOL_MASKS
 from meirl import synthetic
+from meirl.dataset import GenerateConfig, generate_dataset
 from meirl.errors import ConfigError
 from meirl.kinematics import KinematicContext, extract_velocity
 from meirl.mdp import ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy
@@ -185,6 +186,24 @@ def test_trail_geometry_is_pinned():
                                     trail_width=width))
         digest.update(np.packbits(mask).tobytes())
     assert digest.hexdigest() == PINNED_TRAIL_DIGEST
+
+
+# sha256 of the futures of every demo of the datasets below: a sampled action
+# that flips, through the planner, the expert's reward or its sampler,
+# changes it
+PINNED_EXPERT_DIGEST = "e45554103ca6340ed903c55b37991952986a38c1e47a0a6958c5d0dd8fb80e08"
+
+
+def test_expert_futures_are_pinned():
+    digest = hashlib.sha256()
+    for rows, cols, n_demos, seed, width in ((16, 16, 48, 11, 1), (20, 28, 16, 5, 1),
+                                             (24, 24, 16, 3, 3)):
+        train, test = generate_dataset(GenerateConfig(
+            n_demos=n_demos, split=0.75, seed=seed, rows=rows, cols=cols, trail_width=width))
+        for demo in train + test:
+            digest.update(np.ascontiguousarray(demo.future, dtype="<i8").tobytes())
+            digest.update(b"|")
+    assert digest.hexdigest() == PINNED_EXPERT_DIGEST
 
 
 def test_unsatisfiable_spec():

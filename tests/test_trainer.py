@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from meirl.checkpoint import load_checkpoint
 from meirl.config import from_dict
 from meirl.errors import ConfigError, ConvergenceError
-from meirl import reward_net, trainer
+from meirl import mdp, reward_net, trainer
 from meirl.kinematics import PastTrack
 from meirl.mdp import ACTION_DELTAS, GridWorld, value_iteration
 from meirl.metrics import nll
@@ -135,8 +134,7 @@ def test_visitation_gap_positive_on_far_demo_cells():
     w = grid(rows=12, cols=12, seed=4)
     net = build_net("two_stage", seed=9)
     demo = demo_from_future(w, [(6, c) for c in range(2, 10)])
-    policy = value_iteration([forward(net, demo)[0]], gamma=0.95,
-                             epsilon=1e-4, beta=1.0)[0]
+    policy = value_iteration([forward(net, demo)[0]], gamma=0.95, beta=1.0)[0]
     from meirl.mdp import compute_svf
     diff = demo_svf(demo) - compute_svf([policy], [(6, 2)], [demo.horizon])[0]
     assert diff[6, 9] > 0.5
@@ -151,7 +149,7 @@ def test_directional_derivative_matches_probe():
     demo = demo_from_future(w, [(6, c) for c in range(2, 10)])
 
     reward0, acts0 = forward(net, demo)
-    policy = value_iteration([reward0], gamma=0.9, epsilon=1e-4, beta=1.0)[0]
+    policy = value_iteration([reward0], gamma=0.9, beta=1.0)[0]
     from meirl.mdp import compute_svf
     diff = demo_svf(demo) - compute_svf([policy], [(6, 2)], [demo.horizon])[0]
 
@@ -399,6 +397,22 @@ def test_train_empty_dataset_rejected():
         train([], quick_config())
 
 
+@pytest.mark.parametrize("fit", [lambda demos: train(demos, quick_config()),
+                                 lambda demos: bc_train(demos, BcConfig(epochs=1))],
+                         ids=["irl", "bc"])
+def test_one_cell_future_is_refused_by_position(monkeypatch, fit):
+    # a one-cell future has no transition to score: both fitting paths name
+    # the demo before any forward pass
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward ran before the dataset check")
+
+    monkeypatch.setattr(trainer, "forward", no_forward)
+    demos = small_dataset()
+    demos[1] = demo_from_future(demos[1].world, demos[1].future[:1])
+    with pytest.raises(ConfigError, match=r"demos at positions \[1\] have a one-cell future"):
+        fit(demos)
+
+
 def test_checkpoint_cadence(tmp_path):
     train(small_dataset(), quick_config(iterations=5, checkpoint_every=2),
           out_dir=tmp_path)
@@ -442,10 +456,11 @@ def test_augmented_training_runs():
 
 
 def test_nonconvergent_vi_reports_iteration(monkeypatch):
-    monkeypatch.setattr(trainer, "value_iteration",
-                        functools.partial(value_iteration, max_sweeps=3))
+    # one round settles only a map whose neighbour-greedy first policy is
+    # already optimal, which a fresh net's reward map is not
+    monkeypatch.setattr(mdp, "MAX_ROUNDS", 1)
     with pytest.raises(ConvergenceError, match="training iteration 1: value iteration "
-                                               "did not converge in 3 sweeps"):
+                                               "did not converge in 1 rounds"):
         train(small_dataset(), quick_config(iterations=1))
 
 
