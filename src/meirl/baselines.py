@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .kinematics import PastTrack
-from .mdp import GridWorld, Policy, annealed_softmax
+from .mdp import GridWorld, Policy, softmax
 from .reward_net import forward
 from .synthetic import Demonstration
 
@@ -196,4 +196,4 @@ def ekf_forecast_cells(demo: Demonstration, noise: EkfNoise | None = None) -> np
 def bc_policy(net, demo: Demonstration) -> Policy:
     """Per-cell action distribution of the cloning head for one demo context."""
     logits = forward(net, demo)[0]
-    return Policy(probs=annealed_softmax(logits, 1.0, axis=0))
+    return Policy(probs=softmax(logits, axis=0))

@@ -33,7 +33,7 @@ from .mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories, unif
 from .metrics import (export_csv, export_json, hausdorff, mean_sampled_hd, nll, table_row,
                       terminal_entropy)
 from .reward_net import forward, net_from_store
-from .synthetic import DEMO_BETA, TAGS
+from .synthetic import TAGS
 from .trainer import (BC_REPORT_COLUMNS, REPORT_COLUMNS, BcConfig, TrainConfig, bc_train,
                       train, write_report, write_timings)
 
@@ -208,14 +208,13 @@ def load_model(path, method: str):
 
 def forecast(net, demos):
     """Forecast policies for a list of demos, planned in one value_iteration
-    call at the experts' temperature (held-out likelihood means something only
-    there), plus the reward maps behind them when the net defines them (else
-    None)."""
+    call on the net's reward maps, as training plans them, plus those maps
+    when the net defines them (else None)."""
     demos = list(demos)
     if net.kind == "action_head":  # the cloning head is a policy; no planner runs
         return [bc_policy(net, demo) for demo in demos], None
     rewards = [forward(net, demo)[0] for demo in demos]
-    return list(value_iteration(rewards, beta=DEMO_BETA)), rewards
+    return list(value_iteration(rewards)), rewards
 
 
 def cmd_predict(args) -> None:

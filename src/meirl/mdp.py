@@ -1,4 +1,4 @@
-"""Grid MDP: deterministic cardinal moves, exact planning, annealed-softmax policies, SVF.
+"""Grid MDP: deterministic cardinal moves, exact planning, softmax policies, SVF.
 
 States are cells of a rows x cols grid. The four actions are, in fixed order,
 up (-row), down (+row), left (-col), right (+col); moving off the grid leaves
@@ -17,6 +17,10 @@ the batch, to the bit.
 iteration: each round evaluates a deterministic policy exactly by pointer
 doubling and improves it greedily, so the returned V is the exact value of
 the final greedy policy, with no tolerance to tune.
+
+The planner has no temperature: its policy is softmax(Q), pi ~ exp Q as in
+max-ent IRL. Q is positively homogeneous in the reward, so a caller who wants
+a sharper or flatter policy scales the reward map (as the expert does).
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ class Policy:
         if self.probs.ndim != 3 or self.probs.shape[0] != N_ACTIONS:
             raise ConfigError(f"policy probs must be (4, rows, cols), got {self.probs.shape}")
         sums = self.probs.sum(axis=0)
-        if not np.allclose(sums, 1.0, atol=1e-9):
+        if not (np.abs(sums - 1.0) <= 1e-9).all():  # NaN fails too
             raise ConfigError("policy rows must sum to 1 within 1e-9")
 
     @property
@@ -124,13 +128,10 @@ def uniform_policy(rows: int, cols: int) -> Policy:
     return Policy(probs=np.full((N_ACTIONS, rows, cols), 1.0 / N_ACTIONS))
 
 
-def annealed_softmax(q: np.ndarray, beta: float, axis: int = 0) -> np.ndarray:
-    """Softmax of beta * q along `axis`, max-subtracted for stability."""
+def softmax(q: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Softmax of q along `axis`, max-subtracted for stability."""
     q = np.asarray(q, dtype=np.float64)
-    if beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
-    z = beta * (q - q.max(axis=axis, keepdims=True))
-    e = np.exp(z)
+    e = np.exp(q - q.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -182,10 +183,10 @@ def _policy_values(reward: np.ndarray, succ: np.ndarray, gamma: float,
     return v.reshape(reward.shape)
 
 
-def value_iteration(rewards, gamma: float = 0.95, beta: float = 1.0) -> Plans:
-    """Howard policy iteration to the optimal values, then an annealed-softmax
-    policy over Q, for each reward map of a (B, rows, cols) stack (or a list
-    of same-shape maps). Q(s, a) = r(s) + gamma * V(next(s, a)).
+def value_iteration(rewards, gamma: float = 0.95) -> Plans:
+    """Howard policy iteration to the optimal values, then the softmax policy
+    over Q, for each reward map of a (B, rows, cols) stack (or a list of
+    same-shape maps). Q(s, a) = r(s) + gamma * V(next(s, a)).
 
     The first policy moves each cell to its best-rewarded neighbour. A round
     evaluates the current deterministic policy exactly (`_policy_values`),
@@ -248,7 +249,7 @@ def value_iteration(rewards, gamma: float = 0.95, beta: float = 1.0) -> Plans:
             "switching action)"
         )
     q = reward + gamma * value[:, next_cell]
-    probs = annealed_softmax(q, beta, axis=1).reshape(n, N_ACTIONS, rows, cols)
+    probs = softmax(q, axis=1).reshape(n, N_ACTIONS, rows, cols)
     value = value.reshape(n, rows, cols)
     return Plans(Policy(probs=probs[b], value=value[b], sweeps=int(rounds[b]))
                  for b in range(n))

@@ -4,8 +4,9 @@ Worlds are trail networks (straight runs, bends, T and cross junctions) drawn
 onto rough terrain. The trail is recoverable from the observation channels by
 construction: trail cells get low height variance, off-trail cells high, with
 a clean threshold between the two bands. Demonstrations are exact samples from
-an annealed-softmax policy on a ground-truth reward over those same channels,
-so the training data sits inside the model class the learner assumes.
+the softmax policy of DEMO_BETA times a ground-truth reward over those same
+channels, so the training data sits inside the model class the learner
+assumes: a reward net can learn the scale along with the map.
 
 Speed conditions behavior: above a normalized-speed threshold the ground truth
 adds a reward ramp that climbs along the straight-ahead ray, so fast experts
@@ -32,7 +33,7 @@ FAST_THRESHOLD = 0.5     # normalized speed above which the straight-ahead ramp 
 OFF_TRAIL_PENALTY = -2.0
 RAY_RATE = 0.25          # per-cell increment of the straight-ahead ramp
 MARGIN = 2               # trail inset from the border, keeps boundary clipping out of play
-DEMO_BETA = 2.5          # temperature of the expert's policy, and of every forecast
+DEMO_BETA = 2.5          # the expert's reward scale: it plans on DEMO_BETA * ground truth
 
 # terrain palette: (low, high) bands drawn per cell; the two variance bands must
 # not straddle VAR_THRESHOLD, so the trail stays recoverable by thresholding
@@ -351,7 +352,7 @@ def generate_demonstrations(requests) -> list:
     seeded generator, so every demo equals the one generated alone."""
     requests = list(requests)
     setups = [_expert_setup(**request) for request in requests]
-    plans = value_iteration([reward for *_, reward in setups], beta=DEMO_BETA)
+    plans = value_iteration([DEMO_BETA * reward for *_, reward in setups])
     demos = []
     for request, (rng, start, past, horizon, _), policy in zip(requests, setups, plans):
         world = request["world"]
@@ -368,7 +369,7 @@ def generate_demonstration(world: GridWorld, speed: float = 4.0, seed: int = 0, 
                            start=None, past_direction: Optional[int] = None,
                            horizon: Optional[int] = None) -> Demonstration:
     """Sample one expert: synthesize a past along the trail, then roll the
-    annealed-softmax policy of the ground-truth reward forward."""
+    softmax policy of the scaled ground-truth reward forward."""
     request = dict(world=world, speed=speed, seed=seed, start=start,
                    past_direction=past_direction, horizon=horizon)
     return generate_demonstrations([request])[0]

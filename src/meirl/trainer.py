@@ -1,7 +1,7 @@
 """Training loops: max-ent IRL for the reward nets, behavior cloning (BC) for the action head.
 
 Each IRL iteration samples a demonstration batch, plans under the current
-reward with an annealed-softmax policy, and ascends the visitation-matching
+reward with the softmax policy pi ~ exp Q, and ascends the visitation-matching
 gradient: the derivative of the objective with respect to the reward map is
 the demo visitation count minus the expected visitation under the planner, so
 the descent direction handed to Adam is its negation. Each BC epoch descends
@@ -27,7 +27,7 @@ import numpy as np
 from . import config as configio
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, ConvergenceError
-from .mdp import annealed_softmax, compute_svf, value_iteration
+from .mdp import compute_svf, softmax, value_iteration
 from .metrics import nll
 from .nn import ParameterStore, update_parameters
 from .reward_net import backward, build_net, forward, net_from_store
@@ -35,8 +35,6 @@ from .synthetic import Demonstration, augment_rotations
 
 REPORT_COLUMNS = ("iteration", "nll", "grad_norm", "vi_sweeps", "svf_l1")
 BC_REPORT_COLUMNS = ("epoch", "train_loss", "val_loss")
-BETA0 = 1.0   # planner temperature at iteration 0
-TAU = 50.0    # iterations over which the temperature grows by BETA0
 
 
 @dataclass
@@ -83,10 +81,6 @@ class BcConfig:
 def _check_learning_rate(lr: float) -> None:
     if not 0 < lr < math.inf:  # NaN too
         raise ConfigError(f"learning rate must be positive and finite, got {lr}")
-
-
-def training_beta(iteration: int) -> float:
-    return BETA0 * (1.0 + iteration / TAU)
 
 
 def _check_futures(demos) -> None:
@@ -140,7 +134,9 @@ def train_step(net, batch, iteration: int):
     Parameters are left untouched; the caller applies the update.
 
     Every demo runs forward, the batch plans in one value_iteration and one
-    compute_svf call, then each demo runs backward, in batch order."""
+    compute_svf call, then each demo runs backward, in batch order. The
+    planner has no temperature (the net learns the reward's scale), so
+    `iteration` only labels the report row."""
     batch = list(batch)
     if not batch:
         raise ConfigError("empty training batch")
@@ -150,7 +146,7 @@ def train_step(net, batch, iteration: int):
     for k, (reward, _) in enumerate(outputs):
         if not np.isfinite(reward).all():
             raise ConvergenceError(f"batch demo {k}: reward map contains non-finite values")
-    plans = value_iteration([reward for reward, _ in outputs], beta=training_beta(iteration))
+    plans = value_iteration([reward for reward, _ in outputs])
     expected = compute_svf(plans, [demo.future[0] for demo in batch],
                            [demo.horizon for demo in batch])
 
@@ -189,8 +185,8 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None,
     timing rows).
 
     With an output directory, checkpoints land there every checkpoint_every
-    iterations and at the end. Resuming continues the iteration counter and
-    the annealing schedule from the stored iteration + 1.
+    iterations and at the end. Resuming continues the iteration counter from
+    the stored iteration + 1.
     """
     demos = list(demos)
     if not demos:
@@ -241,7 +237,7 @@ def _bc_loss(net, demo: Demonstration, position: str):
     logits, acts = forward(net, demo)
     if not np.isfinite(logits).all():
         raise ConvergenceError(f"{position}: action logits contain non-finite values")
-    probs = annealed_softmax(logits, 1.0, axis=0)
+    probs = softmax(logits, axis=0)
     actions = demo.actions
     n_pairs = len(actions)
     loss = 0.0

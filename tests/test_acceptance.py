@@ -175,7 +175,7 @@ def test_3_dp_visitation_matches_monte_carlo():
     for k in range(20):
         rng = np.random.default_rng(np.random.SeedSequence(300 + k))
         reward = rng.normal(size=(5, 5))
-        policy = value_iteration([reward], gamma=0.9, beta=3.0)[0]
+        policy = value_iteration([3.0 * reward], gamma=0.9)[0]
         start = tuple(rng.integers(0, 5, size=2))
         dp = compute_svf([policy], [start], [horizon])[0]
         rolls = sample_trajectories(policy, start, horizon, n, rng)
@@ -205,15 +205,15 @@ def test_4_branch_frequencies_match_enumeration():
     reward = ground_truth_reward(world, junction, context)
 
     n_actions = 6
-    # the annealed sampler draws from the distribution whose potential is
-    # beta times the reward, so the enumeration gets the scaled map
+    # the expert plans on DEMO_BETA times the ground truth, so the
+    # enumeration gets the same scaled map
     exact = enumerate_trajectory_distribution(DEMO_BETA * reward, junction,
                                               n_actions)
     exact_marginal = np.zeros(4)
     for path, p in exact.items():
         exact_marginal[path[0]] += p
 
-    policy = value_iteration([reward], gamma=0.95, beta=DEMO_BETA)[0]
+    policy = value_iteration([DEMO_BETA * reward], gamma=0.95)[0]
     rng = np.random.default_rng(np.random.SeedSequence(2))
     futures = sample_trajectories(policy, junction, n_actions + 1, 1000, rng)
     first = np.stack(np.divmod(futures[:, 1], cols), axis=1) - junction

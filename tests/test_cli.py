@@ -591,7 +591,7 @@ def test_predict_forecasts_each_trained_net_under_its_own_method(
         assert not (out / "reward.csv").exists()
     else:
         reward = forward(net, demo)[0]
-        policy = value_iteration([reward], beta=DEMO_BETA)[0]
+        policy = value_iteration([reward])[0]
         assert np.array_equal(load_map_csv(out / "reward.csv"), reward)
     start = tuple(demo.future[0])
     svf = compute_svf([policy], [start], [demo.horizon])[0]
@@ -681,10 +681,10 @@ def test_eval_tables_byte_identical_across_runs(dataset_dir, ours_ckpt, tmp_path
 def test_eval_and_predict_accept_checkpoint_with_retired_config_keys(
         dataset_dir, ours_ckpt, tmp_path):
     # Older checkpoints carry the planner settings that are constants now
-    # (gamma, epsilon, beta0, tau), "use_kinematics" (which the net's kind
-    # says) and, from the thread-pool days, "workers"; older manifests carry
-    # the experts' temperature "demo_beta". Each holds the value the program
-    # now fixes, and none of them is read.
+    # (gamma, epsilon) or gone with the temperature schedule (beta0, tau),
+    # "use_kinematics" (which the net's kind says) and, from the thread-pool
+    # days, "workers"; older manifests carry the experts' temperature
+    # "demo_beta", now their reward scale. None of them is read.
     store, meta, iteration = load_checkpoint(ours_ckpt)
     assert {"gamma", "epsilon", "beta0", "tau", "use_kinematics"}.isdisjoint(meta["config"])
     meta["config"].update(gamma=0.95, epsilon=1e-4, beta0=1.0, tau=50.0, workers=1,

@@ -12,10 +12,10 @@ from conftest import BOOL_MASKS, make_world
 from meirl.errors import ConfigError, ConvergenceError
 from meirl import mdp
 from meirl.mdp import (ACTION_DELTAS, GridWorld, Policy,
-                       actions_from_cells, annealed_softmax, compute_svf,
+                       actions_from_cells, compute_svf,
                        enumerate_trajectory_distribution, flat_transition_table,
-                       neighbors, sample_trajectories, state_distribution, uniform_policy,
-                       value_iteration)
+                       neighbors, sample_trajectories, softmax, state_distribution,
+                       uniform_policy, value_iteration)
 
 
 def apply_actions(start, actions, rows, cols):
@@ -55,7 +55,9 @@ def mc_svf_naive(probs, start, horizon, n, rng):
 def sweep_reference(reward, gamma, beta):
     """Reference: plain max-Bellman sweeps from V = 0, run until the values stop
     changing (at most 3000 sweeps, past where gamma^k of any start error
-    underflows the values' precision), then the softmax over Q."""
+    underflows the values' precision), then the softmax over beta * Q, the
+    policy at temperature 1/beta, written out here rather than taken from the
+    planner."""
     rows, cols = reward.shape
     next_cell = flat_transition_table(rows, cols).reshape(4, rows, cols)
     value = np.zeros((rows, cols))
@@ -65,7 +67,8 @@ def sweep_reference(reward, gamma, beta):
             break
         value = new_value
     q = reward[None] + gamma * value.reshape(-1)[next_cell]
-    return value, annealed_softmax(q, beta, axis=0)
+    z = np.exp(beta * (q - q.max(axis=0, keepdims=True)))
+    return value, z / z.sum(axis=0, keepdims=True)
 
 
 def bellman_residual(plan, reward, gamma):
@@ -148,18 +151,28 @@ def test_policy_rows_must_sum_to_one():
     bad = np.full((4, 3, 3), 0.3)
     with pytest.raises(ConfigError):
         Policy(probs=bad)
+    # the row-sum tolerance is 1e-9 absolute, with no relative slack on top
+    off = np.full((4, 3, 3), 0.25)
+    off[0, 1, 1] += 5e-6
+    with pytest.raises(ConfigError, match="within 1e-9"):
+        Policy(probs=off)
+    off[0, 1, 1] = 0.25 + 5e-10
+    Policy(probs=off)
+    off[0, 1, 1] = np.nan
+    with pytest.raises(ConfigError):
+        Policy(probs=off)
 
 
 # ---------------------------------------------------------------------------
-# annealed softmax
+# softmax
 
 def test_softmax_equal_values_uniform():
-    out = annealed_softmax(np.zeros(4), beta=3.0)
+    out = softmax(np.zeros(4))
     assert np.allclose(out, 0.25, atol=1e-15)
 
 
 def test_softmax_known_values():
-    out = annealed_softmax(np.array([1.0, 0.0, 0.0, 0.0]), beta=1.0)
+    out = softmax(np.array([1.0, 0.0, 0.0, 0.0]))
     e = math.e
     want = np.array([e / (e + 3), 1 / (e + 3), 1 / (e + 3), 1 / (e + 3)])
     assert np.allclose(out, want, atol=1e-12)
@@ -167,21 +180,16 @@ def test_softmax_known_values():
 
 
 def test_softmax_greedy_limit():
-    out = annealed_softmax(np.array([0.3, 0.1, -0.4, 0.05]), beta=100.0)
+    out = softmax(100.0 * np.array([0.3, 0.1, -0.4, 0.05]))
     assert out[0] > 0.999
 
 
-def test_softmax_beta_zero_uniform(rng):
-    out = annealed_softmax(rng.normal(size=4), beta=0.0)
-    assert np.allclose(out, 0.25, atol=1e-15)
-
-
 @settings(max_examples=50, deadline=None)
-@given(shift=st.floats(-1e3, 1e3), beta=st.floats(0.0, 20.0))
-def test_softmax_shift_invariance(shift, beta):
-    q = np.array([0.4, -1.2, 0.9, 0.0])
-    a = annealed_softmax(q, beta)
-    b = annealed_softmax(q + shift, beta)
+@given(shift=st.floats(-1e3, 1e3), scale=st.floats(0.0, 20.0))
+def test_softmax_shift_invariance(shift, scale):
+    q = scale * np.array([0.4, -1.2, 0.9, 0.0])
+    a = softmax(q)
+    b = softmax(q + shift)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -190,7 +198,7 @@ def test_softmax_shift_invariance(shift, beta):
 
 def test_vi_uniform_reward_fixed_point():
     reward = np.full((6, 7), -1.0)
-    pol = value_iteration([reward], gamma=0.9, beta=1.0)[0]
+    pol = value_iteration([reward], gamma=0.9)[0]
     assert np.max(np.abs(pol.value - (-10.0))) < 1e-12
 
 
@@ -227,7 +235,7 @@ def test_vi_rejects_bad_args():
 def test_vi_policy_prefers_high_reward_neighbor():
     reward = np.zeros((8, 8))
     reward[4, 6] = 5.0
-    pol = value_iteration([reward], gamma=0.9, beta=5.0)[0]
+    pol = value_iteration([5.0 * reward], gamma=0.9)[0]
     # at (4, 5) the best action is right, toward the peak
     assert pol.probs[3, 4, 5] > 0.9
 
@@ -259,8 +267,9 @@ def test_vi_converges_on_offset_maps_with_exact_ties():
 @st.composite
 def planning_batches(draw):
     """A (B, rows, cols) reward stack with a start cell and horizon per
-    position. Some positions are rounded to whole numbers, so many of their
-    actions tie exactly, and scale 0 ties them all."""
+    position, and a reward scale s for the whole batch. Some positions are
+    rounded to whole numbers, so many of their actions tie exactly, and scale
+    0 ties them all."""
     n = draw(st.integers(1, 5))
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     gamma = draw(st.sampled_from((0.0, 0.5, 0.9, 0.95)))
@@ -272,27 +281,29 @@ def planning_batches(draw):
     rewards[whole] = np.round(rewards[whole])
     starts = [tuple(int(v) for v in rng.integers(0, (rows, cols))) for _ in range(n)]
     horizons = draw(st.lists(st.integers(1, 25), min_size=n, max_size=n))
-    beta = draw(st.sampled_from((0.0, 1.0, 2.5, 50.0)))
-    return rewards, starts, horizons, gamma, beta
+    s = draw(st.sampled_from((0.0, 1.0, 2.5, 50.0)))
+    return rewards, starts, horizons, gamma, s
 
 
 @settings(max_examples=40, deadline=None)
 @given(batch=planning_batches())
 def test_batched_planner_equals_each_single_demo_slice(batch):
-    rewards, starts, horizons, gamma, beta = batch
-    plans = value_iteration(rewards, gamma=gamma, beta=beta)
+    rewards, starts, horizons, gamma, s = batch
+    plans = value_iteration(s * rewards, gamma=gamma)
     svf = compute_svf(plans, starts, horizons)
     assert len(plans) == len(rewards) and svf.shape == rewards.shape
     for b in range(len(rewards)):
-        (alone,) = value_iteration(rewards[b:b + 1], gamma=gamma, beta=beta)
+        (alone,) = value_iteration(s * rewards[b:b + 1], gamma=gamma)
         assert np.array_equal(plans[b].value, alone.value)
         assert np.array_equal(plans[b].probs, alone.probs)
         assert plans[b].sweeps == alone.sweeps >= 1
         assert np.array_equal(svf[b], compute_svf([alone], starts[b:b + 1], horizons[b:b + 1])[0])
         # V is a Bellman fixed point, and both V and the policy equal the
-        # long-run sweep reference's
-        assert bellman_residual(plans[b], rewards[b], gamma).max() <= 1e-9
-        value, probs = sweep_reference(rewards[b], gamma, beta)
+        # long-run sweep reference's: planning on s * r is planning on r at
+        # temperature 1/s, because the max-Bellman operator is homogeneous
+        assert bellman_residual(plans[b], s * rewards[b], gamma).max() <= 1e-9
+        value, probs = sweep_reference(rewards[b], gamma, beta=s)
+        value = s * value
         assert np.all(np.abs(plans[b].value - value) <= 1e-9 * np.maximum(1.0, np.abs(value)))
         assert np.abs(plans[b].probs - probs).max() <= 1e-9
         assert np.array_equal(svf[b], svf_one_demo(plans[b].probs, starts[b], horizons[b]))
@@ -304,8 +315,8 @@ def test_batched_planner_equals_each_single_demo_slice(batch):
 @settings(max_examples=40, deadline=None)
 @given(batch=planning_batches())
 def test_batched_policies_are_distributions(batch):
-    rewards, _, _, gamma, beta = batch
-    for plan in value_iteration(rewards, gamma=gamma, beta=beta):
+    rewards, _, _, gamma, s = batch
+    for plan in value_iteration(s * rewards, gamma=gamma):
         assert np.all(plan.probs >= 0.0)
         assert np.max(np.abs(plan.probs.sum(axis=0) - 1.0)) <= 1e-12
 

@@ -12,9 +12,9 @@ from meirl.mdp import ACTION_DELTAS, GridWorld, value_iteration
 from meirl.metrics import nll
 from meirl.reward_net import backward, build_net, forward
 from meirl.synthetic import Demonstration
-from meirl.trainer import (BETA0, REPORT_COLUMNS, TAU, BcConfig, TrainConfig, bc_train,
-                           demo_svf, train, train_step, training_beta, write_report,
-                           write_timings)
+from meirl.cli import forecast
+from meirl.trainer import (REPORT_COLUMNS, BcConfig, TrainConfig, bc_train, demo_svf, train,
+                           train_step, write_report, write_timings)
 
 
 def grid(rows=10, cols=10, seed=3):
@@ -62,12 +62,32 @@ def max_abs(grads):
 
 
 # ---------------------------------------------------------------------------
-# schedule and demo counts
+# one temperature and demo counts
 
-def test_training_beta_schedule():
-    assert training_beta(0) == BETA0 == 1.0
-    assert training_beta(TAU) == 2.0 * BETA0
-    assert training_beta(TAU / 2) == pytest.approx(1.5 * BETA0)
+def test_train_step_does_not_depend_on_the_iteration():
+    # no schedule: the planner runs at the same temperature on every iteration
+    w = grid(seed=11)
+    net = build_net("two_stage", seed=7)
+    batch = [straight_demo(w), straight_demo(w, row=3, c0=1, n=8)]
+    first, first_row = train_step(net, batch, 1)
+    late, late_row = train_step(net, batch, 300)
+    assert set(first) == set(late)
+    for name in first:
+        assert np.array_equal(first[name], late[name])
+    assert (first_row["iteration"], late_row["iteration"]) == (1, 300)
+    assert {**first_row, "iteration": 300} == late_row
+
+
+@pytest.mark.parametrize("kind", ["two_stage", "env_only"])
+def test_forecasts_plan_at_the_training_temperature(kind):
+    # the held-out likelihood of a forecast is the one training reports
+    w = grid(seed=11)
+    net = build_net(kind, seed=7)
+    batch = [straight_demo(w), straight_demo(w, row=3, c0=1, n=8)]
+    _, row = train_step(net, batch, 1)
+    policies, _ = forecast(net, batch)
+    assert row["nll"] == float(np.mean([nll(policy, demo)
+                                        for policy, demo in zip(policies, batch)]))
 
 
 def test_demo_svf_mass_equals_horizon():
@@ -89,17 +109,18 @@ def test_demo_svf_counts_revisits():
 # ---------------------------------------------------------------------------
 # gradient content
 
-def test_gradient_vanishes_at_fixed_point(monkeypatch):
-    """A demo that is exactly the greedy rollout of the net's own policy, at a
-    beta high enough to make the softmax numerically deterministic, gives a
-    zero visitation gap and hence zero parameter gradient."""
-    monkeypatch.setattr(trainer, "BETA0", 1e5)
+def test_gradient_vanishes_at_fixed_point():
+    """A demo that is exactly the greedy rollout of the net's own policy, with
+    the reward head scaled up until the softmax is numerically deterministic,
+    gives a zero visitation gap and hence zero parameter gradient."""
     w = grid(seed=3)
     net = build_net("two_stage", seed=5)
+    net.stage2[-1].kernel *= 1e5
+    net.stage2[-1].bias *= 1e5
     past = past_to((5, 2))
     reward, _ = forward(net, Demonstration(world=w, past=past, future=[(5, 2)],
                                            expert_speed=3.0, seed=0, tag="straight"))
-    policy = value_iteration([reward], beta=training_beta(1))[0]
+    policy = value_iteration([reward])[0]
     future = greedy_rollout(policy, (5, 2), 8)
     demo = Demonstration(world=w, past=past, future=future, expert_speed=3.0,
                          seed=0, tag="straight")
@@ -113,7 +134,7 @@ def test_train_step_batch_of_one_matches_manual_pipeline():
     net = build_net("two_stage", seed=7)
     demo = straight_demo(w)
     reward, acts = forward(net, demo)
-    policy = value_iteration([reward], beta=training_beta(2))[0]
+    policy = value_iteration([reward])[0]
     from meirl.mdp import compute_svf
     diff = demo_svf(demo) - compute_svf([policy], [(5, 2)], [demo.horizon])[0]
     manual = backward(net, acts, -diff)
@@ -134,7 +155,7 @@ def test_visitation_gap_positive_on_far_demo_cells():
     w = grid(rows=12, cols=12, seed=4)
     net = build_net("two_stage", seed=9)
     demo = demo_from_future(w, [(6, c) for c in range(2, 10)])
-    policy = value_iteration([forward(net, demo)[0]], gamma=0.95, beta=1.0)[0]
+    policy = value_iteration([forward(net, demo)[0]], gamma=0.95)[0]
     from meirl.mdp import compute_svf
     diff = demo_svf(demo) - compute_svf([policy], [(6, 2)], [demo.horizon])[0]
     assert diff[6, 9] > 0.5
@@ -149,7 +170,7 @@ def test_directional_derivative_matches_probe():
     demo = demo_from_future(w, [(6, c) for c in range(2, 10)])
 
     reward0, acts0 = forward(net, demo)
-    policy = value_iteration([reward0], gamma=0.9, beta=1.0)[0]
+    policy = value_iteration([reward0], gamma=0.9)[0]
     from meirl.mdp import compute_svf
     diff = demo_svf(demo) - compute_svf([policy], [(6, 2)], [demo.horizon])[0]
 
@@ -521,7 +542,8 @@ def test_config_from_dict():
         from_dict(TrainConfig, {"workers": 1})
     with pytest.raises(ConfigError, match="use_kinematics"):  # the net's kind says it
         from_dict(TrainConfig, {"use_kinematics": False})
-    # the planner's discount, tolerance and temperature schedule are constants
+    # the planner's discount and tolerance are constants, and the temperature
+    # schedule is gone
     for key in ("gamma", "epsilon", "beta0", "tau"):
         with pytest.raises(ConfigError, match=key):
             from_dict(TrainConfig, {key: 0.5})
