@@ -1,17 +1,18 @@
 """Comparison predictors: bicycle-model EKF and behavior cloning (the uniform
 random baseline is `mdp.uniform_policy`).
 
-The EKF estimates (x, y, heading, speed, steering) from position measurements
-alone and forecasts by freezing speed and steering. The behavior-cloning
-policy is the softmax of a 4-channel action head that reads the exact IRL
-input stack (same code path); `trainer.bc_train` fits it with cross-entropy.
-The kinematics-free IRL ablation is the trainer run on an `env_only` net.
+The EKF filters the state (x, y, heading, speed, steering) and its covariance
+from position measurements alone, with the fixed diagonal variances
+PROCESS_VAR, MEASUREMENT_VAR and INITIAL_VAR, and forecasts by freezing speed
+and steering. The behavior-cloning policy is the softmax of a 4-channel action
+head that reads the exact IRL input stack (same code path); `trainer.bc_train`
+fits it with cross-entropy. The kinematics-free IRL ablation is the trainer
+run on an `env_only` net.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,13 @@ from .reward_net import forward
 from .synthetic import Demonstration
 
 WHEELBASE = 1.8
+# the EKF's variances: the motion model's noise per step on (x, y, heading,
+# speed, steering), the position measurement's, and the state's before its
+# first correction
+PROCESS_VAR = (0.01, 0.01, 0.005, 0.1, 0.01)
+MEASUREMENT_VAR = (0.05, 0.05)
+INITIAL_VAR = (0.1, 0.1, 0.5, 1.0, 0.1)
+H = np.eye(2, 5)  # a measurement reads the state's position
 
 
 def wrap_angle(theta: float) -> float:
@@ -32,46 +40,16 @@ def wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
-@dataclass
-class EkfNoise:
-    process: tuple = (0.01, 0.01, 0.005, 0.1, 0.01)
-    measurement: tuple = (0.05, 0.05)
-
-    def __post_init__(self):
-        self.process = tuple(float(v) for v in self.process)
-        self.measurement = tuple(float(v) for v in self.measurement)
-        if len(self.process) != 5 or len(self.measurement) != 2:
-            raise ConfigError("EKF noise needs 5 process and 2 measurement variances")
-        if any(v < 0 for v in self.process + self.measurement):
-            raise ConfigError("noise variances must be nonnegative")
-
-
-@dataclass
-class EkfState:
-    x: float
-    y: float
-    theta: float
-    v: float
-    delta: float
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.theta = wrap_angle(float(self.theta))
-        self.cov = np.asarray(self.cov, dtype=np.float64)
-        if self.cov.shape != (5, 5):
-            raise ConfigError(f"EKF covariance must be 5x5, got {self.cov.shape}")
-        _check_psd(self.cov)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta, self.v, self.delta])
-
-
-def _check_psd(cov: np.ndarray) -> None:
-    if not np.allclose(cov, cov.T, atol=1e-9):
-        raise ConvergenceError("EKF covariance lost symmetry")
+def _checked(state: np.ndarray, cov: np.ndarray):
+    """The state with its heading wrapped and the covariance symmetrised,
+    once both are finite and the covariance is positive semi-definite."""
+    cov = 0.5 * (cov + cov.T)
+    if not (np.isfinite(state).all() and np.isfinite(cov).all()):
+        raise ConvergenceError("EKF state or covariance is not finite")
     if float(np.linalg.eigvalsh(cov).min()) < -1e-8:
         raise ConvergenceError("EKF covariance is not positive semi-definite")
+    state[2] = wrap_angle(float(state[2]))
+    return state, cov
 
 
 def _motion_step(x, y, theta, v, delta, dt):
@@ -99,70 +77,39 @@ def _motion_jacobian(theta, v, delta, dt):
     return F
 
 
-def ekf_predict(state: EkfState, dt: float, noise: EkfNoise | None = None) -> EkfState:
-    if dt <= 0:
-        raise ConfigError("EKF time step must be positive")
-    noise = noise or EkfNoise()
-    x, y, theta = _motion_step(state.x, state.y, state.theta, state.v, state.delta, dt)
-    F = _motion_jacobian(state.theta, state.v, state.delta, dt)
-    cov = F @ state.cov @ F.T + np.diag(noise.process)
-    cov = 0.5 * (cov + cov.T)
-    return EkfState(x=x, y=y, theta=theta, v=state.v, delta=state.delta, cov=cov)
-
-
-def ekf_update(state: EkfState, measurement, dt: float,
-               noise: EkfNoise | None = None) -> EkfState:
-    """One predict-correct cycle against a position measurement."""
-    noise = noise or EkfNoise()
-    pred = ekf_predict(state, dt, noise)
-    z = np.asarray(measurement, dtype=np.float64)
-    if z.shape != (2,):
-        raise ConfigError(f"EKF measurement must be (x, y), got shape {z.shape}")
-    H = np.zeros((2, 5))
-    H[0, 0] = 1.0
-    H[1, 1] = 1.0
-    S = H @ pred.cov @ H.T + np.diag(noise.measurement)
-    K = pred.cov @ H.T @ np.linalg.inv(S)
-    innovation = z - np.array([pred.x, pred.y])
-    mean = pred.mean + K @ innovation
-    cov = (np.eye(5) - K @ H) @ pred.cov
-    cov = 0.5 * (cov + cov.T)
-    return EkfState(x=mean[0], y=mean[1], theta=mean[2], v=mean[3], delta=mean[4], cov=cov)
-
-
-def ekf_init(track: PastTrack) -> EkfState:
-    """Seed the filter from the first two samples of a track (the track itself
-    must carry at least three, so at least one correction follows)."""
+def ekf_run(track: PastTrack):
+    """Filter a whole past track: seeded from its first two samples, then one
+    predict and one correct per later sample. Returns the state (x, y,
+    heading, speed, steering) after the last sample, and its covariance."""
     if len(track) < 3:
         raise ConfigError("EKF initialization needs at least 3 measurements")
-    dt = track.t[1] - track.t[0]
-    step = track.xy[1] - track.xy[0]
-    speed = float(np.linalg.norm(step) / dt)
-    theta = math.atan2(step[1], step[0]) if speed > 1e-9 else 0.0
-    cov = np.diag([0.1, 0.1, 0.5, 1.0, 0.1])
-    return EkfState(x=float(track.xy[1, 0]), y=float(track.xy[1, 1]),
-                    theta=theta, v=speed, delta=0.0, cov=cov)
+    Q, R = np.diag(PROCESS_VAR), np.diag(MEASUREMENT_VAR)
+    # a degenerate track overflows to inf or NaN, which _checked reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = track.xy[1] - track.xy[0]
+        speed = float(np.linalg.norm(step) / (track.t[1] - track.t[0]))
+        theta = math.atan2(step[1], step[0]) if speed > 1e-9 else 0.0
+        state, cov = _checked(np.array([*track.xy[1], theta, speed, 0.0]),
+                              np.diag(INITIAL_VAR))
+        for k in range(2, len(track)):
+            dt = float(track.t[k] - track.t[k - 1])
+            x, y, theta, v, delta = state
+            F = _motion_jacobian(theta, v, delta, dt)
+            state, cov = _checked(np.array([*_motion_step(x, y, theta, v, delta, dt), v, delta]),
+                                  F @ cov @ F.T + Q)
+            K = cov @ H.T @ np.linalg.inv(H @ cov @ H.T + R)
+            state, cov = _checked(state + K @ (track.xy[k] - state[:2]),
+                                  (np.eye(5) - K @ H) @ cov)
+    return state, cov
 
 
-def ekf_run(track: PastTrack, noise: EkfNoise | None = None) -> EkfState:
-    """Filter a whole past track; returns the state after the last measurement."""
-    state = ekf_init(track)
-    for k in range(2, len(track)):
-        dt = float(track.t[k] - track.t[k - 1])
-        state = ekf_update(state, track.xy[k], dt, noise)
-    return state
-
-
-def ekf_predict_trajectory(state: EkfState, horizon_steps: int, dt: float) -> np.ndarray:
-    """Dead-reckon with frozen speed and steering; (horizon_steps, 2) positions."""
-    if horizon_steps < 1:
-        raise ConfigError("prediction horizon must be at least 1 step")
-    if dt <= 0:
-        raise ConfigError("EKF time step must be positive")
-    out = np.empty((horizon_steps, 2))
-    x, y, theta = state.x, state.y, state.theta
-    for k in range(horizon_steps):
-        x, y, theta = _motion_step(x, y, theta, state.v, state.delta, dt)
+def ekf_predict_trajectory(state: np.ndarray, steps: int, dt: float) -> np.ndarray:
+    """Dead-reckon from a filtered state with frozen speed and steering;
+    (steps, 2) positions."""
+    x, y, theta, v, delta = state
+    out = np.empty((steps, 2))
+    for k in range(steps):
+        x, y, theta = _motion_step(x, y, theta, v, delta, dt)
         out[k] = (x, y)
     return out
 
@@ -177,17 +124,14 @@ def rasterize_positions(xy: np.ndarray, world: GridWorld) -> np.ndarray:
     return np.stack([rows, cols], axis=1).astype(np.int64)
 
 
-def ekf_forecast_cells(demo: Demonstration, noise: EkfNoise | None = None) -> np.ndarray:
+def ekf_forecast_cells(demo: Demonstration) -> np.ndarray:
     """Full EKF pipeline for one demo: filter the past, dead-reckon the future,
     rasterize. Returns horizon cells, the first being the filter's current cell.
     The prediction step dt is chosen so one step spans about one cell."""
-    state = ekf_run(demo.past, noise)
-    dt = demo.world.resolution / max(state.v, 0.1)
-    cells = [rasterize_positions(np.array([[state.x, state.y]]), demo.world)[0]]
-    if demo.horizon > 1:
-        xy = ekf_predict_trajectory(state, demo.horizon - 1, dt)
-        cells.extend(rasterize_positions(xy, demo.world))
-    return np.array(cells, dtype=np.int64)
+    state, _ = ekf_run(demo.past)
+    dt = demo.world.resolution / max(state[3], 0.1)
+    xy = np.vstack([state[:2], ekf_predict_trajectory(state, demo.horizon - 1, dt)])
+    return rasterize_positions(xy, demo.world)
 
 
 # ---------------------------------------------------------------------------

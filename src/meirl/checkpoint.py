@@ -55,13 +55,7 @@ def save_checkpoint(path, store: ParameterStore, meta: dict | None = None,
                     iteration: int = 0) -> None:
     meta = dict(meta or {})
     meta["iteration"] = int(iteration)
-    meta["adam"] = {
-        "learning_rate": store.learning_rate,
-        "beta1": store.beta1,
-        "beta2": store.beta2,
-        "eps": store.eps,
-        "step": store.step,
-    }
+    meta["adam"] = {"learning_rate": store.learning_rate, "step": store.step}
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     fh = io.BytesIO()
     fh.write(MAGIC + struct.pack("<I", len(blob)) + blob + struct.pack("<I", len(store.params)))
@@ -109,10 +103,9 @@ def _decode(reader: Reader):
         if name in params:
             raise ConfigError(f"duplicate parameter {name!r} in checkpoint")
         params[name] = arr
+    # Adam's beta1, beta2 and eps are nn constants; older checkpoints that
+    # carry them in this entry load with the constants
     store = ParameterStore.create(params, adam.get("learning_rate", 1e-3))
-    store.beta1 = float(adam.get("beta1", store.beta1))
-    store.beta2 = float(adam.get("beta2", store.beta2))
-    store.eps = float(adam.get("eps", store.eps))
     store.step = int(adam.get("step", 0))
     if reader.unpack("<B") != (1,):
         raise ConfigError("checkpoint optimizer-state marker must be 1")

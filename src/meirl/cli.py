@@ -217,6 +217,14 @@ def forecast(net, demos):
     return list(value_iteration(rewards)), rewards
 
 
+def _ekf_cells(demo, where: str) -> np.ndarray:
+    """`ekf_forecast_cells`, its failure naming the method and `where` the demo is."""
+    try:
+        return ekf_forecast_cells(demo)
+    except (ValueError, ConvergenceError) as e:
+        raise type(e)(f"ekf, {where}: {e}") from e
+
+
 def cmd_predict(args) -> None:
     cfg = _resolve(PredictConfig, args)
 
@@ -239,7 +247,7 @@ def cmd_predict(args) -> None:
     horizon = demo.horizon
 
     if cfg.method == "ekf":
-        cells = ekf_forecast_cells(demo)
+        cells = _ekf_cells(demo, f"{cfg.which} demo {cfg.demo}")
         xy = cells_to_xy(cells, demo.world.resolution)
         configio.write_csv(out / "trajectory.csv", ("step", "row", "col", "x", "y"),
                            ((k, r, c, f"{x:.17g}", f"{y:.17g}") for k, ((r, c), (x, y))
@@ -318,9 +326,9 @@ def _eval_method(method, demos, cfg: EvalConfig, nets):
     """The method's table row over the demos, scored in order."""
     if method == "ekf":
         hds = []
-        for demo in demos:
+        for i, demo in enumerate(demos):
             res = demo.world.resolution
-            hds.append(hausdorff(cells_to_xy(ekf_forecast_cells(demo), res),
+            hds.append(hausdorff(cells_to_xy(_ekf_cells(demo, f"test demo {i}"), res),
                                  cells_to_xy(demo.future, res)))
         return table_row("ekf", hds)
 

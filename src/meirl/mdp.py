@@ -37,7 +37,6 @@ ACTION_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 MAX_ROUNDS = 10_000  # policy-iteration rounds before value_iteration gives up
 SWITCH_TOL = 1e-12  # relative Q gain a cell needs to switch action
 DOUBLING_FLOOR = 2.0 ** -60  # path weight below which policy evaluation stops
-MAX_ENUMERATED_PATHS = 4096
 
 ENV_CHANNEL_NAMES = ("max_height", "height_variance", "mean_r", "mean_g", "mean_b")
 
@@ -371,39 +370,3 @@ def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:
         raise ConfigError(f"cell path step {t} from {tuple(cells[t].tolist())} to "
                           f"{tuple(cells[t + 1].tolist())} is no move on the grid")
     return hits.argmax(axis=0)
-
-
-def enumerate_trajectory_distribution(reward: np.ndarray, start, horizon: int) -> dict:
-    """Exact max-ent distribution over all 4**horizon action sequences.
-
-    P(path) is proportional to exp(sum of rewards over visited cells, start
-    included). Only meant for tiny instances; refuses anything bigger than
-    MAX_ENUMERATED_PATHS sequences.
-    """
-    reward = np.asarray(reward, dtype=np.float64)
-    rows, cols = reward.shape
-    r, c = _check_cell(start, rows, cols)
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    n_paths = N_ACTIONS ** horizon
-    if n_paths > MAX_ENUMERATED_PATHS:
-        raise ConfigError(
-            f"enumeration over {n_paths} action sequences exceeds the cap of "
-            f"{MAX_ENUMERATED_PATHS}; reduce the horizon"
-        )
-    flat_next = flat_transition_table(rows, cols)
-    reward_flat = reward.reshape(-1)
-    # actions[i, t] = digit t of path index i, base 4
-    idx = np.arange(n_paths)
-    actions = np.empty((n_paths, horizon), dtype=np.int64)
-    for t in range(horizon):
-        actions[:, horizon - 1 - t] = (idx // (N_ACTIONS ** t)) % N_ACTIONS
-    cur = np.full(n_paths, r * cols + c, dtype=np.int64)
-    log_w = np.full(n_paths, reward_flat[cur[0]])
-    for t in range(horizon):
-        cur = flat_next[actions[:, t], cur]
-        log_w += reward_flat[cur]
-    log_w -= log_w.max()
-    w = np.exp(log_w)
-    w /= w.sum()
-    return {tuple(int(a) for a in actions[i]): float(w[i]) for i in range(n_paths)}

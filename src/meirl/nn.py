@@ -25,6 +25,10 @@ import numpy as np
 from .errors import ConfigError
 
 LEAKY_SLOPE = 0.01
+# Adam's decay rates of the first and second moments, and its denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -160,9 +164,6 @@ class ParameterStore:
 
     params: dict
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
@@ -187,15 +188,15 @@ def update_parameters(store: ParameterStore, grads: dict) -> None:
     if missing:
         raise ConfigError("missing gradients for: " + ", ".join(sorted(missing)))
     store.step += 1
-    bc1 = 1.0 - store.beta1 ** store.step
-    bc2 = 1.0 - store.beta2 ** store.step
+    bc1 = 1.0 - ADAM_BETA1 ** store.step
+    bc2 = 1.0 - ADAM_BETA2 ** store.step
     for name, p in store.params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
         m, v = store.m[name], store.v[name]
-        m *= store.beta1
-        m += (1.0 - store.beta1) * g
-        v *= store.beta2
-        v += (1.0 - store.beta2) * (g * g)
-        p -= store.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + store.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= store.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

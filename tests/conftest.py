@@ -5,7 +5,10 @@ import pytest
 from hypothesis import strategies as st
 
 from meirl.checkpoint import MAGIC
-from meirl.mdp import GridWorld
+from meirl.errors import ConfigError
+from meirl.mdp import N_ACTIONS, GridWorld, _check_cell, flat_transition_table
+
+MAX_ENUMERATED_PATHS = 4096
 
 # checkpoint meta blocks that must be refused: bytes that are not UTF-8, text
 # that is not JSON, JSON that is not an object, and entries of the wrong type
@@ -41,3 +44,39 @@ def make_world(rows=8, cols=8, resolution=1.0, seed=0):
     r = np.random.default_rng(seed)
     return GridWorld(rows=rows, cols=cols, resolution=resolution,
                      env=rand_env(r, rows, cols))
+
+
+def enumerate_trajectory_distribution(reward: np.ndarray, start, horizon: int) -> dict:
+    """Exact max-ent distribution over all 4**horizon action sequences.
+
+    P(path) is proportional to exp(sum of rewards over visited cells, start
+    included). Only meant for tiny instances; refuses anything bigger than
+    MAX_ENUMERATED_PATHS sequences.
+    """
+    reward = np.asarray(reward, dtype=np.float64)
+    rows, cols = reward.shape
+    r, c = _check_cell(start, rows, cols)
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    n_paths = N_ACTIONS ** horizon
+    if n_paths > MAX_ENUMERATED_PATHS:
+        raise ConfigError(
+            f"enumeration over {n_paths} action sequences exceeds the cap of "
+            f"{MAX_ENUMERATED_PATHS}; reduce the horizon"
+        )
+    flat_next = flat_transition_table(rows, cols)
+    reward_flat = reward.reshape(-1)
+    # actions[i, t] = digit t of path index i, base 4
+    idx = np.arange(n_paths)
+    actions = np.empty((n_paths, horizon), dtype=np.int64)
+    for t in range(horizon):
+        actions[:, horizon - 1 - t] = (idx // (N_ACTIONS ** t)) % N_ACTIONS
+    cur = np.full(n_paths, r * cols + c, dtype=np.int64)
+    log_w = np.full(n_paths, reward_flat[cur[0]])
+    for t in range(horizon):
+        cur = flat_next[actions[:, t], cur]
+        log_w += reward_flat[cur]
+    log_w -= log_w.max()
+    w = np.exp(log_w)
+    w /= w.sum()
+    return {tuple(int(a) for a in actions[i]): float(w[i]) for i in range(n_paths)}

@@ -21,12 +21,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import enumerate_trajectory_distribution
 from meirl.checkpoint import load_checkpoint
 from meirl.cli import forecast, main as cli
 from meirl.kinematics import PastTrack
-from meirl.mdp import (GridWorld, cells_to_xy, compute_svf, enumerate_trajectory_distribution,
-                       sample_trajectories, state_distribution, uniform_policy,
-                       value_iteration, ACTION_DELTAS)
+from meirl.mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories,
+                       state_distribution, uniform_policy, value_iteration, ACTION_DELTAS)
 from meirl.metrics import hausdorff, nll, terminal_entropy
 from meirl.reward_net import backward, build_net, forward, net_from_store
 from meirl.synthetic import (DEMO_BETA, Demonstration, WorldSpec, generate_world,

@@ -1,12 +1,14 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from meirl.baselines import (EkfNoise, EkfState, WHEELBASE, bc_policy,
-                             ekf_forecast_cells, ekf_init,
-                             ekf_predict_trajectory, ekf_run, ekf_update,
-                             rasterize_positions, wrap_angle)
+from meirl import baselines
+from meirl.baselines import (WHEELBASE, bc_policy, ekf_forecast_cells, ekf_predict_trajectory,
+                             ekf_run, rasterize_positions, wrap_angle)
+from meirl.dataset import GenerateConfig, generate_dataset
 from meirl.errors import ConfigError, ConvergenceError
 from meirl.kinematics import PastTrack
 from meirl.mdp import GridWorld, cells_to_xy, uniform_policy
@@ -15,7 +17,12 @@ from meirl.reward_net import build_net
 from meirl.synthetic import Demonstration
 from meirl.trainer import BcConfig, TrainConfig, bc_train, demo_stack, train
 
-QUIET = EkfNoise(process=(1e-10,) * 5, measurement=(1e-8, 1e-8))
+
+@pytest.fixture
+def quiet(monkeypatch):
+    """A filter that trusts its model and its measurements almost fully."""
+    monkeypatch.setattr(baselines, "PROCESS_VAR", (1e-10,) * 5)
+    monkeypatch.setattr(baselines, "MEASUREMENT_VAR", (1e-8, 1e-8))
 
 
 def circle_track(radius=10.0, speed=2.0, dt=0.1, n=52):
@@ -64,103 +71,117 @@ def test_wrap_angle():
     assert wrap_angle(2 * math.pi + 0.3) == pytest.approx(0.3)
 
 
-def test_state_wraps_heading_and_checks_cov():
-    s = EkfState(x=0, y=0, theta=4.0, v=1.0, delta=0.0, cov=np.eye(5))
-    assert -math.pi < s.theta <= math.pi
-    with pytest.raises(ConfigError):
-        EkfState(x=0, y=0, theta=0, v=1, delta=0, cov=np.eye(4))
-    bad = np.eye(5)
-    bad[0, 1] = 0.5  # asymmetric
-    with pytest.raises(ConvergenceError):
-        EkfState(x=0, y=0, theta=0, v=1, delta=0, cov=bad)
-    with pytest.raises(ConvergenceError):
-        EkfState(x=0, y=0, theta=0, v=1, delta=0, cov=-np.eye(5))
+def test_state_wraps_heading_and_checks_cov(monkeypatch):
+    # 20 s at 0.2 rad/s: the true heading ends at 3.98 rad, past pi
+    state, _ = ekf_run(circle_track(radius=10.0, speed=2.0, dt=0.1, n=200))
+    assert -math.pi < state[2] <= math.pi
+    assert abs(wrap_angle(state[2] - 0.2 * 19.9)) < 0.05
+    monkeypatch.setattr(baselines, "INITIAL_VAR", (0.1, 0.1, 0.5, -1.0, 0.1))
+    with pytest.raises(ConvergenceError, match="not positive semi-definite"):
+        ekf_run(line_track())
+
+
+def degenerate_track(first_step):
+    """line_track with its first step replaced by `first_step` seconds."""
+    track = line_track()
+    t = track.t.copy()
+    t[1] = t[0] + first_step
+    return PastTrack(t=t, xy=track.xy)
+
+
+@pytest.mark.parametrize("first_step, why", [
+    (5e-324, "EKF state or covariance is not finite"),  # an infinite speed
+    (1e-17, "EKF covariance is not positive semi-definite")])  # a speed of 3e16 m/s
+def test_degenerate_track_raises_without_warnings(first_step, why):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=why):
+            ekf_run(degenerate_track(first_step))
 
 
 def test_ekf_init_needs_three_points():
     with pytest.raises(ConfigError):
-        ekf_init(PastTrack(t=np.array([0.0, 0.1]), xy=np.zeros((2, 2))))
+        ekf_run(PastTrack(t=np.array([0.0, 0.1]), xy=np.zeros((2, 2))))
 
 
-def test_ekf_update_validation():
-    s = EkfState(x=0, y=0, theta=0, v=1, delta=0, cov=np.eye(5))
-    with pytest.raises(ConfigError):
-        ekf_update(s, np.zeros(3), 0.1)
-    with pytest.raises(ConfigError):
-        ekf_update(s, np.zeros(2), 0.0)
+# sha256 of ekf_run's state and covariance and of ekf_forecast_cells' cells
+# for every demo of the benchmark's eval_table dataset: a change to any step
+# of the filter or of the dead reckoning changes it
+PINNED_EKF_DIGEST = "4c23d7b3541fbda5dff6b49191ec42674571cef4b89cd90cd7850431d5ccfc5d"
+
+
+def test_ekf_is_pinned():
+    demos = sum(generate_dataset(GenerateConfig(
+        n_demos=64, split=0.5, seed=1, rows=16, cols=16, layouts=("straight", "curve", "tee"))), [])
+    digest = hashlib.sha256()
+    for demo in demos:
+        for arr in ekf_run(demo.past):
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(ekf_forecast_cells(demo), dtype="<i8").tobytes())
+        digest.update(b"|")
+    assert digest.hexdigest() == PINNED_EKF_DIGEST
 
 
 # ---------------------------------------------------------------------------
 # filtering
 
-def test_straight_track_recovers_speed_and_zero_steering():
-    state = ekf_run(line_track(speed=3.0), QUIET)
-    assert state.v == pytest.approx(3.0, abs=1e-3)
-    assert abs(state.delta) < 1e-6
-    assert state.theta == pytest.approx(0.0, abs=1e-6)
+def test_straight_track_recovers_speed_and_zero_steering(quiet):
+    state, _ = ekf_run(line_track(speed=3.0))
+    assert state[3] == pytest.approx(3.0, abs=1e-3)
+    assert abs(state[4]) < 1e-6
+    assert state[2] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_angled_track_recovers_heading():
-    state = ekf_run(line_track(speed=2.0, heading=math.pi / 3), QUIET)
-    assert state.theta == pytest.approx(math.pi / 3, abs=1e-4)
-    assert state.v == pytest.approx(2.0, abs=1e-3)
+def test_angled_track_recovers_heading(quiet):
+    state, _ = ekf_run(line_track(speed=2.0, heading=math.pi / 3))
+    assert state[2] == pytest.approx(math.pi / 3, abs=1e-4)
+    assert state[3] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_stationary_track_speed_to_zero():
     t = np.arange(30) * 0.1
-    state = ekf_run(PastTrack(t=t, xy=np.zeros((30, 2))))
-    assert abs(state.v) < 1e-6
+    state, _ = ekf_run(PastTrack(t=t, xy=np.zeros((30, 2))))
+    assert abs(state[3]) < 1e-6
 
 
 def test_circle_recovers_turn_rate_within_5_percent():
     # radius 10 at speed 2: true tan(delta)/L = 1/R = 0.1
     track = circle_track(radius=10.0, speed=2.0, dt=0.1, n=52)
-    state = ekf_run(track)  # default noise, 50 corrections
-    est = math.tan(state.delta) / WHEELBASE
+    state, _ = ekf_run(track)  # 50 corrections
+    est = math.tan(state[4]) / WHEELBASE
     assert abs(est - 0.1) / 0.1 < 0.05
-    assert state.v == pytest.approx(2.0, rel=0.05)
+    assert state[3] == pytest.approx(2.0, rel=0.05)
 
 
 def test_covariance_stays_psd_under_noisy_measurements():
+    # two line samples seed the filter; 100 far-off measurements follow, and
+    # ekf_run checks every predicted and corrected covariance on the way
     rng = np.random.default_rng(5)
-    state = ekf_init(line_track(n=3))
-    for _ in range(100):
-        z = rng.normal(scale=3.0, size=2)
-        state = ekf_update(state, z, 0.1)  # construction re-checks PSD
-    assert float(np.linalg.eigvalsh(state.cov).min()) >= -1e-8
+    xy = np.vstack([line_track(n=2).xy, rng.normal(scale=3.0, size=(100, 2))])
+    _, cov = ekf_run(PastTrack(t=np.arange(102) * 0.1, xy=xy))
+    assert float(np.linalg.eigvalsh(cov).min()) >= -1e-8
 
 
 # ---------------------------------------------------------------------------
 # dead reckoning
 
 def test_prediction_zero_steering_is_straight():
-    s = EkfState(x=1.0, y=2.0, theta=0.0, v=2.0, delta=0.0, cov=np.eye(5))
-    pred = ekf_predict_trajectory(s, 5, 0.5)
+    pred = ekf_predict_trajectory(np.array([1.0, 2.0, 0.0, 2.0, 0.0]), 5, 0.5)
     expected = np.stack([1.0 + 2.0 * 0.5 * np.arange(1, 6), np.full(5, 2.0)], axis=1)
     assert np.allclose(pred, expected, atol=1e-12)
 
 
 def test_prediction_zero_speed_stays_put():
-    s = EkfState(x=1.0, y=2.0, theta=0.7, v=0.0, delta=0.3, cov=np.eye(5))
-    pred = ekf_predict_trajectory(s, 4, 0.1)
+    pred = ekf_predict_trajectory(np.array([1.0, 2.0, 0.7, 0.0, 0.3]), 4, 0.1)
     assert np.allclose(pred, [[1.0, 2.0]] * 4, atol=1e-12)
 
 
 def test_prediction_arc_matches_analytic_circle():
     delta = math.atan(0.1 * WHEELBASE)  # radius 10
-    s = EkfState(x=0.0, y=0.0, theta=0.0, v=2.0, delta=delta, cov=np.eye(5) * 0.01)
-    pred = ekf_predict_trajectory(s, 30, 0.05)
+    pred = ekf_predict_trajectory(np.array([0.0, 0.0, 0.0, 2.0, delta]), 30, 0.05)
     ts = np.arange(1, 31) * 0.05
     analytic = np.stack([10 * np.sin(0.2 * ts), 10 - 10 * np.cos(0.2 * ts)], axis=1)
     assert np.abs(pred - analytic).max() < 1e-6
-
-
-def test_prediction_validation():
-    s = EkfState(x=0, y=0, theta=0, v=1, delta=0, cov=np.eye(5))
-    with pytest.raises(ConfigError):
-        ekf_predict_trajectory(s, 0, 0.1)
-    with pytest.raises(ConfigError):
-        ekf_predict_trajectory(s, 3, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +201,10 @@ def test_rasterize_clips_to_grid():
         rasterize_positions(np.zeros(4), w)
 
 
-def test_ekf_forecast_on_straight_demo_within_one_cell():
+def test_ekf_forecast_on_straight_demo_within_one_cell(quiet):
     w = flat_world(rows=12, cols=16)
     demo = right_demo(w, row=5, c0=2, n=10, speed=3.0)
-    cells = ekf_forecast_cells(demo, QUIET)
+    cells = ekf_forecast_cells(demo)
     assert cells.shape == (10, 2)
     hd = hausdorff(cells_to_xy(cells, 1.0), cells_to_xy(demo.future, 1.0))
     assert hd <= 1.0 + 1e-9  # one cell at resolution 1

@@ -17,6 +17,7 @@ from meirl.cli import METHOD_KIND, METHOD_ORDER, EvalConfig, PredictConfig, buil
 from meirl.checkpoint import load_checkpoint, save_checkpoint
 from meirl.dataset import GenerateConfig, load_dataset, load_demo, save_demo
 from meirl.errors import ConfigError
+from meirl.kinematics import PastTrack
 from meirl.mdp import (compute_svf, sample_trajectories, state_distribution, uniform_policy,
                        value_iteration)
 from meirl.reward_net import build_net, forward, net_from_store
@@ -629,6 +630,32 @@ def test_eval_random_and_ekf_rows(dataset_dir, tmp_path):
     assert rand["nll"] == f"{math.log(4.0):.17g}"
     assert rand["nll_se"] == "0"
     assert list(rows) == ["ekf", "random"]
+
+
+# a past track whose first step lasts 5e-324 s gives an infinite speed; one of
+# a single ulp gives a speed near 1e16 m/s, and then a covariance that is not PSD
+@pytest.mark.parametrize("first_step, why", [
+    (lambda t0: (0.0, 5e-324), "EKF state or covariance is not finite"),
+    (lambda t0: (t0, np.nextafter(t0, np.inf)), "EKF covariance is not positive semi-definite")],
+    ids=["subnormal", "one_ulp"])
+def test_ekf_failure_names_the_demo_in_one_line(tmp_path, capsys, first_step, why):
+    data = tmp_path / "ds"
+    assert run("generate", "--out", data, "--demos", "8", "--rows", "16", "--cols", "16",
+               "--seed", "1", "--split", "0.5") == 0
+    record = data / "test" / "demo_00002.bin"
+    demo = load_demo(record)
+    t = demo.past.t.copy()
+    t[:2] = first_step(t[0])
+    save_demo(record, dataclasses.replace(demo, past=PastTrack(t=t, xy=demo.past.xy)))
+    capsys.readouterr()
+    for command in (("eval", "--methods", "ekf,random", "--samples", "10"),
+                    ("predict", "--method", "ekf", "--demo", "2")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(*command, "--dataset", data, "--out", tmp_path / "out")
+        assert rc == 3, command
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"runtime error: ekf, test demo 2: {why}\n"
 
 
 def test_eval_methods_flag_beats_config_file(dataset_dir, tmp_path):

@@ -27,9 +27,6 @@ LIBRARY = sorted((ROOT / "src" / "meirl").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 SOURCES = LIBRARY + SCRIPTS
 SPANS = ROOT / "perfbench" / "spans.py"
-# library code with no caller in the program: the exact reference the
-# planner tests compare against
-TEST_REFERENCES = {("mdp", "enumerate_trajectory_distribution")}
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
 # the one module allowed to step a net's parameters or write a checkpoint
 SOLE_READER = {"update_parameters": "trainer", "save_checkpoint": "trainer"}
@@ -124,7 +121,7 @@ def test_every_library_definition_has_a_caller():
     traced = {tuple(qualname.rsplit(".", 1)) for qualname in spans["TRACED"]}
     dead = unread_definitions({p.stem: p.read_text() for p in LIBRARY},
                               {f"scripts/{p.stem}": p.read_text() for p in SCRIPTS})
-    assert set(dead) - traced - TEST_REFERENCES == set()
+    assert set(dead) - traced == set()
 
 
 def test_checker_flags_a_definition_without_a_caller():

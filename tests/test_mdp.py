@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOOL_MASKS, make_world
+from conftest import BOOL_MASKS, enumerate_trajectory_distribution, make_world
 from meirl.errors import ConfigError, ConvergenceError
 from meirl import mdp
 from meirl.mdp import (ACTION_DELTAS, GridWorld, Policy,
-                       actions_from_cells, compute_svf,
-                       enumerate_trajectory_distribution, flat_transition_table,
+                       actions_from_cells, compute_svf, flat_transition_table,
                        neighbors, sample_trajectories, softmax, state_distribution,
                        uniform_policy, value_iteration)
 

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import with_meta_block
 from meirl.checkpoint import load_checkpoint
 from meirl.config import from_dict
 from meirl.errors import ConfigError, ConvergenceError
@@ -459,6 +462,31 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     pf, pr = net_full.parameters(), net_res.parameters()
     for name in pf:
         assert np.array_equal(pf[name], pr[name])
+
+
+# sha256 of the parameters after 2 iterations, a checkpoint with Adam's
+# beta1, beta2 and eps in its meta block, and 2 resumed iterations, as
+# computed before those three became constants
+PINNED_RESUME_DIGEST = "40dbb1bccab29794068288d35876c760101bf23c7ed47d6bd793f4b25c5bdfaf"
+
+
+def test_checkpoint_with_adam_constants_resumes_bitwise(tmp_path):
+    demos = small_dataset()
+    train(demos, quick_config(iterations=2), out_dir=tmp_path)
+    path = tmp_path / "checkpoint.ckpt"
+    raw = path.read_bytes()
+    _, meta, _ = load_checkpoint(path)
+    assert sorted(meta["adam"]) == ["learning_rate", "step"]
+    meta["adam"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+    older = with_meta_block(raw, json.dumps(meta, sort_keys=True).encode("utf-8"))
+    assert len(older) == len(raw) + len(', "beta1": 0.9, "beta2": 0.999, "eps": 1e-08')
+    path.write_bytes(older)
+    net, _, _, _ = train(demos, quick_config(iterations=2), resume=path)
+    digest = hashlib.sha256()
+    for name, arr in net.parameters().items():
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_RESUME_DIGEST
 
 
 def test_resume_kind_mismatch_rejected(tmp_path):
