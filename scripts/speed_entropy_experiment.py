@@ -2,11 +2,11 @@
 """Compare slow- and fast-approach forecasts at a T-junction.
 
 Loads a trained two-stage checkpoint, synthesizes two straight approaches to
-the same junction that differ only in speed, and reports terminal entropy and
-per-branch mass of each forecast, planned by `meirl.cli.forecast` as in
-`predict` and `eval`. A speed-aware model should commit to the
-straight-through branch when approaching fast and hedge across both branches
-when approaching slowly.
+the same junction that differ only in speed, as two `Scene`s (map, past track
+and start cell), and reports terminal entropy and per-branch mass of each
+forecast, planned by `meirl.cli.forecast` as in `predict` and `eval`. A
+speed-aware model should commit to the straight-through branch when
+approaching fast and hedge across both branches when approaching slowly.
 """
 import argparse
 
@@ -18,7 +18,7 @@ from meirl.kinematics import PastTrack
 from meirl.maps import save_map_csv, save_map_pgm
 from meirl.mdp import ACTION_DELTAS, cells_to_xy, neighbors, state_distribution
 from meirl.metrics import terminal_entropy
-from meirl.synthetic import Demonstration, WorldSpec, generate_world, junction_cells, trail_mask
+from meirl.synthetic import Scene, WorldSpec, generate_world, junction_cells, trail_mask
 
 
 def parse_args():
@@ -95,12 +95,9 @@ def main():
           f"arms straight={len(regions['straight'])} stem={len(regions['stem'])}")
 
     speeds = {"slow": args.slow, "fast": args.fast}
-    demos = [Demonstration(world=world,
-                           past=straight_past(start, heading, speed, world.resolution),
-                           future=np.array([start]), expert_speed=speed, seed=0,
-                           tag="intersection")
-             for speed in speeds.values()]
-    policies, _ = forecast(net, demos)
+    scenes = [Scene(world, straight_past(start, heading, speed, world.resolution), start)
+              for speed in speeds.values()]
+    policies, _ = forecast(net, scenes)
     entropies = {}
     for (label, speed), policy in zip(speeds.items(), policies):
         entropies[label] = terminal_entropy(policy, start, args.horizon - 1)

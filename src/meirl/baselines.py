@@ -137,7 +137,7 @@ def ekf_forecast_cells(demo: Demonstration) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # behavior cloning
 
-def bc_policy(net, demo: Demonstration) -> Policy:
-    """Per-cell action distribution of the cloning head for one demo context."""
-    logits = forward(net, demo)[0]
+def bc_policy(net, scene) -> Policy:
+    """Per-cell action distribution of the cloning head for one scene or demo."""
+    logits = forward(net, scene)[0]
     return Policy(probs=softmax(logits, axis=0))

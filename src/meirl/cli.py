@@ -206,14 +206,13 @@ def load_model(path, method: str):
         raise ConfigError(f"{path}: {e}") from e
 
 
-def forecast(net, demos):
-    """Forecast policies for a list of demos, planned in one value_iteration
-    call on the net's reward maps, as training plans them, plus those maps
-    when the net defines them (else None)."""
-    demos = list(demos)
+def forecast(net, scenes):
+    """Forecast policies for a list of scenes (or demonstrations), planned in
+    one value_iteration call on the net's reward maps, as training plans them,
+    plus those maps when the net defines them (else None)."""
     if net.kind == "action_head":  # the cloning head is a policy; no planner runs
-        return [bc_policy(net, demo) for demo in demos], None
-    rewards = [forward(net, demo)[0] for demo in demos]
+        return [bc_policy(net, scene) for scene in scenes], None
+    rewards = [forward(net, scene)[0] for scene in scenes]
     return list(value_iteration(rewards)), rewards
 
 
@@ -241,21 +240,18 @@ def cmd_predict(args) -> None:
             raise ConfigError(f"--checkpoint is required for method {cfg.method!r}")
         net = load_model(args.checkpoint, cfg.method)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    start = tuple(int(v) for v in demo.future[0])
-    horizon = demo.horizon
-
+    start, horizon = demo.start, demo.horizon
+    # every output is computed before --out is made, so a failed forecast leaves none
+    maps, tables = {}, {}
+    summary = {"method": cfg.method, "horizon": horizon, "start": list(start)}
     if cfg.method == "ekf":
         cells = _ekf_cells(demo, f"{cfg.which} demo {cfg.demo}")
         xy = cells_to_xy(cells, demo.world.resolution)
-        configio.write_csv(out / "trajectory.csv", ("step", "row", "col", "x", "y"),
-                           ((k, r, c, f"{x:.17g}", f"{y:.17g}") for k, ((r, c), (x, y))
-                            in enumerate(zip(cells.tolist(), xy.tolist()))))
-        summary = {"method": "ekf", "horizon": horizon, "start": list(start)}
-        hd = hausdorff(xy, cells_to_xy(demo.future, demo.world.resolution))
-        summary["hd"] = hd
-        print(f"EKF forecast written; HD to the demonstration {hd:.3f} m")
+        tables["trajectory.csv"] = (("step", "row", "col", "x", "y"), [
+            (k, r, c, f"{x:.17g}", f"{y:.17g}")
+            for k, ((r, c), (x, y)) in enumerate(zip(cells.tolist(), xy.tolist()))])
+        summary["hd"] = hd = hausdorff(xy, cells_to_xy(demo.future, demo.world.resolution))
+        message = f"EKF forecast written; HD to the demonstration {hd:.3f} m"
     else:
         if cfg.method == "random":
             policy = uniform_policy(demo.world.rows, demo.world.cols)
@@ -263,34 +259,36 @@ def cmd_predict(args) -> None:
             policies, rewards = forecast(net, [demo])
             policy = policies[0]
             if rewards is not None:
-                save_map_csv(out / "reward.csv", rewards[0])
-                save_map_pgm(out / "reward.pgm", rewards[0])
+                maps["reward"] = rewards[0]
         svf = compute_svf([policy], [start], [horizon])[0]
         if abs(float(svf.sum()) - horizon) > 1e-6:
             raise ConvergenceError(
                 f"visitation mass {svf.sum():.9f} drifted from horizon {horizon}")
-        save_map_csv(out / "svf.csv", svf)
-        save_map_pgm(out / "svf.pgm", svf)
+        maps["svf"] = svf
         if cfg.samples > 0:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
             cells = sample_trajectories(policy, start, horizon, cfg.samples, rng).ravel()
             table = np.column_stack([*np.divmod(np.arange(cells.size), horizon),
                                      *np.divmod(cells, demo.world.cols)])
-            configio.write_csv(out / "samples.csv", ("sample", "step", "row", "col"),
-                               table.tolist())
+            tables["samples.csv"] = (("sample", "step", "row", "col"), table.tolist())
         entropy = terminal_entropy(policy, start, horizon - 1)
-        summary = {
-            "method": cfg.method, "horizon": horizon, "start": list(start),
-            "svf_mass": float(svf.sum()), "terminal_entropy": entropy,
-            "demo_nll": nll(policy, demo),
-            "zero_lidar": cfg.zero_lidar,
-        }
-        print(f"prediction written; terminal entropy {entropy:.3f} nats")
+        summary.update(svf_mass=float(svf.sum()), terminal_entropy=entropy,
+                       demo_nll=nll(policy, demo), zero_lidar=cfg.zero_lidar)
+        message = f"prediction written; terminal entropy {entropy:.3f} nats"
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, values in maps.items():
+        save_map_csv(out / f"{name}.csv", values)
+        save_map_pgm(out / f"{name}.pgm", values)
+    for name, (columns, rows) in tables.items():
+        configio.write_csv(out / name, columns, rows)
     configio.dump_json(out / "summary.json", summary)
     _write_resolved(out, "predict", {
         "dataset": str(args.dataset), "out": str(out),
         "checkpoint": args.checkpoint and str(args.checkpoint),
         "config": configio.to_dict(cfg)})
+    print(message)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +339,7 @@ def _eval_method(method, demos, cfg: EvalConfig, nets):
         hds.append(mean_sampled_hd(policy, demo, n_samples=cfg.samples,
                                    seed=_demo_seed(cfg.seed, i)))
         nlls.append(nll(policy, demo))
-        entropies.append(terminal_entropy(policy, tuple(demo.future[0]), demo.horizon - 1))
+        entropies.append(terminal_entropy(policy, demo.start, demo.horizon - 1))
     return table_row(method, hds, nlls, entropies)
 
 

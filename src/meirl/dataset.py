@@ -139,8 +139,6 @@ def _decode_demo(reader: configio.Reader) -> Demonstration:
     (n,) = reader.unpack("<I")
     tri = reader.array("<f8", (n, 3))
     (h,) = reader.unpack("<I")
-    if h < 2:  # NLL and cloning score transitions, and the start cell has none
-        raise ConfigError(f"demo future needs at least two cells, got {h}")
     future = reader.array("<u4", (h, 2))
     speed, seed, tag_code = reader.unpack("<dqB")
     reader.end()

@@ -28,7 +28,7 @@ N_STACK_CHANNELS = N_FEATURE_CHANNELS + 5  # + 2 positional + dx, dy, kappa
 
 @dataclass
 class PastTrack:
-    """Timestamped planar positions, strictly increasing time, metres."""
+    """Timestamped planar positions, metres; strictly increasing time, finite step speeds."""
 
     t: np.ndarray   # (n,)
     xy: np.ndarray  # (n, 2)
@@ -44,8 +44,13 @@ class PastTrack:
             raise ConfigError("track is empty")
         if not (np.isfinite(self.t).all() and np.isfinite(self.xy).all()):
             raise ConfigError("track contains non-finite values")
-        if len(self.t) > 1 and not (np.diff(self.t) > 0).all():
+        dt = np.diff(self.t)
+        if not (dt > 0).all():
             raise ConfigError("track timestamps must be strictly increasing")
+        with np.errstate(over="ignore"):  # a subnormal time step overflows the speed
+            fast = np.isinf(np.hypot(*np.diff(self.xy, axis=0).T) / dt)
+        if fast.any():
+            raise ConfigError(f"track step {int(np.argmax(fast))} implies an infinite speed")
 
     def __len__(self):
         return len(self.t)

@@ -42,8 +42,6 @@ def nll(policy: Policy, demo: Demonstration) -> float:
     """Mean negative log-probability of the demonstrated actions, nats per step.
     A demo action with zero probability yields inf (flagged downstream)."""
     cells = demo.future
-    if len(cells) < 2:
-        raise ConfigError("demo future needs at least one transition for NLL")
     probs = policy.probs[demo.actions, cells[:-1, 0], cells[:-1, 1]]
     if np.any(probs <= 0.0):
         return float("inf")
@@ -70,8 +68,7 @@ def mean_sampled_hd(policy: Policy, demo: Demonstration,
     """Mean symmetric HD between the demo future and policy rollouts of the
     same horizon from the demo's start cell."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rollouts = sample_trajectories(policy, tuple(demo.future[0]), demo.horizon,
-                                   n_samples, rng)
+    rollouts = sample_trajectories(policy, demo.start, demo.horizon, n_samples, rng)
     total = 0.0
     # a left-to-right sum: np.sum's pairwise order would move the last bits
     for d in sampled_hausdorff(rollouts, demo.future, demo.world.shape,

@@ -169,13 +169,8 @@ class ParameterStore:
     step: int = 0
 
     @classmethod
-    def create(cls, params, learning_rate: float) -> "ParameterStore":
-        items = params.items() if hasattr(params, "items") else params
-        named = {}
-        for name, arr in items:
-            if name in named:
-                raise ConfigError(f"duplicate parameter name {name!r}")
-            named[name] = np.asarray(arr, dtype=np.float64)
+    def create(cls, params: dict, learning_rate: float) -> "ParameterStore":
+        named = {name: np.asarray(arr, dtype=np.float64) for name, arr in params.items()}
         store = cls(params=named, learning_rate=float(learning_rate))
         store.m = {n: np.zeros_like(p) for n, p in named.items()}
         store.v = {n: np.zeros_like(p) for n, p in named.items()}

@@ -7,7 +7,7 @@ plus positional and kinematic channels) through three 3x3 layers down to the
 scalar reward map. Variants reuse the same machinery: an env-only net that
 drops stage 2 and ends in a 1-channel head, and an action head with 4 output
 channels for direct policy cloning.
-Every variant is run by one pair: `forward` on a demonstration, keeping each
+Every variant is run by one pair: `forward` on a scene, keeping each
 layer's activations, and `backward`, which reuses them.
 """
 
@@ -144,29 +144,27 @@ def _require(net: RewardNet, kind: str, step: str) -> None:
 
 @dataclass
 class Activations:
-    """Per layer, its input."""
+    """Per layer, its input; so stage2[0] is the (30, rows, cols) stack."""
 
     stage1: list
-    stage2: list | None = None       # None when the kind has no second stage
-    stack: np.ndarray | None = None  # the (30, rows, cols) stage-2 input
+    stage2: list | None = None  # None when the kind has no second stage
 
 
-def forward(net: RewardNet, demo) -> tuple:
-    """(output, activations) of the net on one demonstration; the one place
-    that decides which stages a kind runs. env_only runs stage 1, whose
-    1-channel head is the reward map. two_stage and action_head run stage 1,
-    stack its features with the demo's positional and kinematic channels, and
-    run stage 2 for the (rows, cols) reward map or (4, rows, cols) logits."""
-    env = demo.world.env
+def forward(net: RewardNet, scene) -> tuple:
+    """(output, activations) of the net on one `synthetic.Scene` or demo (its
+    `world`, `past` and `start`); the one place that decides which stages a
+    kind runs. env_only runs stage 1, whose 1-channel head is the reward map.
+    two_stage and action_head run stage 1, stack its features with the scene's
+    positional and kinematic channels, and run stage 2 for the reward map or logits."""
+    env = scene.world.env
     if net.kind == "env_only":
         reward, s1 = reward_from_env(net, env)
         return reward, Activations(stage1=s1)
     feats, s1 = stage1_forward(net, env)
-    stack = build_input_stack(feats, demo.world, tuple(demo.future[0]),
-                              kinematic_context(demo.past))
+    stack = build_input_stack(feats, scene.world, scene.start, kinematic_context(scene.past))
     head = reward_forward if net.kind == "two_stage" else action_logits
     out, s2 = head(net, stack)
-    return out, Activations(stage1=s1, stage2=s2, stack=stack)
+    return out, Activations(stage1=s1, stage2=s2)
 
 
 def backward(net: RewardNet, acts: Activations, grad_out: np.ndarray) -> dict:

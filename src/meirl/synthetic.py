@@ -239,13 +239,29 @@ def ground_truth_reward(world: GridWorld, start, context: KinematicContext) -> n
 
 
 # ---------------------------------------------------------------------------
-# demonstrations
+# scenes and demonstrations
+
+@dataclass(frozen=True)
+class Scene:
+    """What a forecast reads: the map, the past track and the start cell
+    (row, col) that the past ends in. A Demonstration serves as one as it is."""
+
+    world: GridWorld
+    past: PastTrack
+    start: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "start", (int(self.start[0]), int(self.start[1])))
+        gap = self.past.xy[-1] - cells_to_xy([self.start], self.world.resolution)[0]
+        if np.abs(gap).max() > 0.5 * self.world.resolution + 1e-9:
+            raise ConfigError("past track does not end at the start cell")
+
 
 @dataclass
 class Demonstration:
     world: GridWorld
     past: PastTrack
-    future: np.ndarray        # (H, 2) cells, first = current cell
+    future: np.ndarray        # (H, 2) cells, H >= 2, first = start cell
     expert_speed: float
     seed: int
     tag: str
@@ -253,17 +269,19 @@ class Demonstration:
 
     def __post_init__(self):
         self.future = np.asarray(self.future, dtype=np.int64)
-        if self.future.ndim != 2 or self.future.shape[1] != 2 or len(self.future) < 1:
-            raise ConfigError(f"future must be (H, 2) cells, got {self.future.shape}")
+        # shape and adjacency audit: replaying the recovered actions must reproduce the cells
+        self.actions = actions_from_cells(self.future, self.world.rows, self.world.cols)
+        if len(self.future) < 2:  # NLL and cloning score transitions
+            raise ConfigError(f"demo future needs at least two cells, got {len(self.future)}")
         if self.tag not in TAGS:
             raise ConfigError(f"unknown scenario tag {self.tag!r}")
         if not 0 < self.expert_speed < math.inf:
             raise ConfigError(f"expert speed must be finite and positive, got {self.expert_speed}")
-        # adjacency audit: replaying the recovered actions must reproduce the cells
-        self.actions = actions_from_cells(self.future, self.world.rows, self.world.cols)
-        gap = self.past.xy[-1] - cells_to_xy(self.future[:1], self.world.resolution)[0]
-        if np.abs(gap).max() > 0.5 * self.world.resolution + 1e-9:
-            raise ConfigError("past track does not end at the future's start cell")
+        Scene(self.world, self.past, self.start)
+
+    @property
+    def start(self) -> tuple:
+        return tuple(int(v) for v in self.future[0])
 
     @property
     def horizon(self) -> int:

@@ -83,15 +83,6 @@ def _check_learning_rate(lr: float) -> None:
         raise ConfigError(f"learning rate must be positive and finite, got {lr}")
 
 
-def _check_futures(demos) -> None:
-    """Both fitting paths score the transitions of each demo's future, so a
-    demo with a one-cell future (which a forecast may use) cannot be fitted."""
-    short = [k for k, demo in enumerate(demos) if demo.horizon < 2]
-    if short:
-        raise ConfigError(f"demos at positions {short} have a one-cell future; "
-                          "fitting needs at least one transition per demo")
-
-
 def demo_svf(demo: Demonstration) -> np.ndarray:
     """Visit counts along the demo future; total mass equals the horizon."""
     counts = np.zeros((demo.world.rows, demo.world.cols))
@@ -102,7 +93,7 @@ def demo_svf(demo: Demonstration) -> np.ndarray:
 def demo_stack(net, demo: Demonstration):
     """The 30-channel input stack that `forward` feeds to stage 2 for one demo;
     BC and IRL share it because both run `forward`."""
-    return forward(net, demo)[1].stack
+    return forward(net, demo)[1].stage2[0]
 
 
 def _not_finite(grads: dict) -> str:
@@ -147,7 +138,7 @@ def train_step(net, batch, iteration: int):
         if not np.isfinite(reward).all():
             raise ConvergenceError(f"batch demo {k}: reward map contains non-finite values")
     plans = value_iteration([reward for reward, _ in outputs])
-    expected = compute_svf(plans, [demo.future[0] for demo in batch],
+    expected = compute_svf(plans, [demo.start for demo in batch],
                            [demo.horizon for demo in batch])
 
     nlls, l1s = [], []
@@ -191,7 +182,6 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None,
     demos = list(demos)
     if not demos:
         raise ConfigError("cannot train on an empty dataset")
-    _check_futures(demos)
     if config.augment:
         demos = [rot for demo in demos for rot in augment_rotations(demo)]
 
@@ -268,7 +258,6 @@ def bc_train(demos, config: BcConfig, out_dir=None):
     demos = list(demos)
     if not demos:
         raise ConfigError("cannot clone from an empty dataset")
-    _check_futures(demos)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     order = rng.permutation(len(demos))

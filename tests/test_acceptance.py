@@ -29,7 +29,7 @@ from meirl.mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories,
                        state_distribution, uniform_policy, value_iteration, ACTION_DELTAS)
 from meirl.metrics import hausdorff, nll, terminal_entropy
 from meirl.reward_net import backward, build_net, forward, net_from_store
-from meirl.synthetic import (DEMO_BETA, Demonstration, WorldSpec, generate_world,
+from meirl.synthetic import (DEMO_BETA, Demonstration, Scene, WorldSpec, generate_world,
                              ground_truth_reward, trail_mask)
 from meirl.baselines import ekf_forecast_cells
 from meirl.kinematics import kinematic_context
@@ -49,13 +49,9 @@ def straight_past(start, heading, speed, resolution=1.0):
     return PastTrack(t=t, xy=xy)
 
 
-def point_demo(world, start, heading, speed):
-    """A demonstration that only pins the current cell and the past."""
-    return Demonstration(world=world,
-                         past=straight_past(start, heading, speed,
-                                            world.resolution),
-                         future=np.array([start]), expert_speed=speed,
-                         seed=0, tag="intersection")
+def point_scene(world, start, heading, speed):
+    """The scene of a straight approach at `speed` that ends in `start`."""
+    return Scene(world, straight_past(start, heading, speed, world.resolution), start)
 
 
 @pytest.fixture(scope="module")
@@ -104,14 +100,14 @@ def test_1_gradient_exactness_end_to_end():
     rng = np.random.default_rng(np.random.SeedSequence(77))
     world = GridWorld(rows=12, cols=12, resolution=1.0,
                       env=rng.random((5, 12, 12)))
-    demo = point_demo(world, (6, 5), (0, 1), 6.0)
+    scene = point_scene(world, (6, 5), (0, 1), 6.0)
     net = build_net("two_stage", seed=5)
     weights = rng.normal(size=(12, 12))
 
     def loss():
-        return float((forward(net, demo)[0] * weights).sum())
+        return float((forward(net, scene)[0] * weights).sum())
 
-    _, acts = forward(net, demo)
+    _, acts = forward(net, scene)
     grads = backward(net, acts, weights)
     params = net.parameters()
     h = 1e-4
@@ -272,7 +268,7 @@ def test_7_speed_conditioned_junction_forecast(benchmark_run):
     # planned as eval and predict plan; the forecast's last cell is horizon - 1
     # moves from the start, where eval and predict take the terminal entropy
     speeds = {"slow": 2.0, "fast": 8.0}
-    policies, _ = forecast(net, [point_demo(world, start, heading, speed)
+    policies, _ = forecast(net, [point_scene(world, start, heading, speed)
                                  for speed in speeds.values()])
     results = {}
     for label, policy in zip(speeds, policies):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from conftest import CORRUPT_META, with_meta_block
 from meirl import mdp, trainer
 from meirl.baselines import bc_policy
-from meirl.cli import METHOD_KIND, METHOD_ORDER, EvalConfig, PredictConfig, build_parser, main
+from meirl.cli import (METHOD_KIND, METHOD_ORDER, EvalConfig, PredictConfig, build_parser,
+                       forecast, main)
 from meirl.checkpoint import load_checkpoint, save_checkpoint
 from meirl.dataset import GenerateConfig, load_dataset, load_demo, save_demo
 from meirl.errors import ConfigError
@@ -21,7 +23,7 @@ from meirl.kinematics import PastTrack
 from meirl.mdp import (compute_svf, sample_trajectories, state_distribution, uniform_policy,
                        value_iteration)
 from meirl.reward_net import build_net, forward, net_from_store
-from meirl.synthetic import DEMO_BETA
+from meirl.synthetic import DEMO_BETA, Scene
 from meirl.trainer import TrainConfig
 
 GEN_ARGS = ["--demos", "8", "--rows", "16", "--cols", "16", "--split", "0.75",
@@ -34,6 +36,13 @@ def load_map_csv(path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def record_offsets(demo):
+    """Byte offsets, in the dataset record of `demo`, of its first past sample
+    and of its horizon field."""
+    past = 16 + 20 * demo.world.rows * demo.world.cols + 4
+    return past, past + 24 * len(demo.past)
 
 
 @pytest.fixture(scope="module")
@@ -506,7 +515,7 @@ def test_predict_random_matches_dp_diffusion(dataset_dir, tmp_path):
     _, test_demos, _ = load_dataset(dataset_dir)
     demo = test_demos[1]
     expected = compute_svf([uniform_policy(demo.world.rows, demo.world.cols)],
-                           [tuple(demo.future[0])], [demo.horizon])[0]
+                           [demo.start], [demo.horizon])[0]
     written = load_map_csv(out / "svf.csv")
     assert np.array_equal(written, expected)  # %.17g round-trips doubles
     assert not (out / "reward.csv").exists()
@@ -520,7 +529,7 @@ def test_predict_terminal_entropy_is_that_of_the_last_forecast_cell(dataset_dir,
     demo = test_demos[1]
     # a forecast of `horizon` cells, the start included, makes horizon - 1 moves
     last = state_distribution(uniform_policy(demo.world.rows, demo.world.cols),
-                              tuple(demo.future[0]), demo.horizon - 1)
+                              demo.start, demo.horizon - 1)
     p = last[last > 0.0]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["terminal_entropy"] == pytest.approx(float(-(p * np.log(p)).sum()),
@@ -594,7 +603,7 @@ def test_predict_forecasts_each_trained_net_under_its_own_method(
         reward = forward(net, demo)[0]
         policy = value_iteration([reward])[0]
         assert np.array_equal(load_map_csv(out / "reward.csv"), reward)
-    start = tuple(demo.future[0])
+    start = demo.start
     svf = compute_svf([policy], [start], [demo.horizon])[0]
     assert np.array_equal(load_map_csv(out / "svf.csv"), svf)
     cells = sample_trajectories(policy, start, demo.horizon, 7,
@@ -604,6 +613,20 @@ def test_predict_forecasts_each_trained_net_under_its_own_method(
                                                              demo.horizon), axis=1))
     assert np.array_equal(samples[:, 2] * demo.world.cols + samples[:, 3], cells)
     assert json.loads((out / "summary.json").read_text())["method"] == method
+
+
+@pytest.mark.parametrize("kind", ["two_stage", "env_only", "action_head"])
+def test_forecast_of_a_demo_is_that_of_its_scene(dataset_dir, kind):
+    # a forecast reads only the map, the past track and the start cell
+    _, test_demos, _ = load_dataset(dataset_dir)
+    net = build_net(kind, seed=2)
+    by_demo = forecast(net, test_demos)
+    by_scene = forecast(net, [Scene(d.world, d.past, d.start) for d in test_demos])
+    assert [p.probs.tobytes() for p in by_demo[0]] == [p.probs.tobytes() for p in by_scene[0]]
+    if kind == "action_head":
+        assert by_demo[1] is None and by_scene[1] is None
+    else:
+        assert [r.tobytes() for r in by_demo[1]] == [r.tobytes() for r in by_scene[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +655,11 @@ def test_eval_random_and_ekf_rows(dataset_dir, tmp_path):
     assert list(rows) == ["ekf", "random"]
 
 
-# a past track whose first step lasts 5e-324 s gives an infinite speed; one of
-# a single ulp gives a speed near 1e16 m/s, and then a covariance that is not PSD
+# a past track whose first step lasts a single ulp gives a speed near 1e16 m/s,
+# finite, so the record loads, and then an EKF covariance that is not PSD
 @pytest.mark.parametrize("first_step, why", [
-    (lambda t0: (0.0, 5e-324), "EKF state or covariance is not finite"),
     (lambda t0: (t0, np.nextafter(t0, np.inf)), "EKF covariance is not positive semi-definite")],
-    ids=["subnormal", "one_ulp"])
+    ids=["one_ulp"])
 def test_ekf_failure_names_the_demo_in_one_line(tmp_path, capsys, first_step, why):
     data = tmp_path / "ds"
     assert run("generate", "--out", data, "--demos", "8", "--rows", "16", "--cols", "16",
@@ -656,6 +678,34 @@ def test_ekf_failure_names_the_demo_in_one_line(tmp_path, capsys, first_step, wh
         assert rc == 3, command
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == f"runtime error: ekf, test demo 2: {why}\n"
+        # predict, like eval, forecasts before it creates --out
+        assert not (tmp_path / "out").exists(), command
+
+
+def test_record_with_an_infinite_step_speed_exits_2_naming_it(tmp_path, capsys):
+    # a first time step of 5e-324 s makes the first step's speed infinite; a
+    # PastTrack refuses such a track, so the f64 is patched in the record bytes
+    data = tmp_path / "ds"
+    assert run("generate", "--out", data, "--demos", "8", "--rows", "16", "--cols", "16",
+               "--seed", "1", "--split", "0.5") == 0
+    record = data / "test" / "demo_00002.bin"
+    at, _ = record_offsets(load_demo(record))
+    raw = bytearray(record.read_bytes())
+    raw[at:at + 8] = struct.pack("<d", 0.0)
+    raw[at + 24:at + 32] = struct.pack("<d", 5e-324)
+    record.write_bytes(bytes(raw))
+    capsys.readouterr()
+    for command in (("eval", "--methods", "ekf,random", "--samples", "10"),
+                    ("predict", "--method", "ekf", "--demo", "2"),
+                    ("train", "--iterations", "1", "--batch-size", "2")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(*command, "--dataset", data, "--out", tmp_path / "out")
+        assert rc == 2, command
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == \
+            f"error: {record}: track step 0 implies an infinite speed\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_methods_flag_beats_config_file(dataset_dir, tmp_path):
@@ -703,6 +753,21 @@ def test_eval_tables_byte_identical_across_runs(dataset_dir, ours_ckpt, tmp_path
                    "--samples", "40", "--seed", "9") == 0
     assert (a / "table.csv").read_bytes() == (b / "table.csv").read_bytes()
     assert (a / "table.json").read_bytes() == (b / "table.json").read_bytes()
+
+
+def test_checkpoint_repeating_a_parameter_name_exits_2(dataset_dir, ours_ckpt, tmp_path, capsys):
+    raw = ours_ckpt.read_bytes()
+    assert raw.count(b"s1.1.kernel") == 3  # the parameter, then Adam's m and v
+    ckpt = tmp_path / "repeat.ckpt"
+    ckpt.write_bytes(raw.replace(b"s1.1.kernel", b"s1.0.kernel", 1))
+    capsys.readouterr()
+    for command in (("predict", "--checkpoint", ckpt),
+                    ("eval", "--checkpoint", ckpt, "--methods", "ours"),
+                    ("train", "--resume", ckpt, "--iterations", "1")):
+        assert run(*command, "--dataset", dataset_dir, "--out", tmp_path / "out") == 2, command
+        assert capsys.readouterr().err == \
+            f"error: {ckpt}: duplicate parameter 's1.0.kernel' in checkpoint\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_and_predict_accept_checkpoint_with_retired_config_keys(
@@ -798,8 +863,12 @@ def test_record_with_one_future_cell_exits_2_naming_it(dataset_dir, tmp_path, ca
     data = tmp_path / "ds"
     shutil.copytree(dataset_dir, data)
     record = data / "train" / "demo_00000.bin"
+    # a Demonstration refuses a one-cell future, so the record is cut in its bytes
     demo = load_demo(record)
-    save_demo(record, dataclasses.replace(demo, future=demo.future[:1]))
+    _, at = record_offsets(demo)
+    raw = record.read_bytes()
+    record.write_bytes(raw[:at] + struct.pack("<I", 1) + raw[at + 4:at + 12]
+                       + raw[at + 4 + 8 * demo.horizon:])
     for command in (("train", "--method", "bc", "--iterations", "2"),
                     ("train", "--iterations", "2", "--batch-size", "2"),
                     ("eval", "--methods", "random,ekf"),

@@ -1,6 +1,7 @@
 """Velocity discretization, circle-fit curvature vs grid-search oracle, input stack."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,19 @@ def test_track_validation():
         PastTrack(t=np.array([0.0, 0.1]), xy=np.zeros((3, 2)))
     with pytest.raises(ConfigError):
         PastTrack(t=np.array([]), xy=np.zeros((0, 2)))
+
+
+def test_track_refuses_an_infinite_step_speed():
+    t = np.array([0.0, 0.1, 0.2])
+    xy = np.array([[0.0, 0.0], [0.2, 0.0], [0.4, 0.0]])
+    for bad_t, bad_xy, step in ((np.array([0.0, 5e-324, 0.1]), xy, 0),  # subnormal dt
+                                (t, [[0.0, 0.0], [0.2, 0.0], [0.2, 1e308]], 1)):  # overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^track step {step} implies an infinite"):
+                PastTrack(t=bad_t, xy=bad_xy)
+    # one ulp after 0.1 s: a speed above 1e16 m/s, finite, so the track stands
+    assert len(PastTrack(t=np.array([0.0, 0.1, np.nextafter(0.1, 1.0)]), xy=xy)) == 3
 
 
 def test_velocity_needs_two_samples():

@@ -97,11 +97,10 @@ def test_nll_mixed_probabilities():
 
 
 def test_nll_single_cell_future_rejected():
-    w = grid()
-    demo = demo_from_future(w, straight_future(3, 1, 2))
-    demo.future = demo.future[:1]  # bypass construction check
-    with pytest.raises(ConfigError):
-        nll(uniform_policy(8, 8), demo)
+    # nll scores transitions; a demo with a one-cell future has none, and is
+    # refused where it is built, so nll never meets one
+    with pytest.raises(ConfigError, match="demo future needs at least two cells, got 1"):
+        demo_from_future(grid(), straight_future(3, 1, 2)[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def per_sample_mean_hd(policy, demo, n_samples, seed=0):
     """The reference sampled HD: one float `hausdorff` call per rollout on the
     cell centres, summed in sample order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rollouts = sample_trajectories(policy, tuple(demo.future[0]), demo.horizon,
+    rollouts = sample_trajectories(policy, demo.start, demo.horizon,
                                    n_samples, rng)
     demo_xy = cells_to_xy(demo.future, demo.world.resolution)
     total = 0.0

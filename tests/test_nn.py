@@ -270,11 +270,6 @@ def test_adam_missing_gradient_names_error():
         update_parameters(store, {})
 
 
-def test_duplicate_parameter_name_rejected():
-    with pytest.raises(ConfigError):
-        ParameterStore.create([("a", np.ones(1)), ("a", np.ones(2))], 0.1)
-
-
 # ---------------------------------------------------------------------------
 # layer validation and init
 

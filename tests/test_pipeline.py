@@ -11,7 +11,7 @@ import numpy as np
 import meirl
 from meirl.cli import forecast, load_model, main
 from meirl.mdp import state_distribution
-from meirl.synthetic import Demonstration, WorldSpec, generate_world
+from meirl.synthetic import Scene, WorldSpec, generate_world
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -55,10 +55,8 @@ def test_speed_entropy_experiment_matches_the_cli_forecast(tmp_path):
     net = load_model(ckpt, "ours")
     world = generate_world(WorldSpec(seed=0, rows=16, cols=16, layout="tee"))
     start, heading, _ = script.scenario(world, 3)
-    demo = Demonstration(world=world, past=script.straight_past(start, heading, 2.0, 1.0),
-                         future=np.array([start]), expert_speed=2.0, seed=0,
-                         tag="intersection")
-    (policy,), _ = forecast(net, [demo])
+    scene = Scene(world, script.straight_past(start, heading, 2.0, 1.0), start)
+    (policy,), _ = forecast(net, [scene])
     expected = state_distribution(policy, start, 14)
     written = np.loadtxt(maps / "terminal_slow.csv", delimiter=",")
     assert np.array_equal(written, expected)

@@ -15,7 +15,7 @@ from meirl.nn import ParameterStore, leaky_relu
 from meirl.reward_net import (KINDS, STAGE1_DILATIONS, STAGE1_WIDTHS, action_logits, backward,
                               build_net, forward, net_from_store, reward_forward,
                               reward_from_env, stage1_forward)
-from meirl.synthetic import Demonstration
+from meirl.synthetic import Scene
 
 CTX0 = KinematicContext(dx=0.0, dy=0.0, kappa=0.0)
 
@@ -26,8 +26,8 @@ def two_stage_reward(net, world, cell, ctx):
     return reward_forward(net, stack)[0]
 
 
-def context_demo(world, cell, ctx):
-    """A one-cell demo whose past is an arc at the speed, heading and
+def context_scene(world, cell, ctx):
+    """A scene at the cell whose past is an arc at the speed, heading and
     curvature of ctx ending at the cell centre. Its kinematic context is ctx
     up to the speed lost between arc and chords (about 1e-4)."""
     speed = SPEED_NORM * max(abs(ctx.dx), abs(ctx.dy))
@@ -41,8 +41,7 @@ def context_demo(world, cell, ctx):
     else:
         offset = s[:, None] * np.array([math.cos(heading), math.sin(heading)])
     past = PastTrack(t=t, xy=cells_to_xy([cell], world.resolution)[0] + offset)
-    return Demonstration(world=world, past=past, future=np.array([cell]),
-                         expert_speed=1.0, seed=0, tag="intersection")
+    return Scene(world, past, cell)
 
 
 def zero_kinematic_input_weights(net):
@@ -105,8 +104,8 @@ def test_forward_shapes(rng):
     feats, _ = stage1_forward(act_net, world.env)
     stack = build_input_stack(feats, world, (6, 6), CTX0)
     assert action_logits(act_net, stack)[0].shape == (4, 12, 14)
-    demo = context_demo(world, (6, 6), CTX0)
-    assert [forward(build_net(kind, seed=3), demo)[0].shape for kind in KINDS] \
+    scene = context_scene(world, (6, 6), CTX0)
+    assert [forward(build_net(kind, seed=3), scene)[0].shape for kind in KINDS] \
         == [(12, 14), (12, 14), (4, 12, 14)]
 
 
@@ -206,7 +205,7 @@ def test_ablated_net_ignores_kinematics_but_not_position():
 def test_zero_grad_gives_zero_param_grads():
     world = make_world(rows=10, cols=10, seed=1)
     net = build_net("two_stage", seed=13)
-    reward, acts = forward(net, context_demo(world, (5, 5), CTX0))
+    reward, acts = forward(net, context_scene(world, (5, 5), CTX0))
     grads = backward(net, acts, np.zeros_like(reward))
     assert set(grads) == set(net.parameters())
     for g in grads.values():
@@ -252,14 +251,14 @@ def test_gradients_match_finite_differences(kind):
         world = GridWorld(rows=12, cols=12, resolution=1.0, env=rand_env(rng, 12, 12))
     else:
         world = make_world(rows=12, cols=12, seed=world_seed)
-    demo = context_demo(world, (6, 6), ctx)
-    got = kinematic_context(demo.past)
+    scene = context_scene(world, (6, 6), ctx)
+    got = kinematic_context(scene.past)
     assert [got.dx, got.dy, got.kappa] == pytest.approx([ctx.dx, ctx.dy, ctx.kappa], abs=1e-4)
-    out, acts = forward(net, demo)
+    out, acts = forward(net, scene)
     w = rng.normal(size=out.shape)
 
     def loss():
-        return float((forward(net, demo)[0] * w).sum())
+        return float((forward(net, scene)[0] * w).sum())
 
     spot_check(net, loss, backward(net, acts, w), rng)
 
@@ -267,7 +266,7 @@ def test_gradients_match_finite_differences(kind):
 def test_grad_shape_mismatch_raises():
     world = make_world(rows=10, cols=10)
     net = build_net("two_stage", seed=17)
-    _, acts = forward(net, context_demo(world, (5, 5), CTX0))
+    _, acts = forward(net, context_scene(world, (5, 5), CTX0))
     with pytest.raises(ConfigError):
         backward(net, acts, np.zeros((9, 10)))
 

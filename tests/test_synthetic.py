@@ -15,8 +15,8 @@ from meirl.dataset import GenerateConfig, generate_dataset
 from meirl.errors import ConfigError
 from meirl.kinematics import KinematicContext, extract_velocity
 from meirl.mdp import ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy
-from meirl.synthetic import (FAST_THRESHOLD, MARGIN, VAR_THRESHOLD, Demonstration, WorldSpec,
-                             augment_rotations, balance_dataset, bend_cells,
+from meirl.synthetic import (FAST_THRESHOLD, MARGIN, VAR_THRESHOLD, Demonstration, Scene,
+                             WorldSpec, augment_rotations, balance_dataset, bend_cells,
                              classify_tag, generate_demonstration, generate_world,
                              ground_truth_reward, junction_cells, trail_mask)
 
@@ -343,6 +343,25 @@ def test_demo_validation_catches_disjoint_past():
     with pytest.raises(ConfigError, match="past track"):
         Demonstration(world=world, past=bad_past, future=demo.future,
                       expert_speed=2.0, seed=0, tag=demo.tag)
+    with pytest.raises(ConfigError, match="past track does not end at the start cell"):
+        Scene(world, bad_past, demo.start)
+
+
+@pytest.mark.parametrize("cells", [0, 1])
+def test_demo_refuses_a_future_without_a_transition(cells):
+    world = world_from_mask(straight_mask())
+    demo = generate_demonstration(world, speed=2.0, seed=0, start=(8, 6))
+    with pytest.raises(ConfigError, match=f"^demo future needs at least two cells, got {cells}$"):
+        Demonstration(world=world, past=demo.past, future=demo.future[:cells],
+                      expert_speed=2.0, seed=0, tag=demo.tag)
+
+
+def test_a_demo_is_a_scene_at_its_first_cell():
+    world = world_from_mask(straight_mask())
+    demo = generate_demonstration(world, speed=2.0, seed=0, start=(8, 6))
+    assert demo.start == (8, 6) and all(type(v) is int for v in demo.start)
+    scene = Scene(demo.world, demo.past, demo.future[0])  # an int64 pair
+    assert scene.start == demo.start and all(type(v) is int for v in scene.start)
 
 
 # ---------------------------------------------------------------------------

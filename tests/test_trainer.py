@@ -14,7 +14,7 @@ from meirl.kinematics import PastTrack
 from meirl.mdp import ACTION_DELTAS, GridWorld, value_iteration
 from meirl.metrics import nll
 from meirl.reward_net import backward, build_net, forward
-from meirl.synthetic import Demonstration
+from meirl.synthetic import Demonstration, Scene
 from meirl.cli import forecast
 from meirl.trainer import (REPORT_COLUMNS, BcConfig, TrainConfig, bc_train, demo_svf, train,
                            train_step, write_report, write_timings)
@@ -121,8 +121,7 @@ def test_gradient_vanishes_at_fixed_point():
     net.stage2[-1].kernel *= 1e5
     net.stage2[-1].bias *= 1e5
     past = past_to((5, 2))
-    reward, _ = forward(net, Demonstration(world=w, past=past, future=[(5, 2)],
-                                           expert_speed=3.0, seed=0, tag="straight"))
+    reward, _ = forward(net, Scene(w, past, (5, 2)))
     policy = value_iteration([reward])[0]
     future = greedy_rollout(policy, (5, 2), 8)
     demo = Demonstration(world=w, past=past, future=future, expert_speed=3.0,
@@ -419,22 +418,6 @@ def test_train_zero_iterations_leaves_init(tmp_path):
 def test_train_empty_dataset_rejected():
     with pytest.raises(ConfigError):
         train([], quick_config())
-
-
-@pytest.mark.parametrize("fit", [lambda demos: train(demos, quick_config()),
-                                 lambda demos: bc_train(demos, BcConfig(epochs=1))],
-                         ids=["irl", "bc"])
-def test_one_cell_future_is_refused_by_position(monkeypatch, fit):
-    # a one-cell future has no transition to score: both fitting paths name
-    # the demo before any forward pass
-    def no_forward(*args, **kwargs):
-        raise AssertionError("forward ran before the dataset check")
-
-    monkeypatch.setattr(trainer, "forward", no_forward)
-    demos = small_dataset()
-    demos[1] = demo_from_future(demos[1].world, demos[1].future[:1])
-    with pytest.raises(ConfigError, match=r"demos at positions \[1\] have a one-cell future"):
-        fit(demos)
 
 
 def test_checkpoint_cadence(tmp_path):
