@@ -420,6 +420,21 @@ def test_train_empty_dataset_rejected():
         train([], quick_config())
 
 
+@pytest.mark.parametrize("fit", [lambda demos: train(demos, quick_config()),
+                                 lambda demos: bc_train(demos, BcConfig(epochs=1))],
+                         ids=["irl", "bc"])
+def test_one_cell_future_is_refused_by_position(monkeypatch, fit):
+    # a one-cell future has no transition to score: the Demonstration refuses
+    # it where it is built, so neither fitting path runs a forward pass on it
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward ran on a dataset holding a one-cell future")
+
+    monkeypatch.setattr(trainer, "forward", no_forward)
+    demos = small_dataset()
+    with pytest.raises(ConfigError, match=r"^demo future needs at least two cells, got 1$"):
+        fit(demos[:1] + [demo_from_future(demos[1].world, demos[1].future[:1])] + demos[2:])
+
+
 def test_checkpoint_cadence(tmp_path):
     train(small_dataset(), quick_config(iterations=5, checkpoint_every=2),
           out_dir=tmp_path)
