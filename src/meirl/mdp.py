@@ -117,6 +117,8 @@ class Policy:
         sums = self.probs.sum(axis=0)
         if not (np.abs(sums - 1.0) <= 1e-9).all():  # NaN fails too
             raise ConfigError("policy rows must sum to 1 within 1e-9")
+        if (self.probs < 0.0).any():  # the sampler needs a nondecreasing CDF
+            raise ConfigError("policy probabilities must be nonnegative")
 
     @property
     def shape(self):
@@ -330,26 +332,33 @@ def state_distribution(policy: Policy, start, steps: int) -> np.ndarray:
 def sample_trajectories(policy: Policy, start, horizon: int, n: int,
                         rng: np.random.Generator) -> np.ndarray:
     """n rollouts of `horizon` cells each, as flat cell indices `row * cols + col`;
-    returns int64 (n, horizon)."""
+    returns int64 (n, horizon), the transpose of a step-major buffer.
+
+    One block draw of (horizon - 1, n) uniforms takes the same numbers from
+    `rng`, and leaves it in the same state, as one draw of n per step. A step's
+    action is the count of its cell's first three action-CDF bounds below its
+    uniform: the CDF never decreases, so that is the count of all four capped
+    at the last action, even where the last bound rounds just below 1."""
     rows, cols = policy.shape
     r, c = _check_cell(start, rows, cols)
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
-    flat_next = flat_transition_table(rows, cols)
-    # the action CDF of every cell; a step gathers the columns of its cells
-    cum_flat = np.cumsum(policy.probs.reshape(N_ACTIONS, -1), axis=0)
-    cur = np.full(n, r * cols + c, dtype=np.int64)
-    cells = np.empty((n, horizon), dtype=np.int64)
-    cells[:, 0] = cur
-    for t in range(1, horizon):
-        cum = cum_flat[:, cur]
-        u = rng.random(n)
-        a = np.minimum((u[None, :] > cum).sum(axis=0), N_ACTIONS - 1)
-        cur = flat_next[a, cur]
-        cells[:, t] = cur
-    return cells
+    n_cells = rows * cols
+    # successor of cell s under action a at a * n_cells + s
+    next_flat = flat_transition_table(rows, cols).ravel()
+    cdf = np.cumsum(policy.probs.reshape(N_ACTIONS, n_cells), axis=0)
+    first, second, third = cdf[:N_ACTIONS - 1]
+    uniforms = rng.random((horizon - 1, n))
+    cells = np.empty((horizon, n), dtype=np.int64)
+    cells[0] = r * cols + c
+    for t, u in enumerate(uniforms):
+        cur = cells[t]
+        a = np.add(u > first[cur], u > second[cur], dtype=np.int64)
+        a += u > third[cur]
+        cells[t + 1] = next_flat[cur + n_cells * a]
+    return cells.T
 
 
 def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -12,11 +12,14 @@ exactly, not sampled.
 
 Sampled HD scores all rollouts of a demo at once, on integer cells. A table
 holds the squared cell distance from every grid cell to every future cell
-(int32, rows*cols by H); gathering its rows at the rollouts' flat cell
-indices, as the sampler returns them, gives both directed terms as integer
-min/max reductions, and one square root times the resolution gives each
-distance. Rollouts go through in chunks whose gathered
-(chunk, H, H) block stays near HD_CHUNK_BYTES, so the working memory beyond
+(int32, rows*cols by H). Walking the rollouts' flat cell indices step by step,
+as the sampler returns them, a running max of each step's row minimum gives
+the rollout-to-future term and a running min of the gathered rows, a
+(chunk, H) block, gives the future-to-rollout term: integer min/max only, no
+reduction over the steps. One square root times the resolution gives each
+distance, and the mean sums them left to right with np.cumsum. Rollouts go
+through in chunks whose two (chunk, H) blocks (the running min and one
+step's gathered rows) stay near HD_CHUNK_BYTES, so the working memory beyond
 the rollouts and their n distances does not grow with the sample count.
 At resolution 1.0 (or any power of two) each distance equals `hausdorff` on
 the cell centres bitwise. At other resolutions it is within one ulp of the
@@ -35,7 +38,7 @@ from .errors import ConfigError
 from .mdp import Policy, sample_trajectories, state_distribution
 from .synthetic import Demonstration
 
-HD_CHUNK_BYTES = 4 << 20  # the gathered int32 block of one sampled-HD chunk
+HD_CHUNK_BYTES = 4 << 20  # the two int32 (chunk, H) blocks of one sampled-HD chunk
 
 
 def nll(policy: Policy, demo: Demonstration) -> float:
@@ -69,12 +72,9 @@ def mean_sampled_hd(policy: Policy, demo: Demonstration,
     same horizon from the demo's start cell."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rollouts = sample_trajectories(policy, demo.start, demo.horizon, n_samples, rng)
-    total = 0.0
-    # a left-to-right sum: np.sum's pairwise order would move the last bits
-    for d in sampled_hausdorff(rollouts, demo.future, demo.world.shape,
-                               demo.world.resolution).tolist():
-        total += d
-    return total / n_samples
+    dists = sampled_hausdorff(rollouts, demo.future, demo.world.shape, demo.world.resolution)
+    # cumsum adds left to right; np.sum's pairwise order would move the last bits
+    return float(np.cumsum(dists)[-1]) / n_samples
 
 
 def sampled_hausdorff(rollouts, future, shape, resolution: float) -> np.ndarray:
@@ -88,12 +88,16 @@ def sampled_hausdorff(rollouts, future, shape, resolution: float) -> np.ndarray:
           + (c[:, None] - future[:, 1]) ** 2).astype(np.int32)
     to_future = d2.min(axis=1)
     n, h = rollouts.shape
-    chunk = max(1, HD_CHUNK_BYTES // (h * len(future) * d2.itemsize))
+    chunk = max(1, HD_CHUNK_BYTES // (2 * len(future) * d2.itemsize))
     out = np.empty(n)
     for lo in range(0, n, chunk):
-        flat = rollouts[lo:lo + chunk]
-        rollout_to_future = to_future[flat].max(axis=1)
-        future_to_rollout = d2[flat].min(axis=1).max(axis=1)
+        steps = rollouts[lo:lo + chunk].T
+        rollout_to_future = to_future[steps[0]]
+        nearest = d2[steps[0]]
+        for flat in steps[1:]:
+            np.maximum(rollout_to_future, to_future[flat], out=rollout_to_future)
+            np.minimum(nearest, d2[flat], out=nearest)
+        future_to_rollout = nearest.max(axis=1)
         out[lo:lo + chunk] = np.sqrt(np.maximum(rollout_to_future, future_to_rollout))
     return out * resolution
 

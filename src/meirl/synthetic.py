@@ -257,7 +257,7 @@ class Scene:
             raise ConfigError("past track does not end at the start cell")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Demonstration:
     world: GridWorld
     past: PastTrack
@@ -268,9 +268,10 @@ class Demonstration:
     actions: np.ndarray = field(init=False)  # (H - 1,) moves along future, set from it
 
     def __post_init__(self):
-        self.future = np.asarray(self.future, dtype=np.int64)
+        object.__setattr__(self, "future", np.asarray(self.future, dtype=np.int64))
         # shape and adjacency audit: replaying the recovered actions must reproduce the cells
-        self.actions = actions_from_cells(self.future, self.world.rows, self.world.cols)
+        object.__setattr__(self, "actions",
+                           actions_from_cells(self.future, self.world.rows, self.world.cols))
         if len(self.future) < 2:  # NLL and cloning score transitions
             raise ConfigError(f"demo future needs at least two cells, got {len(self.future)}")
         if self.tag not in TAGS:

@@ -80,3 +80,24 @@ def enumerate_trajectory_distribution(reward: np.ndarray, start, horizon: int) -
     w = np.exp(log_w)
     w /= w.sum()
     return {tuple(int(a) for a in actions[i]): float(w[i]) for i in range(n_paths)}
+
+
+def reference_sample_trajectories(policy, start, horizon: int, n: int,
+                                  rng: np.random.Generator) -> np.ndarray:
+    """The per-step sampler: one draw of n uniforms per step, each action the
+    count of all four action-CDF bounds below its uniform, capped at the last
+    action; int64 (n, horizon) flat cells."""
+    rows, cols = policy.shape
+    r, c = _check_cell(start, rows, cols)
+    flat_next = flat_transition_table(rows, cols)
+    cum_flat = np.cumsum(policy.probs.reshape(N_ACTIONS, -1), axis=0)
+    cur = np.full(n, r * cols + c, dtype=np.int64)
+    cells = np.empty((n, horizon), dtype=np.int64)
+    cells[:, 0] = cur
+    for t in range(1, horizon):
+        cum = cum_flat[:, cur]
+        u = rng.random(n)
+        a = np.minimum((u[None, :] > cum).sum(axis=0), N_ACTIONS - 1)
+        cur = flat_next[a, cur]
+        cells[:, t] = cur
+    return cells

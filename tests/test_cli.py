@@ -1,9 +1,7 @@
 import argparse
 import dataclasses
-import filecmp
 import json
 import math
-import os
 import shutil
 import struct
 import warnings

@@ -1,9 +1,9 @@
 """Source hygiene: every imported name is used, and library code has a caller.
 
 No linter ships with the project, so this stands in for two of its checks. A
-name bound by an import in `src/meirl/*.py` or `scripts/*.py` must be read
-somewhere in that module (code or annotations) or be listed in its `__all__`.
-A top-level def, class or UPPER_CASE constant in `src/meirl` must be read, by
+name bound by an import in `src/meirl/*.py`, `scripts/*.py` or `tests/*.py`
+must be read somewhere in that module (code or annotations) or be listed in
+its `__all__`. A top-level def, class or UPPER_CASE constant in `src/meirl` must be read, by
 name or as an attribute, somewhere in `src/meirl` or `scripts` outside its own
 definition, or be wrapped by the benchmark's traced run (`TRACED` in
 `perfbench/spans.py`). And one module fits nets: within `src/meirl`, only
@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "meirl").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 SOURCES = LIBRARY + SCRIPTS
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 SPANS = ROOT / "perfbench" / "spans.py"
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
 # the one module allowed to step a net's parameters or write a checkpoint
@@ -70,7 +71,7 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name}: unused imports " + ", ".join(

@@ -5,10 +5,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BOOL_MASKS, enumerate_trajectory_distribution, make_world
+from conftest import (BOOL_MASKS, enumerate_trajectory_distribution, make_world,
+                      reference_sample_trajectories)
 from meirl.errors import ConfigError, ConvergenceError
 from meirl import mdp
 from meirl.mdp import (ACTION_DELTAS, GridWorld, Policy,
@@ -160,6 +161,11 @@ def test_policy_rows_must_sum_to_one():
     off[0, 1, 1] = np.nan
     with pytest.raises(ConfigError):
         Policy(probs=off)
+    # rows that sum to one through a negative entry would give a decreasing CDF
+    neg = np.full((4, 3, 3), 0.25)
+    neg[0, 2, 2], neg[1, 2, 2] = -0.25, 0.75
+    with pytest.raises(ConfigError, match="nonnegative"):
+        Policy(probs=neg)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +423,44 @@ def test_sample_trajectory_seeded_deterministic(rng):
     c = sample_trajectories(pol, (3, 3), 10, 1, np.random.default_rng(6))[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def sampler_policy(kind, rows, cols, seed):
+    """Action distributions of one `kind` on a rows x cols grid: Dirichlet
+    rows, Dirichlet rows with random actions zeroed, or one-hot rows."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.full(4, 0.5), size=(rows, cols))
+    if kind == "sparse":
+        probs *= rng.random((rows, cols, 4)) < 0.5
+        probs[probs.sum(axis=2) == 0.0, rng.integers(4)] = 1.0
+        probs /= probs.sum(axis=2, keepdims=True)
+    elif kind == "one_hot":
+        probs = np.eye(4)[rng.integers(4, size=(rows, cols))]
+    return Policy(probs=probs.transpose(2, 0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["dirichlet", "sparse", "one_hot"]), rows=st.integers(1, 9),
+       cols=st.integers(1, 9), start_on=st.sampled_from(["any", "corner", "border"]),
+       horizon=st.integers(1, 40), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+@example(kind="dirichlet", rows=16, cols=16, start_on="any", horizon=25, n=1000, seed=7)
+@example(kind="sparse", rows=9, cols=9, start_on="corner", horizon=40, n=1000, seed=8)
+def test_sampler_equals_the_per_step_reference_bitwise(kind, rows, cols, start_on, horizon,
+                                                       n, seed):
+    policy = sampler_policy(kind, rows, cols, seed)
+    pick = np.random.default_rng(seed + 1)
+    r, c = int(pick.integers(rows)), int(pick.integers(cols))
+    if start_on == "corner":
+        r, c = (0, rows - 1)[r % 2], (0, cols - 1)[c % 2]
+    elif start_on == "border":
+        r = (0, rows - 1)[r % 2]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_trajectories(policy, (r, c), horizon, n, got_rng)
+    want = reference_sample_trajectories(policy, (r, c), horizon, n, want_rng)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == (n, horizon)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_sample_first_step_frequencies_uniform():

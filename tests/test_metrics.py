@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meirl import metrics
+from meirl.dataset import GenerateConfig, generate_dataset
 from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
 from meirl.mdp import GridWorld, Policy, cells_to_xy, sample_trajectories, uniform_policy
@@ -262,10 +264,32 @@ def test_mean_sampled_hd_equals_the_per_sample_loop_bitwise(rows, cols, horizon,
     assert got == per_sample_mean_hd(policy, demo, n, seed=seed % 97)
 
 
+# sha256 of mean_sampled_hd at 200 samples as <f8, for the uniform policy and
+# two seeded Dirichlet policies, over the test demos of a fixed 16x16 dataset:
+# a rollout step or a distance bit that moves, or a change in the order the
+# sampler draws or the mean sums, changes it
+PINNED_SAMPLED_HD_DIGEST = "aba4555f4768096e8c17fd98c13c689b02336e51efcdfa845a8840cfd0bb3495"
+
+
+def test_sampled_hd_is_pinned():
+    _, test = generate_dataset(GenerateConfig(n_demos=24, split=0.5, seed=3, rows=16, cols=16))
+    policies = [uniform_policy(16, 16)] + [
+        Policy(probs=np.random.default_rng(seed).dirichlet(
+            np.full(4, alpha), size=(16, 16)).transpose(2, 0, 1))
+        for seed, alpha in ((1, 1.0), (2, 0.3))]
+    digest = hashlib.sha256()
+    for policy in policies:
+        for k, demo in enumerate(test):
+            hd = mean_sampled_hd(policy, demo, n_samples=200, seed=k)
+            digest.update(np.array(hd, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_SAMPLED_HD_DIGEST
+
+
 def test_sampled_hausdorff_memory_is_bounded_per_chunk():
-    # unchunked, the gathered block of 20,000 rollouts at H = 25 would be 50 MB
+    # unchunked, the two (n, H) int32 blocks of 200,000 rollouts at H = 25
+    # would be 40 MB
     rng = np.random.default_rng(2)
-    future, rollouts = random_cells(rng, 16, 16, 25), rng.integers(0, 16 * 16, size=(20_000, 25))
+    future, rollouts = random_cells(rng, 16, 16, 25), rng.integers(0, 16 * 16, size=(200_000, 25))
     tracemalloc.start()
     try:
         sampled_hausdorff(rollouts, future, (16, 16), 1.0)

@@ -15,8 +15,8 @@ from meirl.dataset import GenerateConfig, generate_dataset
 from meirl.errors import ConfigError
 from meirl.kinematics import KinematicContext, extract_velocity
 from meirl.mdp import ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy
-from meirl.synthetic import (FAST_THRESHOLD, MARGIN, VAR_THRESHOLD, Demonstration, Scene,
-                             WorldSpec, augment_rotations, balance_dataset, bend_cells,
+from meirl.synthetic import (MARGIN, VAR_THRESHOLD, Demonstration, Scene, WorldSpec,
+                             augment_rotations, balance_dataset, bend_cells,
                              classify_tag, generate_demonstration, generate_world,
                              ground_truth_reward, junction_cells, trail_mask)
 
@@ -354,6 +354,20 @@ def test_demo_refuses_a_future_without_a_transition(cells):
     with pytest.raises(ConfigError, match=f"^demo future needs at least two cells, got {cells}$"):
         Demonstration(world=world, past=demo.past, future=demo.future[:cells],
                       expert_speed=2.0, seed=0, tag=demo.tag)
+
+
+def test_a_demo_is_frozen_so_its_actions_follow_its_future():
+    world = world_from_mask(straight_mask())
+    demo = generate_demonstration(world, speed=2.0, seed=0, start=(8, 6))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        demo.future = demo.future[:1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        demo.actions = demo.actions[:1]
+    # replace() builds a new demo through every check
+    moved = dataclasses.replace(demo, future=demo.future[:2])
+    assert np.array_equal(moved.actions, demo.actions[:1])
+    with pytest.raises(ConfigError, match="at least two cells"):
+        dataclasses.replace(demo, future=demo.future[:1])
 
 
 def test_a_demo_is_a_scene_at_its_first_cell():
