@@ -145,7 +145,7 @@ def _decode_demo(reader: configio.Reader) -> Demonstration:
     if tag_code >= len(TAGS):
         raise ConfigError(f"bad tag code {tag_code}")
     world = GridWorld(rows=rows, cols=cols, resolution=resolution, env=env)
-    past = PastTrack(t=tri[:, 0].copy(), xy=tri[:, 1:].copy())
+    past = PastTrack(t=tri[:, 0], xy=tri[:, 1:])
     return Demonstration(world=world, past=past, future=future,
                          expert_speed=speed, seed=seed, tag=TAGS[tag_code])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mdp import GridWorld
+from .mdp import GridWorld, read_only
 
 SPEED_NORM = 10.0  # m/s mapped to |dx| or |dy| == 1
 KAPPA_MAX = 0.5    # 1/m mapped to |kappa| == 1
@@ -26,16 +26,17 @@ N_FEATURE_CHANNELS = 25  # learned stage-1 feature maps
 N_STACK_CHANNELS = N_FEATURE_CHANNELS + 5  # + 2 positional + dx, dy, kappa
 
 
-@dataclass
+@dataclass(frozen=True)
 class PastTrack:
-    """Timestamped planar positions, metres; strictly increasing time, finite step speeds."""
+    """Timestamped planar positions, metres; strictly increasing time, finite step
+    speeds. Frozen, and `t` and `xy` are kept read-only."""
 
     t: np.ndarray   # (n,)
     xy: np.ndarray  # (n, 2)
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=np.float64)
-        self.xy = np.asarray(self.xy, dtype=np.float64)
+        object.__setattr__(self, "t", read_only(self.t, np.float64))
+        object.__setattr__(self, "xy", read_only(self.xy, np.float64))
         if self.t.ndim != 1 or self.xy.shape != (self.t.shape[0], 2):
             raise ConfigError(
                 f"track needs t (n,) and xy (n, 2); got {self.t.shape} and {self.xy.shape}"

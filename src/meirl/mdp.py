@@ -41,9 +41,21 @@ DOUBLING_FLOOR = 2.0 ** -60  # path weight below which policy evaluation stops
 ENV_CHANNEL_NAMES = ("max_height", "height_variance", "mean_r", "mean_g", "mean_b")
 
 
-@dataclass
+def read_only(a, dtype) -> np.ndarray:
+    """`a` as a read-only array of `dtype`. An array the caller passed in is
+    copied first, so its flags stay as they were and it shares no memory with
+    the frozen one."""
+    out = np.asarray(a, dtype=dtype)
+    if out is a:
+        out = out.copy()
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
 class GridWorld:
-    """Local grid map with the five terrain channels, each normalized to [0, 1]."""
+    """Local grid map with the five terrain channels, each normalized to [0, 1].
+    Frozen, and `env` is kept read-only."""
 
     rows: int
     cols: int
@@ -55,7 +67,7 @@ class GridWorld:
             raise ConfigError(f"world must be at least 8x8, got {self.rows}x{self.cols}")
         if not 0 < self.resolution < np.inf:
             raise ConfigError(f"resolution must be finite and positive, got {self.resolution}")
-        self.env = np.asarray(self.env, dtype=np.float64)
+        object.__setattr__(self, "env", read_only(self.env, np.float64))
         if self.env.shape != (len(ENV_CHANNEL_NAMES), self.rows, self.cols):
             raise ConfigError(
                 f"env channels must be (5, {self.rows}, {self.cols}), got {self.env.shape}"

@@ -108,7 +108,8 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return out.reshape(-1, h, wp)[:, :, :w]
 
 
-def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
+def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
+                    grad_channels: int | None = None):
     """Exact adjoints of conv2d_forward.
 
     Returns (grad_input, grad_kernel, grad_bias). Derived directly from
@@ -117,6 +118,13 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     is the cropped sum of K[:, :, u, v].T @ gp scattered into each tap's
     window, and grad_kernel[:, :, u, v] = gp @ window, each window read from
     one channels-last copy of the flat padded input.
+
+    grad_channels is how many leading input channels the caller reads the
+    gradient of (None: all of them). Only those rows of K[:, :, u, v].T @ gp
+    are formed, which gives them the same bits as the full product; at 0 no
+    input gradient is formed and grad_input is None. A one-row product would
+    run as a matrix-vector call, which rounds otherwise, so at least two rows
+    are formed where the input has them.
     """
     x = _check_input(x, layer)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -124,26 +132,44 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     o, p = layer.out_channels, layer.padding
     if grad_out.shape != (o, h, w):
         raise ConfigError(f"grad_out shape {grad_out.shape} does not match output ({o}, {h}, {w})")
+    kept = c if grad_channels is None else int(grad_channels)
+    if not 0 <= kept <= c:
+        raise ConfigError(f"grad_channels must be in 0..{c}, got {grad_channels}")
     xf, wp, taps = _flat_windows(x, layer)
     n = h * wp
     xt = np.ascontiguousarray(xf.T)
     gp = np.zeros((o, n))
     gp.reshape(o, h, wp)[:, :, :w] = grad_out
     grad_taps = np.empty(layer.kernel.shape[2:] + (o, c))
-    grad_xf = np.zeros_like(xf)
+    formed = min(c, max(kept, 2)) if kept else 0
+    grad_xf = np.zeros((formed, xf.shape[1]))
     for u, v, s in taps:
         np.matmul(gp, xt[s : s + n], out=grad_taps[u, v])
-        grad_xf[:, s : s + n] += layer.kernel[:, :, u, v].T @ gp
-    grad_input = grad_xf.reshape(c, -1, wp)[:, p : p + h, p : p + w]
+        if formed:
+            grad_xf[:, s : s + n] += layer.kernel[:, :formed, u, v].T @ gp
+    grad_input = grad_xf.reshape(formed, -1, wp)[:kept, p : p + h, p : p + w] if kept else None
     return grad_input, grad_taps.transpose(2, 3, 0, 1).copy(), grad_out.sum(axis=(1, 2))
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, LEAKY_SLOPE * x)
+    """x where x > 0, else LEAKY_SLOPE * x. As max(x, LEAKY_SLOPE * x) it has no
+    data-dependent branch and the bits of the select: for x < 0 the scaled
+    value is the larger, and +-0, NaN, +-inf and subnormals come out as
+    LEAKY_SLOPE * x does."""
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
 def leaky_relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, 1.0, LEAKY_SLOPE) * grad_out
+    """grad_out scaled by 1 where x > 0, else by LEAKY_SLOPE, formed without a
+    data-dependent branch as mask * (1 - LEAKY_SLOPE) + LEAKY_SLOPE. Both
+    factors are exact, since (1 - LEAKY_SLOPE) + LEAKY_SLOPE == 1.0 in float64,
+    so each product rounds as that of a select of the two factors would,
+    NaN and +-0 included. grad_out must have the shape of x."""
+    scale = (x > 0.0).astype(np.float64)
+    scale *= 1.0 - LEAKY_SLOPE
+    scale += LEAKY_SLOPE
+    scale *= grad_out
+    return scale
 
 
 def kaiming_conv(rng: np.random.Generator, in_ch: int, out_ch: int, k: int = 3,

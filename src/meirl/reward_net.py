@@ -124,14 +124,16 @@ def _stack_forward(layers, h):
     return h, caches
 
 
-def _stack_backward(layers, caches, g, prefix):
+def _stack_backward(layers, caches, g, prefix, input_channels):
+    """(gradient w.r.t. the first `input_channels` channels of the stack's
+    input, or None at 0; parameter gradients)."""
     grads = {}
     for i in reversed(range(len(layers))):
         if i < len(layers) - 1:
             # the leaky ReLU keeps the sign, so the next layer's input is
             # positive exactly where this layer's pre-activation was
             g = leaky_relu_grad(caches[i + 1], g)
-        g, gk, gb = conv2d_backward(caches[i], layers[i], g)
+        g, gk, gb = conv2d_backward(caches[i], layers[i], g, input_channels if i == 0 else None)
         grads[f"{prefix}.{i}.kernel"] = gk
         grads[f"{prefix}.{i}.bias"] = gb
     return g, grads
@@ -170,20 +172,20 @@ def forward(net: RewardNet, scene) -> tuple:
 def backward(net: RewardNet, acts: Activations, grad_out: np.ndarray) -> dict:
     """Parameter gradients for d(loss)/d(forward output) = grad_out, from the
     activations forward kept; no forward pass is re-run. Walks stage 2 if there
-    is one, passes on the gradient of the learned feature channels only (the
-    positional and kinematic ones hold no parameters), then walks stage 1. A
-    grad_out that does not fit the output raises ConfigError."""
+    is one, forming the gradient of the learned feature channels only (the
+    positional and kinematic ones hold no parameters), then walks stage 1,
+    whose terrain input needs no gradient. A grad_out that does not fit the
+    output raises ConfigError."""
     g = np.asarray(grad_out, dtype=np.float64)
     g = g.reshape((-1,) + g.shape[-2:])  # a reward map is one output channel
     s2_grads = {}
     if acts.stage2 is not None:
         stage2_backward = reward_backward if net.kind == "two_stage" else action_head_backward
         g, s2_grads = stage2_backward(net, acts.stage2, g)
-        g = g[:N_FEATURE_CHANNELS]
     if net.kind == "env_only":
         _, grads = reward_backward_env(net, acts.stage1, g)
     else:
-        _, grads = _stack_backward(net.stage1, acts.stage1, g, "s1")
+        _, grads = _stack_backward(net.stage1, acts.stage1, g, "s1", 0)
     grads.update(s2_grads)
     return grads
 
@@ -207,9 +209,10 @@ def reward_forward(net: RewardNet, stack: np.ndarray) -> tuple:
 
 
 def reward_backward(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:
-    """Walks the two_stage net's stage 2: (gradient w.r.t. the stack, grads)."""
+    """Walks the two_stage net's stage 2: (gradient w.r.t. the stack's
+    feature channels, grads)."""
     _require(net, "two_stage", "reward_backward")
-    return _stack_backward(net.stage2, caches, grad, "s2")
+    return _stack_backward(net.stage2, caches, grad, "s2", N_FEATURE_CHANNELS)
 
 
 def reward_from_env(net: RewardNet, env: np.ndarray) -> tuple:
@@ -220,9 +223,9 @@ def reward_from_env(net: RewardNet, env: np.ndarray) -> tuple:
 
 
 def reward_backward_env(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:
-    """Walks the env_only net's stage 1: (gradient w.r.t. the env, grads)."""
+    """Walks the env_only net's stage 1: (None, grads); the env needs no gradient."""
     _require(net, "env_only", "reward_backward_env")
-    return _stack_backward(net.stage1, caches, grad, "s1")
+    return _stack_backward(net.stage1, caches, grad, "s1", 0)
 
 
 def action_logits(net: RewardNet, stack: np.ndarray) -> tuple:
@@ -232,6 +235,7 @@ def action_logits(net: RewardNet, stack: np.ndarray) -> tuple:
 
 
 def action_head_backward(net: RewardNet, caches: list, grad: np.ndarray) -> tuple:
-    """Walks the action head's stage 2: (gradient w.r.t. the stack, grads)."""
+    """Walks the action head's stage 2: (gradient w.r.t. the stack's feature
+    channels, grads)."""
     _require(net, "action_head", "action_head_backward")
-    return _stack_backward(net.stage2, caches, grad, "s2")
+    return _stack_backward(net.stage2, caches, grad, "s2", N_FEATURE_CHANNELS)

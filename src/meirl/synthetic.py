@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError
 from .kinematics import PAST_RATE, PAST_WINDOW, KinematicContext, PastTrack, kinematic_context
 from .mdp import (ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy, neighbors,
-                  sample_trajectories, value_iteration)
+                  read_only, sample_trajectories, value_iteration)
 
 VAR_THRESHOLD = 0.06     # height-variance split between trail and rough ground
 FAST_THRESHOLD = 0.5     # normalized speed above which the straight-ahead ramp applies
@@ -259,6 +259,9 @@ class Scene:
 
 @dataclass(frozen=True)
 class Demonstration:
+    """One expert run on a scene: its future cells and the moves between them,
+    both kept read-only, so the two cannot drift apart."""
+
     world: GridWorld
     past: PastTrack
     future: np.ndarray        # (H, 2) cells, H >= 2, first = start cell
@@ -268,10 +271,11 @@ class Demonstration:
     actions: np.ndarray = field(init=False)  # (H - 1,) moves along future, set from it
 
     def __post_init__(self):
-        object.__setattr__(self, "future", np.asarray(self.future, dtype=np.int64))
+        object.__setattr__(self, "future", read_only(self.future, np.int64))
         # shape and adjacency audit: replaying the recovered actions must reproduce the cells
-        object.__setattr__(self, "actions",
-                           actions_from_cells(self.future, self.world.rows, self.world.cols))
+        actions = actions_from_cells(self.future, self.world.rows, self.world.cols)
+        actions.setflags(write=False)
+        object.__setattr__(self, "actions", actions)
         if len(self.future) < 2:  # NLL and cloning score transitions
             raise ConfigError(f"demo future needs at least two cells, got {len(self.future)}")
         if self.tag not in TAGS:
@@ -398,7 +402,7 @@ def generate_demonstration(world: GridWorld, speed: float = 4.0, seed: int = 0, 
 # augmentation and balancing
 
 def _rotate_world(world: GridWorld) -> GridWorld:
-    env = np.rot90(world.env, k=-1, axes=(1, 2)).copy()
+    env = np.rot90(world.env, k=-1, axes=(1, 2))
     return GridWorld(rows=world.rows, cols=world.cols,
                      resolution=world.resolution, env=env)
 
@@ -417,7 +421,7 @@ def augment_rotations(demo: Demonstration) -> list:
         future = np.stack([cur.future[:, 1], n - 1 - cur.future[:, 0]], axis=1)
         xy = np.stack([extent - cur.past.xy[:, 1], cur.past.xy[:, 0]], axis=1)
         cur = Demonstration(world=rot_world,
-                            past=PastTrack(t=cur.past.t.copy(), xy=xy),
+                            past=PastTrack(t=cur.past.t, xy=xy),
                             future=future, expert_speed=cur.expert_speed,
                             seed=cur.seed, tag=cur.tag)
         out.append(cur)

@@ -14,7 +14,7 @@ from meirl import checkpoint
 from meirl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from meirl.errors import ConfigError
 from meirl.kinematics import N_FEATURE_CHANNELS
-from meirl.nn import (ConvLayer, ParameterStore, conv2d_backward, conv2d_forward,
+from meirl.nn import (LEAKY_SLOPE, ConvLayer, ParameterStore, conv2d_backward, conv2d_forward,
                       kaiming_conv, leaky_relu, leaky_relu_grad, update_parameters)
 
 
@@ -217,12 +217,82 @@ def test_conv_equals_tensordot_reference(rng, shape, k, dilation):
         assert np.max(np.abs(gk - want_gk)) <= 1e-12 * np.max(np.abs(want_gk))
 
 
+@pytest.mark.parametrize("shape", [(8, 13), (13, 8), (32, 32)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("dilation", [1, 2, 3, 4])
+def test_partial_grad_input_equals_the_reference_channels(rng, shape, k, dilation):
+    # the leading channels a caller reads come out with the bits of the full
+    # gradient's; at 0 no input gradient is formed, and the parameter
+    # gradients are those of the full pass
+    h, w = shape
+    for (in_ch, out_ch), layout in zip(
+            [(1, 1), (1, 30), (30, 1), (5, 16), (24, 25), (25, 4), (16, 8)],
+            itertools.cycle(["contiguous", "channel_slice", "strided"])):
+        layer = random_layer(rng, in_ch, out_ch, k=k, dilation=dilation)
+        x = _inputs(rng, in_ch, h, w, layout)
+        g_out = _inputs(rng, out_ch, h, w, layout)
+        want_gx = tensordot_backward(x, layer, g_out)[0]
+        _, full_gk, full_gb = conv2d_backward(x, layer, g_out)
+        for kept in sorted({0, 1, in_ch - 1, in_ch}):
+            gx, gk, gb = conv2d_backward(x, layer, g_out, kept)
+            if kept == 0:
+                assert gx is None
+            else:
+                assert gx.shape == (kept, h, w)
+                assert np.array_equal(gx, want_gx[:kept])
+            assert np.array_equal(gk, full_gk) and np.array_equal(gb, full_gb)
+
+
+@pytest.mark.parametrize("kept", [-1, 3])
+def test_grad_channels_outside_the_input_raise(rng, kept):
+    layer = random_layer(rng, 2, 3)
+    with pytest.raises(ConfigError, match="grad_channels"):
+        conv2d_backward(rng.normal(size=(2, 8, 8)), layer, rng.normal(size=(3, 8, 8)), kept)
+
+
 # ---------------------------------------------------------------------------
 # activation
 
 def test_leaky_relu_values():
     x = np.array([2.0, -1.0, 0.0])
     assert np.allclose(leaky_relu(x), [2.0, -0.01, 0.0])
+
+
+def _leaky_inputs(rng, shape):
+    """Random values of mixed sign with NaN, +-0, +-inf and +-subnormals
+    spread through them."""
+    x = rng.normal(size=shape)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    specials = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny,
+                         1e-310, -1e-310, 1e-322, -1e-322])
+    flat = x.reshape(-1)
+    at = rng.choice(flat.size, size=8 * specials.size, replace=False)
+    flat[at] = np.tile(specials, 8)
+    return x
+
+
+def _bit_equal(got, want):
+    return (got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("shape", [(24, 16, 16), (24, 32, 32)])
+def test_leaky_pair_equals_the_select_bitwise(rng, shape):
+    # both are branch-free forms of np.where; the gradient's form rests on
+    # its two factors being exactly 1 and LEAKY_SLOPE
+    assert (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE == 1.0
+    x = _leaky_inputs(rng, shape)
+    g = _leaky_inputs(rng, shape)
+    with np.errstate(invalid="ignore", under="ignore"):
+        want_y = np.where(x > 0.0, x, LEAKY_SLOPE * x)
+        want_g = np.where(x > 0.0, 1.0, LEAKY_SLOPE) * g
+        assert _bit_equal(leaky_relu(x), want_y)
+        assert _bit_equal(leaky_relu_grad(x, g), want_g)
+        # the special values meet each other too, input against gradient
+        edge = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+        xe, ge = np.meshgrid(edge, edge, indexing="ij")
+        assert _bit_equal(leaky_relu(edge), np.where(edge > 0.0, edge, LEAKY_SLOPE * edge))
+        assert _bit_equal(leaky_relu_grad(xe, ge), np.where(xe > 0.0, 1.0, LEAKY_SLOPE) * ge)
 
 
 def test_leaky_relu_gradient_away_from_kink(rng):

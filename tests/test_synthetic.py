@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import BOOL_MASKS
 from meirl import synthetic
-from meirl.dataset import GenerateConfig, generate_dataset
+from meirl.dataset import GenerateConfig, generate_dataset, load_demo, save_demo
 from meirl.errors import ConfigError
-from meirl.kinematics import KinematicContext, extract_velocity
+from meirl.kinematics import KinematicContext, PastTrack, extract_velocity
 from meirl.mdp import ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy
 from meirl.synthetic import (MARGIN, VAR_THRESHOLD, Demonstration, Scene, WorldSpec,
                              augment_rotations, balance_dataset, bend_cells,
@@ -368,6 +368,52 @@ def test_a_demo_is_frozen_so_its_actions_follow_its_future():
     assert np.array_equal(moved.actions, demo.actions[:1])
     with pytest.raises(ConfigError, match="at least two cells"):
         dataclasses.replace(demo, future=demo.future[:1])
+
+
+def _demo_arrays(demo):
+    return {"future": demo.future, "actions": demo.actions, "env": demo.world.env,
+            "past.t": demo.past.t, "past.xy": demo.past.xy}
+
+
+def test_a_demos_arrays_refuse_writes_in_place(tmp_path):
+    # a frozen demo whose future could still be overwritten in place would
+    # leave its actions describing another path
+    world = world_from_mask(straight_mask())
+    demo = generate_demonstration(world, speed=2.0, seed=0, start=(8, 6))
+    save_demo(tmp_path / "demo.bin", demo)
+    loaded = load_demo(tmp_path / "demo.bin")
+    scene = Scene(demo.world, demo.past, demo.start)
+    for held in (demo, loaded, augment_rotations(demo)[1]):
+        before = {name: arr.copy() for name, arr in _demo_arrays(held).items()}
+        for name, arr in _demo_arrays(held).items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[-1]
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1
+            assert np.array_equal(arr, before[name])
+    for arr in (scene.world.env, scene.past.t, scene.past.xy):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    # nor can an array be swapped for one that skipped the checks
+    for held, name in ((demo.world, "env"), (demo.world, "rows"), (demo.past, "t"),
+                       (demo.past, "xy")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(held, name, None)
+
+
+def test_the_callers_arrays_stay_writable_and_apart():
+    env = np.full((5, 8, 8), 0.5)
+    t, xy = np.array([0.0, 0.1, 0.2]), np.array([[0.5, 4.5], [1.5, 4.5], [2.5, 4.5]])
+    future = np.array([[4, 2], [4, 3], [4, 4]])
+    world = GridWorld(rows=8, cols=8, resolution=1.0, env=env)
+    demo = Demonstration(world=world, past=PastTrack(t=t, xy=xy), future=future,
+                         expert_speed=10.0, seed=0, tag="straight")
+    for given_arr, held in ((env, world.env), (t, demo.past.t), (xy, demo.past.xy),
+                            (future, demo.future)):
+        assert given_arr.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(given_arr, held)
+    future[1] = future[0]  # the caller's edit does not reach the demo
+    assert demo.future[1].tolist() == [4, 3] and demo.actions.tolist() == [3, 3]
 
 
 def test_a_demo_is_a_scene_at_its_first_cell():

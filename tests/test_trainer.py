@@ -14,7 +14,8 @@ from meirl.kinematics import PastTrack
 from meirl.mdp import ACTION_DELTAS, GridWorld, value_iteration
 from meirl.metrics import nll
 from meirl.reward_net import backward, build_net, forward
-from meirl.synthetic import Demonstration, Scene
+from meirl.synthetic import (Demonstration, Scene, WorldSpec, generate_demonstrations,
+                             generate_world)
 from meirl.cli import forecast
 from meirl.trainer import (REPORT_COLUMNS, BcConfig, TrainConfig, bc_train, demo_svf, train,
                            train_step, write_report, write_timings)
@@ -485,6 +486,31 @@ def test_checkpoint_with_adam_constants_resumes_bitwise(tmp_path):
         digest.update(name.encode("utf-8"))
         digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     assert digest.hexdigest() == PINNED_RESUME_DIGEST
+
+
+# sha256 of bc_train's report rows, kept epoch and parameters after 2 epochs on
+# six generated 16x16 demos, computed while the leaky ReLU pair still selected
+# with np.where and conv2d_backward formed every input gradient
+PINNED_BC_DIGEST = "9bc398615f0edc370a14a2cc7ed2d805302471855f689cd0d01617bebdeb5709"
+
+
+def test_bc_training_is_pinned():
+    requests = [dict(world=generate_world(WorldSpec(seed=s, rows=16, cols=16, layout=layout)),
+                     speed=speed, seed=s)
+                for s, (layout, speed) in enumerate([("straight", 2.0), ("curve", 5.0),
+                                                     ("tee", 3.0), ("cross", 6.0),
+                                                     ("curve", 2.5), ("tee", 4.5)])]
+    demos = generate_demonstrations(requests)
+    # validated on the training demos, so both epochs improve and the
+    # parameters pinned are the trained ones
+    net, rows, _, kept = bc_train(demos, BcConfig(epochs=2, learning_rate=3e-3, val_split=0.0,
+                                                  seed=1))
+    assert len(rows) == 2 and kept[0] == 2
+    digest = hashlib.sha256(json.dumps([rows, kept]).encode("utf-8"))
+    for name, arr in net.parameters().items():
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_BC_DIGEST
 
 
 def test_resume_kind_mismatch_rejected(tmp_path):
