@@ -97,11 +97,11 @@ def main():
     speeds = {"slow": args.slow, "fast": args.fast}
     scenes = [Scene(world, straight_past(start, heading, speed, world.resolution), start)
               for speed in speeds.values()]
-    policies, _ = forecast(net, scenes)
+    starts, steps = [start] * len(speeds), [args.horizon - 1] * len(speeds)
+    dists = state_distribution(forecast(net, scenes)[0], starts, steps)
     entropies = {}
-    for (label, speed), policy in zip(speeds.items(), policies):
-        entropies[label] = terminal_entropy(policy, start, args.horizon - 1)
-        dist = state_distribution(policy, start, args.horizon - 1)
+    for (label, speed), dist in zip(speeds.items(), dists):
+        entropies[label] = terminal_entropy(dist)
         masses = {name: sum(dist[rc] for rc in cells)
                   for name, cells in regions.items()}
         print(f"{label:5s} (v={speed:g}): terminal entropy {entropies[label]:.4f}  "

@@ -28,8 +28,8 @@ from .checkpoint import load_checkpoint
 from .dataset import GenerateConfig, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ConvergenceError
 from .maps import save_map_csv, save_map_pgm
-from .mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories, uniform_policy,
-                  value_iteration)
+from .mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories, state_distribution,
+                  uniform_policy, value_iteration)
 from .metrics import (export_csv, export_json, hausdorff, mean_sampled_hd, nll, table_row,
                       terminal_entropy)
 from .reward_net import forward, net_from_store
@@ -209,7 +209,10 @@ def load_model(path, method: str):
 def forecast(net, scenes):
     """Forecast policies for a list of scenes (or demonstrations), planned in
     one value_iteration call on the net's reward maps, as training plans them,
-    plus those maps when the net defines them (else None)."""
+    plus those maps when the net defines them (else None). With no net, the
+    `random` method's uniform policies."""
+    if net is None:
+        return [uniform_policy(*scene.world.shape) for scene in scenes], None
     if net.kind == "action_head":  # the cloning head is a policy; no planner runs
         return [bc_policy(net, scene) for scene in scenes], None
     rewards = [forward(net, scene)[0] for scene in scenes]
@@ -235,6 +238,7 @@ def cmd_predict(args) -> None:
     demo = pool[cfg.demo]
     if cfg.zero_lidar:
         demo = dataclasses.replace(demo, world=_constant_env_world(demo.world))
+    net = None
     if cfg.method in METHOD_KIND:
         if args.checkpoint is None:
             raise ConfigError(f"--checkpoint is required for method {cfg.method!r}")
@@ -253,13 +257,9 @@ def cmd_predict(args) -> None:
         summary["hd"] = hd = hausdorff(xy, cells_to_xy(demo.future, demo.world.resolution))
         message = f"EKF forecast written; HD to the demonstration {hd:.3f} m"
     else:
-        if cfg.method == "random":
-            policy = uniform_policy(demo.world.rows, demo.world.cols)
-        else:
-            policies, rewards = forecast(net, [demo])
-            policy = policies[0]
-            if rewards is not None:
-                maps["reward"] = rewards[0]
+        (policy,), rewards = forecast(net, [demo])
+        if rewards is not None:
+            maps["reward"] = rewards[0]
         svf = compute_svf([policy], [start], [horizon])[0]
         if abs(float(svf.sum()) - horizon) > 1e-6:
             raise ConvergenceError(
@@ -271,7 +271,7 @@ def cmd_predict(args) -> None:
             table = np.column_stack([*np.divmod(np.arange(cells.size), horizon),
                                      *np.divmod(cells, demo.world.cols)])
             tables["samples.csv"] = (("sample", "step", "row", "col"), table.tolist())
-        entropy = terminal_entropy(policy, start, horizon - 1)
+        entropy = terminal_entropy(state_distribution([policy], [start], [horizon - 1])[0])
         summary.update(svf_mass=float(svf.sum()), terminal_entropy=entropy,
                        demo_nll=nll(policy, demo), zero_lidar=cfg.zero_lidar)
         message = f"prediction written; terminal entropy {entropy:.3f} nats"
@@ -330,17 +330,13 @@ def _eval_method(method, demos, cfg: EvalConfig, nets):
                                  cells_to_xy(demo.future, res)))
         return table_row("ekf", hds)
 
-    if method == "random":
-        policies = [uniform_policy(demo.world.rows, demo.world.cols) for demo in demos]
-    else:
-        policies = forecast(nets[method], demos)[0]
-    nlls, hds, entropies = [], [], []
-    for i, (demo, policy) in enumerate(zip(demos, policies)):
-        hds.append(mean_sampled_hd(policy, demo, n_samples=cfg.samples,
-                                   seed=_demo_seed(cfg.seed, i)))
-        nlls.append(nll(policy, demo))
-        entropies.append(terminal_entropy(policy, demo.start, demo.horizon - 1))
-    return table_row(method, hds, nlls, entropies)
+    policies = forecast(nets.get(method), demos)[0]
+    last = state_distribution(policies, [demo.start for demo in demos],
+                              [demo.horizon - 1 for demo in demos])
+    hds = [mean_sampled_hd(policy, demo, n_samples=cfg.samples, seed=_demo_seed(cfg.seed, i))
+           for i, (demo, policy) in enumerate(zip(demos, policies))]
+    nlls = [nll(policy, demo) for demo, policy in zip(demos, policies)]
+    return table_row(method, hds, nlls, [terminal_entropy(dist) for dist in last])
 
 
 def cmd_eval(args) -> None:

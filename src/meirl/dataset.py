@@ -28,7 +28,7 @@ import numpy as np
 from . import config as configio
 from .errors import ConfigError
 from .kinematics import PastTrack
-from .mdp import GridWorld
+from .mdp import ENV_CHANNEL_NAMES, GridWorld
 from .synthetic import (LAYOUTS, TAG_CODES, TAGS, Demonstration, WorldSpec, balance_dataset,
                         balance_fractions, generate_demonstrations, generate_world)
 
@@ -135,7 +135,7 @@ def load_demo(path) -> Demonstration:
 
 def _decode_demo(reader: configio.Reader) -> Demonstration:
     rows, cols, resolution = reader.unpack("<IId")
-    env = reader.array("<f4", (5, rows, cols))
+    env = reader.array("<f4", (len(ENV_CHANNEL_NAMES), rows, cols))
     (n,) = reader.unpack("<I")
     tri = reader.array("<f8", (n, 3))
     (h,) = reader.unpack("<I")

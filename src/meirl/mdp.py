@@ -6,12 +6,16 @@ the state unchanged. Reward is a function of the state only, so planners here
 take a per-cell reward map and infer the grid from its shape.
 
 The planners are batch-first: `value_iteration` takes a (B, rows, cols) stack
-of reward maps and `compute_svf` a batch of policies with a start cell and
-horizon each, so one call plans a whole training batch. Batch position b is
-computed exactly as if it were planned alone: its policy freezes at its own
-last policy-iteration round and its visitation stops at its own horizon, so
-a single demo is just B = 1 and the result does not depend on what else is in
-the batch, to the bit.
+of reward maps, and `compute_svf` and `state_distribution` a batch of
+policies with a start cell and a horizon or step count each, so one call
+plans a whole training batch or scores all of a method's forecasts. Batch
+position b is computed exactly as if it were planned alone: its policy
+freezes at its own last policy-iteration round and its visitation stops at
+its own last step, so a single demo is just B = 1 and the result does not
+depend on what else is in the batch, to the bit. The visit counts and the
+terminal distributions come from one forward pass. `sample_trajectories`
+stays per demo, because each demo's rollouts draw from its own seeded
+generator.
 
 `value_iteration` keeps its historical name but runs Howard policy
 iteration: each round evaluates a deterministic policy exactly by pointer
@@ -68,10 +72,10 @@ class GridWorld:
         if not 0 < self.resolution < np.inf:
             raise ConfigError(f"resolution must be finite and positive, got {self.resolution}")
         object.__setattr__(self, "env", read_only(self.env, np.float64))
-        if self.env.shape != (len(ENV_CHANNEL_NAMES), self.rows, self.cols):
-            raise ConfigError(
-                f"env channels must be (5, {self.rows}, {self.cols}), got {self.env.shape}"
-            )
+        channels = len(ENV_CHANNEL_NAMES)
+        if self.env.shape != (channels, self.rows, self.cols):
+            raise ConfigError(f"env channels must be ({channels}, {self.rows}, "
+                              f"{self.cols}), got {self.env.shape}")
         if not np.isfinite(self.env).all():
             raise ConfigError("env channels contain non-finite values")
         if self.env.min() < 0.0 or self.env.max() > 1.0:
@@ -275,70 +279,67 @@ def _check_cell(cell, rows: int, cols: int):
     return r, c
 
 
-def _point_masses(starts, rows: int, cols: int) -> np.ndarray:
-    """(B, rows*cols) flat distributions, each all mass on its start cell."""
-    mu = np.zeros((len(starts), rows * cols))
+def _forward_pass(policies, starts, lengths, names, least: int):
+    """The forward visitation pass of max-ent IRL (Ziebart et al. 2008,
+    Algorithm 1) over a batch. Position b starts as a point mass on starts[b]
+    and follows policies[b] until its last step, t = lengths[b] - least:
+    `compute_svf` counts the horizon's cells t = 0 .. horizon - 1 and
+    `state_distribution` ends `steps` moves out. Returns, each (B, rows, cols),
+    the sum of b's distributions over its steps and its distribution at the
+    last one. `names` (the argument, one value) name the lengths in errors.
+
+    A step is one bincount per action over all B*rows*cols cells, each
+    position's successors offset into its own block, so a block sums only its
+    own cells, in the order it would alone. A position's distribution is
+    zeroed once it ends, which adds exactly nothing to its visit counts."""
+    probs = _stack([p.probs for p in policies], "policies", 4)
+    n, _, rows, cols = probs.shape
+    lengths = np.asarray(lengths)
+    if len(starts) != n or lengths.shape != (n,):
+        raise ConfigError(f"{n} policies need {n} start cells and {names[0]}, got "
+                          f"{len(starts)} and {lengths.shape}")
+    short = np.flatnonzero(lengths < least)
+    if short.size:
+        raise ConfigError(f"{names[1]} must be >= {least}, got {lengths[short].tolist()} "
+                          f"at batch positions {short.tolist()}")
+    size = n * rows * cols
+    mu = np.zeros((n, rows * cols))
     for b, start in enumerate(starts):
         r, c = _check_cell(start, rows, cols)
         mu[b, r * cols + c] = 1.0
-    return mu
-
-
-def _propagate(probs: np.ndarray, rows: int, cols: int):
-    """The one-transition map of B flat state distributions under policies
-    `probs` (B, 4, rows*cols): one bincount per action over all B*rows*cols
-    cells, each position's successors offset into its own block."""
-    n = len(probs)
+    probs = probs.reshape(n, N_ACTIONS, rows * cols)
     offsets = (np.arange(n) * (rows * cols))[:, None]
     targets = [(flat_next[None, :] + offsets).reshape(-1)
                for flat_next in flat_transition_table(rows, cols)]
-
-    def step(mu: np.ndarray) -> np.ndarray:
-        out = np.zeros(n * rows * cols)
-        for a in range(N_ACTIONS):
-            out += np.bincount(targets[a], weights=(mu * probs[:, a]).reshape(-1),
-                               minlength=n * rows * cols)
-        return out.reshape(n, rows * cols)
-
-    return step
+    total, last = np.zeros((n, rows * cols)), np.empty((n, rows * cols))
+    ends = lengths - least
+    final, end_steps = int(ends.max()), set(ends.tolist())
+    for t in range(final + 1):
+        total += mu
+        if t in end_steps:
+            done = ends == t
+            last[done] = mu[done]
+            mu[done] = 0.0
+        if t < final:
+            step = np.zeros(size)
+            for a in range(N_ACTIONS):
+                step += np.bincount(targets[a], weights=(mu * probs[:, a]).reshape(-1),
+                                    minlength=size)
+            mu = step.reshape(n, rows * cols)
+    return total.reshape(n, rows, cols), last.reshape(n, rows, cols)
 
 
 def compute_svf(policies, starts, horizons) -> np.ndarray:
     """Expected state-visitation counts, (B, rows, cols): position b follows
     policies[b] from starts[b] for horizons[b] steps, so its total mass equals
     horizons[b]."""
-    probs = _stack([p.probs for p in policies], "policies", 4)
-    n, _, rows, cols = probs.shape
-    horizons = np.asarray(horizons)
-    if len(starts) != n or horizons.shape != (n,):
-        raise ConfigError(f"{n} policies need {n} start cells and horizons, got "
-                          f"{len(starts)} and {horizons.shape}")
-    short = np.flatnonzero(horizons < 1)
-    if short.size:
-        raise ConfigError(f"horizon must be >= 1, got {horizons[short].tolist()} at "
-                          f"batch positions {short.tolist()}")
-    mu = _point_masses(starts, rows, cols)
-    step = _propagate(probs.reshape(n, N_ACTIONS, -1), rows, cols)
-    total = np.zeros((n, rows * cols))
-    last = int(horizons.max()) - 1
-    for t in range(last + 1):
-        live = t < horizons
-        total[live] += mu[live]
-        if t < last:
-            mu = step(mu)
-    return total.reshape(n, rows, cols)
+    return _forward_pass(policies, starts, horizons, ("horizons", "horizon"), 1)[0]
 
 
-def state_distribution(policy: Policy, start, steps: int) -> np.ndarray:
-    """Exact state distribution after `steps` transitions from a point mass."""
-    rows, cols = policy.shape
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
-    mu = _point_masses([start], rows, cols)
-    step = _propagate(policy.probs.reshape(1, N_ACTIONS, -1), rows, cols)
-    for _ in range(steps):
-        mu = step(mu)
-    return mu.reshape(rows, cols)
+def state_distribution(policies, starts, steps) -> np.ndarray:
+    """Exact state distributions, (B, rows, cols): position b's after steps[b]
+    transitions under policies[b] from a point mass on starts[b]."""
+    return _forward_pass(policies, starts, steps, ("steps", "steps"), 0)[1]
 
 
 def sample_trajectories(policy: Policy, start, horizon: int, n: int,

@@ -7,8 +7,8 @@ and the results table built from them.
 NLL is normalized per transition, so the uniform policy scores exactly ln 4 on
 every demonstration. Hausdorff distances are symmetric and measured in meters
 on cell centers. Terminal entropy is that of the forecast's last cell, whose
-state distribution (`horizon - 1` moves from the start cell) is propagated
-exactly, not sampled.
+state distribution (`horizon - 1` moves from the start cell) the caller
+propagates exactly with `mdp.state_distribution`, not by sampling.
 
 Sampled HD scores all rollouts of a demo at once, on integer cells. A table
 holds the squared cell distance from every grid cell to every future cell
@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import dump_json, write_csv
 from .errors import ConfigError
-from .mdp import Policy, sample_trajectories, state_distribution
+from .mdp import Policy, sample_trajectories
 from .synthetic import Demonstration
 
 HD_CHUNK_BYTES = 4 << 20  # the two int32 (chunk, H) blocks of one sampled-HD chunk
@@ -102,10 +102,9 @@ def sampled_hausdorff(rollouts, future, shape, resolution: float) -> np.ndarray:
     return out * resolution
 
 
-def terminal_entropy(policy: Policy, start, steps: int) -> float:
-    """Entropy in nats of the state distribution `steps` moves from `start`."""
-    mu = state_distribution(policy, start, steps)
-    p = mu[mu > 0.0]
+def terminal_entropy(dist) -> float:
+    """Entropy in nats of the state distribution `dist`, an array."""
+    p = dist[dist > 0.0]
     return float(-(p * np.log(p)).sum())
 
 

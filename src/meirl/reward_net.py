@@ -19,12 +19,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .kinematics import N_FEATURE_CHANNELS, N_STACK_CHANNELS, build_input_stack, kinematic_context
+from .mdp import ENV_CHANNEL_NAMES
 from .nn import ConvLayer, conv2d_backward, conv2d_forward, kaiming_conv, leaky_relu, leaky_relu_grad
 
 STAGE1_WIDTHS = (16, 24, 24, N_FEATURE_CHANNELS)
 STAGE1_DILATIONS = (1, 2, 3, 4)
 STAGE2_WIDTHS = (16, 8)
-ENV_CHANNELS = 5
+ENV_CHANNELS = len(ENV_CHANNEL_NAMES)
 
 KINDS = ("two_stage", "env_only", "action_head")
 
@@ -194,10 +195,8 @@ def backward(net: RewardNet, acts: Activations, grad_out: np.ndarray) -> dict:
 # input gradient) with that stage's layer caches (or parameter gradients).
 
 def stage1_forward(net: RewardNet, env: np.ndarray) -> tuple:
-    """Stage-1 feature maps of the terrain channels."""
-    env = np.asarray(env, dtype=np.float64)
-    if env.ndim != 3 or env.shape[0] != net.stage1[0].in_channels:
-        raise ConfigError(f"env input must be ({net.stage1[0].in_channels}, rows, cols), got {env.shape}")
+    """Stage-1 feature maps of the terrain channels; the first conv checks
+    their shape."""
     return _stack_forward(net.stage1, env)
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .kinematics import PAST_RATE, PAST_WINDOW, KinematicContext, PastTrack, kinematic_context
-from .mdp import (ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy, neighbors,
-                  read_only, sample_trajectories, value_iteration)
+from .mdp import (ACTION_DELTAS, ENV_CHANNEL_NAMES, GridWorld, actions_from_cells, cells_to_xy,
+                  neighbors, read_only, sample_trajectories, value_iteration)
 
 VAR_THRESHOLD = 0.06     # height-variance split between trail and rough ground
 FAST_THRESHOLD = 0.5     # normalized speed above which the straight-ahead ramp applies
@@ -139,7 +139,7 @@ def generate_world(spec: WorldSpec) -> GridWorld:
     mask = _dilate(mask, (spec.trail_width - 1) // 2)
 
     size = (rows, cols)
-    env = np.empty((5, rows, cols))
+    env = np.empty((len(ENV_CHANNEL_NAMES), rows, cols))
     on_h = rng.uniform(*TRAIL_HEIGHT, size=size)
     off_h = rng.uniform(*OFF_HEIGHT, size=size)
     env[0] = np.where(mask, on_h, off_h)

@@ -270,12 +270,11 @@ def test_7_speed_conditioned_junction_forecast(benchmark_run):
     speeds = {"slow": 2.0, "fast": 8.0}
     policies, _ = forecast(net, [point_scene(world, start, heading, speed)
                                  for speed in speeds.values()])
+    dists = state_distribution(policies, [start] * len(speeds), [horizon - 1] * len(speeds))
     results = {}
-    for label, policy in zip(speeds, policies):
-        entropy = terminal_entropy(policy, start, horizon - 1)
-        dist = state_distribution(policy, start, horizon - 1)
+    for label, dist in zip(speeds, dists):
         straight_mass = float(sum(dist[rc] for rc in straight_arm))
-        results[label] = (entropy, straight_mass)
+        results[label] = (terminal_entropy(dist), straight_mass)
 
     gap = results["slow"][0] - results["fast"][0]
     fast_straight = results["fast"][1]

@@ -239,6 +239,50 @@ def test_mistyped_config_values_exit_2(dataset_dir, ours_ckpt, tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command, flags, config, message", [
+    ("eval", [], {"methods": []}, "need at least one method to evaluate"),
+    ("eval", ["--methods", "random,random"], None, "duplicate methods requested"),
+    ("eval", ["--samples", "0"], None, "samples must be at least 1"),
+    ("eval", ["--methods", "ours", "--checkpoint", "MISSING"], None,
+     "missing artifacts: checkpoint for method 'ours' at "),
+    ("predict", ["--demo", "-1"], None, "demo index must be nonnegative"),
+    ("predict", ["--samples", "-1"], None, "samples must be nonnegative"),
+    ("predict", [], {"which": "val"}, "which must be 'train' or 'test'"),
+    ("predict", [], "[1, 2]", "must hold a JSON object"),
+    ("train", [], "{not json", "malformed JSON in "),
+    ("generate", ["--demos", "0"], None, "n_demos must be at least 1"),
+    ("generate", [], {"layouts": []}, "need at least one layout"),
+    ("train", ["--resume", "MISSING"], None, "checkpoint not found: "),
+])
+def test_config_errors_exit_2_without_output(dataset_dir, ours_ckpt, tmp_path, capsys,
+                                             command, flags, config, message):
+    flags = [tmp_path / "missing.ckpt" if f == "MISSING" else f for f in flags]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config if isinstance(config, str)
+                                           else json.dumps(config))
+        flags += ["--config", tmp_path / "cfg.json"]
+    inputs = {"generate": [], "train": ["--dataset", dataset_dir],
+              "predict": ["--dataset", dataset_dir, "--checkpoint", ours_ckpt],
+              "eval": ["--dataset", dataset_dir]}[command]
+    assert run(command, "--out", tmp_path / "x", *inputs, *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_eval_without_a_dataset_or_its_test_demos_exits_2(tmp_path, capsys):
+    # an all-train split is refused before any method forms an empty batch
+    data = tmp_path / "all_train"
+    assert run("generate", "--out", data, "--demos", "3", "--rows", "12", "--cols", "12",
+               "--split", "1.0") == 0
+    capsys.readouterr()
+    for dataset, message in ((data, "the dataset has no test demonstrations to evaluate"),
+                             (tmp_path / "none", f"dataset manifest at {tmp_path / 'none'}")):
+        assert run("eval", "--dataset", dataset, "--out", tmp_path / "x",
+                   "--methods", "random") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "train", "train_bc", "predict", "eval"])
 def test_negative_seed_exits_2_naming_the_seed(dataset_dir, ours_ckpt, tmp_path, capsys,
                                                command):
@@ -526,8 +570,8 @@ def test_predict_terminal_entropy_is_that_of_the_last_forecast_cell(dataset_dir,
     _, test_demos, _ = load_dataset(dataset_dir)
     demo = test_demos[1]
     # a forecast of `horizon` cells, the start included, makes horizon - 1 moves
-    last = state_distribution(uniform_policy(demo.world.rows, demo.world.cols),
-                              demo.start, demo.horizon - 1)
+    last = state_distribution([uniform_policy(demo.world.rows, demo.world.cols)],
+                              [demo.start], [demo.horizon - 1])[0]
     p = last[last > 0.0]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["terminal_entropy"] == pytest.approx(float(-(p * np.log(p)).sum()),

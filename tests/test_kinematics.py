@@ -89,6 +89,12 @@ def test_velocity_stationary():
     assert extract_velocity(tr) == (0.0, 0.0)
 
 
+def test_velocity_out_and_back_has_no_direction():
+    # it moves at 10 m/s, but ends where it began: no axis to put the speed on
+    tr = track_from_xy([(0, 0), (1, 0), (2, 0), (1, 0), (0, 0)])
+    assert extract_velocity(tr) == (0.0, 0.0)
+
+
 def test_velocity_angled_keeps_speed_magnitude():
     tr = straight_track(5.0, 30.0)
     dx, dy = extract_velocity(tr)
@@ -138,6 +144,13 @@ def test_curvature_cw_circle_is_negative():
 def test_curvature_collinear_zero():
     tr = straight_track(3.0, 40.0)
     assert fit_curvature(tr) == 0.0
+
+
+def test_curvature_zigzag_whose_turns_cancel_is_zero():
+    # both fit a circle of radius well under the cutoff; the turns right,
+    # left, right of the longer one do not cancel, so only it is curved
+    assert fit_curvature(track_from_xy([(0, 0), (1, 1), (2, 0), (3, 1)])) == 0.0
+    assert fit_curvature(track_from_xy([(0, 0), (1, 1), (2, 0), (3, 1), (4, 0)])) < 0.0
 
 
 def test_curvature_needs_three_samples():

@@ -1,5 +1,6 @@
 """Grid MDP: hand Bellman fixed points, MC oracle for the SVF DP, enumeration."""
 
+import hashlib
 import math
 import re
 
@@ -296,13 +297,18 @@ def test_batched_planner_equals_each_single_demo_slice(batch):
     rewards, starts, horizons, gamma, s = batch
     plans = value_iteration(s * rewards, gamma=gamma)
     svf = compute_svf(plans, starts, horizons)
-    assert len(plans) == len(rewards) and svf.shape == rewards.shape
+    steps = [0] + horizons[1:]  # mixed, one of them 0
+    last = state_distribution(plans, starts, steps)
+    assert len(plans) == len(rewards) and svf.shape == last.shape == rewards.shape
     for b in range(len(rewards)):
         (alone,) = value_iteration(s * rewards[b:b + 1], gamma=gamma)
         assert np.array_equal(plans[b].value, alone.value)
         assert np.array_equal(plans[b].probs, alone.probs)
         assert plans[b].sweeps == alone.sweeps >= 1
         assert np.array_equal(svf[b], compute_svf([alone], starts[b:b + 1], horizons[b:b + 1])[0])
+        assert np.array_equal(last[b], state_distribution([alone], starts[b:b + 1],
+                                                          steps[b:b + 1])[0])
+        assert last[b].sum() == pytest.approx(1.0, abs=1e-12)
         # V is a Bellman fixed point, and both V and the policy equal the
         # long-run sweep reference's: planning on s * r is planning on r at
         # temperature 1/s, because the max-Bellman operator is homogeneous
@@ -370,6 +376,31 @@ def test_svf_batch_arguments_must_line_up():
         compute_svf(pols, [(0, 0), (1, 1)], [2, 0])
 
 
+def test_state_distribution_names_its_steps_in_errors():
+    pols = [uniform_policy(6, 6)] * 2
+    with pytest.raises(ConfigError, match="2 start cells and steps"):
+        state_distribution(pols, [(0, 0)], [2, 2])
+    with pytest.raises(ConfigError, match=re.escape(
+            "steps must be >= 0, got [-1] at batch positions [1]")):
+        state_distribution(pols, [(0, 0), (1, 1)], [0, -1])
+
+
+# a fixed batch of softmax plans, pinned bitwise: every position's visit
+# counts and its distribution at its horizon's last cell
+PINNED_FORWARD_PASS_DIGEST = "5c04a5e4f648a2752f1324f2c0531e6b580b296aec756c58331b74a72382a1c7"
+
+
+def test_visit_counts_and_terminal_distributions_are_pinned():
+    rng = np.random.default_rng(23)
+    plans = value_iteration(3.0 * rng.normal(size=(6, 9, 11)))
+    starts = [(0, 0), (4, 5), (8, 10), (2, 9), (0, 3), (7, 1)]
+    horizons = [1, 25, 7, 16, 3, 40]
+    digest = hashlib.sha256()
+    digest.update(compute_svf(plans, starts, horizons).tobytes())
+    digest.update(state_distribution(plans, starts, [h - 1 for h in horizons]).tobytes())
+    assert digest.hexdigest() == PINNED_FORWARD_PASS_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # state visitation
 
@@ -407,7 +438,7 @@ def test_svf_matches_naive_monte_carlo(rng):
 
 def test_state_distribution_uniform_interior():
     pol = uniform_policy(8, 8)
-    mu = state_distribution(pol, (4, 4), steps=1)
+    (mu,) = state_distribution([pol], [(4, 4)], steps=[1])
     for dr, dc in ACTION_DELTAS:
         assert mu[4 + dr, 4 + dc] == pytest.approx(0.25)
     assert mu.sum() == pytest.approx(1.0, abs=1e-12)
@@ -603,8 +634,10 @@ def test_training_generation_and_eval_plan_once_per_batch(monkeypatch, tmp_path)
                          "--method", method, "--iterations", "1", "--batch-size", "2"]) == 0
     n_test = len(load_dataset(data)[1])
     forecasts = _count_calls(monkeypatch, cli, "value_iteration")
+    terminal = _count_calls(monkeypatch, cli, "state_distribution")
     assert cli.main(["eval", "--dataset", str(data), "--out", str(tmp_path / "eval"),
                      "--methods", "random,irl_nokin,ours", "--samples", "2",
                      "--checkpoint", str(tmp_path / "ours" / "checkpoint.ckpt"),
                      "--checkpoint-nokin", str(tmp_path / "irl_nokin" / "checkpoint.ckpt")]) == 0
     assert forecasts == [n_test, n_test]
+    assert terminal == [n_test] * 3  # one per policy method: random, irl_nokin, ours

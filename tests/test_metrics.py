@@ -14,7 +14,8 @@ from meirl import metrics
 from meirl.dataset import GenerateConfig, generate_dataset
 from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
-from meirl.mdp import GridWorld, Policy, cells_to_xy, sample_trajectories, uniform_policy
+from meirl.mdp import (GridWorld, Policy, cells_to_xy, sample_trajectories, state_distribution,
+                       uniform_policy)
 from meirl.metrics import (TABLE_COLUMNS, export_csv, export_json, hausdorff, mean_sampled_hd,
                            nll, sampled_hausdorff, table_row, terminal_entropy)
 from meirl.synthetic import Demonstration
@@ -302,19 +303,18 @@ def test_sampled_hausdorff_memory_is_bounded_per_chunk():
 
 def test_terminal_entropy_deterministic_zero():
     policy = deterministic_policy(8, 8, 3)
-    assert terminal_entropy(policy, (3, 1), 4) == 0.0
+    assert terminal_entropy(state_distribution([policy], [(3, 1)], [4])[0]) == 0.0
 
 
 def test_terminal_entropy_uniform_one_step():
     # four equally likely neighbors from an interior cell
     policy = uniform_policy(9, 9)
-    assert terminal_entropy(policy, (4, 4), 1) == LN4
+    assert terminal_entropy(state_distribution([policy], [(4, 4)], [1])[0]) == LN4
 
 
 def test_terminal_entropy_spreads_with_horizon():
     policy = uniform_policy(17, 17)
-    e1 = terminal_entropy(policy, (8, 8), 1)
-    e5 = terminal_entropy(policy, (8, 8), 5)
+    e1, e5 = map(terminal_entropy, state_distribution([policy] * 2, [(8, 8)] * 2, [1, 5]))
     assert e5 > e1
 
 

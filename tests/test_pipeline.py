@@ -57,7 +57,7 @@ def test_speed_entropy_experiment_matches_the_cli_forecast(tmp_path):
     start, heading, _ = script.scenario(world, 3)
     scene = Scene(world, script.straight_past(start, heading, 2.0, 1.0), start)
     (policy,), _ = forecast(net, [scene])
-    expected = state_distribution(policy, start, 14)
+    expected = state_distribution([policy], [start], [14])[0]
     written = np.loadtxt(maps / "terminal_slow.csv", delimiter=",")
     assert np.array_equal(written, expected)
 

@@ -118,6 +118,17 @@ def test_kind_mismatch_raises(rng):
 # ---------------------------------------------------------------------------
 # constant-input oracle
 
+@pytest.mark.parametrize("shape, message", [
+    ((16, 16), r"input must be \(channels, rows, cols\), got shape \(16, 16\)"),
+    ((4, 16, 16), "input has 4 channels, layer expects 5"),
+])
+def test_stage1_refuses_an_env_of_the_wrong_shape(shape, message):
+    # the first conv's input check is the only one on the terrain channels
+    net = build_net("two_stage", seed=0)
+    with pytest.raises(ConfigError, match=message):
+        stage1_forward(net, np.zeros(shape))
+
+
 def test_zero_env_interior_matches_bias_recurrence():
     net = build_net("two_stage", seed=5)
     rng = np.random.default_rng(55)
