@@ -9,10 +9,19 @@ side, given one spare bottom row, and flattened to (c, (h+2p+1)*wp), wp = w+2p.
 Output pixel (i, j) then sits at flat index i*wp + j, and tap (u, v) reads the
 contiguous window of h*wp entries that starts at u*d*wp + v*d, so each tap is
 one BLAS call on a view, with no patch copy. The spare row keeps the last
-tap's window inside the buffer. Each output row carries wp - w junk columns:
-the forward pass crops them, and the backward pass feeds them zero gradient.
-Kernel taps go to BLAS as strided views, as tensordot passes them, so that
-forward and grad_input round exactly as the tensordot reference in the tests.
+tap's window inside the buffer. Each output row carries wp - w junk columns,
+which are cropped.
+
+The input gradient runs the same loop. A stride-1 transposed convolution is
+the correlation with the flipped kernel (Dumoulin & Visin 2016), so the
+gradient is padded and flattened as the input is, and tap (u, v) multiplies
+its window by K[:, :, k-1-u, k-1-v].T into one contiguous accumulator. The
+taps run in reverse order, so each input cell sums its kernel taps in u, v
+order, as the tensordot reference in the tests does. The kernel gradient
+reads the unpadded gradient as a window of that same buffer, whose zero
+padding fills the junk columns. Kernel taps go to BLAS as strided views, as
+tensordot passes them, so that forward and grad_input round exactly as the
+tensordot reference.
 """
 
 from __future__ import annotations
@@ -94,18 +103,24 @@ def _flat_windows(x: np.ndarray, layer: ConvLayer):
     return xf.reshape(c, -1), wp, taps
 
 
+def _correlate(acc: np.ndarray, flat: np.ndarray, kernel: np.ndarray, taps) -> np.ndarray:
+    """acc += kernel[:, :, u, v] @ (the window of flat that starts at s), tap by
+    tap in the order given; acc is (rows, h*wp) and flat a `_flat_windows` buffer."""
+    n = acc.shape[1]
+    for u, v, s in taps:
+        acc += kernel[:, :, u, v] @ flat[:, s : s + n]
+    return acc
+
+
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Dilated cross-correlation: bias + sum over taps of K[:, :, u, v] @ window,
     then the junk columns cropped."""
     x = _check_input(x, layer)
     h, w = x.shape[1], x.shape[2]
     xf, wp, taps = _flat_windows(x, layer)
-    n = h * wp
-    out = np.empty((layer.out_channels, n))
+    out = np.empty((layer.out_channels, h * wp))
     out[:] = layer.bias[:, None]
-    for u, v, s in taps:
-        out += layer.kernel[:, :, u, v] @ xf[:, s : s + n]
-    return out.reshape(-1, h, wp)[:, :, :w]
+    return _correlate(out, xf, layer.kernel, taps).reshape(-1, h, wp)[:, :, :w]
 
 
 def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
@@ -114,17 +129,24 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
 
     Returns (grad_input, grad_kernel, grad_bias). Derived directly from
     out[o,i,j] = b[o] + sum_{c,u,v} K[o,c,u,v] * xpad[c, i+u*d, j+v*d].
-    With gp the gradient padded by zero junk columns to width wp, grad_input
-    is the cropped sum of K[:, :, u, v].T @ gp scattered into each tap's
-    window, and grad_kernel[:, :, u, v] = gp @ window, each window read from
-    one channels-last copy of the flat padded input.
+
+    The gradient is padded and flattened as the forward pads its input, into
+    gf. A stride-1 transposed convolution is the correlation with the kernel
+    flipped, since p - u*d = (k-1-u)*d - p: grad_input is the forward's loop
+    over gf's tap windows with K[:, :, k-1-u, k-1-v].T at tap (u, v), then
+    cropped. The taps run in reverse u, v order, so each input cell adds its
+    kernel taps in u, v order, as the scatter into the padded input and the
+    tensordot reference do, and rounds as they do. grad_kernel[:, :, u, v] =
+    gp @ window, each window read from one channels-last copy of the flat
+    padded input, where gp is gf's window at p*wp + p: it holds grad_out at
+    i*wp + j and, in its junk columns, gf's zero padding.
 
     grad_channels is how many leading input channels the caller reads the
-    gradient of (None: all of them). Only those rows of K[:, :, u, v].T @ gp
-    are formed, which gives them the same bits as the full product; at 0 no
-    input gradient is formed and grad_input is None. A one-row product would
-    run as a matrix-vector call, which rounds otherwise, so at least two rows
-    are formed where the input has them.
+    gradient of (None: all of them). Only those rows of the flipped kernel's
+    products are formed, which gives them the same bits as the full product;
+    at 0 no input gradient is formed and grad_input is None. A one-row product
+    would run as a matrix-vector call, which rounds otherwise, so at least two
+    rows are formed where the input has them.
     """
     x = _check_input(x, layer)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -136,18 +158,19 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     if not 0 <= kept <= c:
         raise ConfigError(f"grad_channels must be in 0..{c}, got {grad_channels}")
     xf, wp, taps = _flat_windows(x, layer)
+    gf = _flat_windows(grad_out, layer)[0]
     n = h * wp
     xt = np.ascontiguousarray(xf.T)
-    gp = np.zeros((o, n))
-    gp.reshape(o, h, wp)[:, :, :w] = grad_out
+    gp = gf[:, p * wp + p : p * wp + p + n]
     grad_taps = np.empty(layer.kernel.shape[2:] + (o, c))
-    formed = min(c, max(kept, 2)) if kept else 0
-    grad_xf = np.zeros((formed, xf.shape[1]))
     for u, v, s in taps:
         np.matmul(gp, xt[s : s + n], out=grad_taps[u, v])
-        if formed:
-            grad_xf[:, s : s + n] += layer.kernel[:, :formed, u, v].T @ gp
-    grad_input = grad_xf.reshape(formed, -1, wp)[:kept, p : p + h, p : p + w] if kept else None
+    grad_input = None
+    if kept:
+        formed = min(c, max(kept, 2))
+        flipped = layer.kernel[:, :formed, ::-1, ::-1].transpose(1, 0, 2, 3)
+        grad_xf = _correlate(np.zeros((formed, n)), gf, flipped, taps[::-1])
+        grad_input = grad_xf.reshape(formed, h, wp)[:kept, :, :w]
     return grad_input, grad_taps.transpose(2, 3, 0, 1).copy(), grad_out.sum(axis=(1, 2))
 
 

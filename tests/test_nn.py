@@ -1,5 +1,7 @@
-"""Conv substrate: naive-loop and tensordot oracles, finite differences, Adam, checkpoints."""
+"""Conv substrate: naive-loop, tensordot and scatter-add oracles, finite differences, Adam,
+checkpoints."""
 
+import hashlib
 import itertools
 import re
 import struct
@@ -16,6 +18,7 @@ from meirl.errors import ConfigError
 from meirl.kinematics import N_FEATURE_CHANNELS
 from meirl.nn import (LEAKY_SLOPE, ConvLayer, ParameterStore, conv2d_backward, conv2d_forward,
                       kaiming_conv, leaky_relu, leaky_relu_grad, update_parameters)
+from meirl.reward_net import KINDS, build_net
 
 
 def conv2d_naive(x, layer):
@@ -248,6 +251,82 @@ def test_grad_channels_outside_the_input_raise(rng, kept):
     layer = random_layer(rng, 2, 3)
     with pytest.raises(ConfigError, match="grad_channels"):
         conv2d_backward(rng.normal(size=(2, 8, 8)), layer, rng.normal(size=(3, 8, 8)), kept)
+
+
+# ---------------------------------------------------------------------------
+# the input gradient against the scatter-add adjoint, on the net's layers
+
+def scatter_grad_input(x, layer, grad_out, grad_channels=None):
+    """The input gradient as the transpose of the shifted-window forward: the
+    gradient padded by zero junk columns to width wp = w + 2p, and the sum of
+    K[:, :formed, u, v].T @ gp added into each tap's window of the flat padded
+    input, taps in u, v order, then cropped. `formed` follows conv2d_backward's
+    rule, so every row rounds as that of the full product."""
+    c, h, w = x.shape
+    k, d, p = layer.kernel.shape[2], layer.dilation, layer.padding
+    kept = c if grad_channels is None else grad_channels
+    formed = min(c, max(kept, 2))
+    wp = w + 2 * p
+    n = h * wp
+    gp = np.zeros((layer.out_channels, n))
+    gp.reshape(-1, h, wp)[:, :, :w] = grad_out
+    grad_xf = np.zeros((formed, (h + 2 * p + 1) * wp))
+    for u in range(k):
+        for v in range(k):
+            s = u * d * wp + v * d
+            grad_xf[:, s : s + n] += layer.kernel[:, :formed, u, v].T @ gp
+    return grad_xf.reshape(formed, -1, wp)[:kept, p : p + h, p : p + w]
+
+
+def _net_layer_shapes():
+    """(in_ch, out_ch, dilation, grad_channels) of every conv layer of the
+    three net kinds, with the grad_channels reward_net's backward passes."""
+    shapes = set()
+    for kind in KINDS:
+        net = build_net(kind)
+        for layers, first in ((net.stage1, 0), (net.stage2, N_FEATURE_CHANNELS)):
+            for i, layer in enumerate(layers):
+                shapes.add((layer.in_channels, layer.out_channels, layer.dilation,
+                            first if i == 0 else None))
+    return sorted(shapes, key=str)
+
+
+NET_LAYER_SHAPES = _net_layer_shapes()
+
+
+@pytest.mark.parametrize("shape", [(s, s) for s in range(6, 21)] + [(24, 24), (32, 32), (9, 4),
+                                                                     (5, 17)])
+def test_grad_input_equals_the_scatter_add_bitwise(rng, shape):
+    h, w = shape
+    for in_ch, out_ch, dilation, kept in NET_LAYER_SHAPES:
+        layer = random_layer(rng, in_ch, out_ch, dilation=dilation)
+        x = rng.normal(size=(in_ch, h, w))
+        g_out = rng.normal(size=(out_ch, h, w))
+        for grad_channels in sorted({kept, None}, key=str):
+            gx = conv2d_backward(x, layer, g_out, grad_channels)[0]
+            if grad_channels == 0:
+                assert gx is None
+            else:
+                assert np.array_equal(gx, scatter_grad_input(x, layer, g_out, grad_channels))
+
+
+# sha256 of conv2d_forward's output and conv2d_backward's three gradients on
+# every layer shape of the net at 12x12 and 20x20: sizes at which a change of
+# the flat layout or of the order of a sum moves bits
+PINNED_CONV_DIGEST = "eefed8abec046c6cc8d63da1011bc9119c4b63845976759ec6fd56bd10cc0c3d"
+
+
+def test_conv_outputs_are_pinned():
+    rng = np.random.default_rng(24)
+    digest = hashlib.sha256()
+    for size in (12, 20):
+        for in_ch, out_ch, dilation, _ in NET_LAYER_SHAPES:
+            layer = random_layer(rng, in_ch, out_ch, dilation=dilation)
+            x = rng.normal(size=(in_ch, size, size))
+            g_out = rng.normal(size=(out_ch, size, size))
+            for arr in (conv2d_forward(x, layer),) + conv2d_backward(x, layer, g_out):
+                digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_CONV_DIGEST
 
 
 # ---------------------------------------------------------------------------
