@@ -4,24 +4,33 @@ No autograd graph here; the network topology is fixed and small, so every
 backward pass is written out explicitly and checked against finite differences
 in the test suite.
 
-Convolution is a shifted-window GEMM. The input is zero-padded by p on every
-side, given one spare bottom row, and flattened to (c, (h+2p+1)*wp), wp = w+2p.
-Output pixel (i, j) then sits at flat index i*wp + j, and tap (u, v) reads the
-contiguous window of h*wp entries that starts at u*d*wp + v*d, so each tap is
-one BLAS call on a view, with no patch copy. The spare row keeps the last
-tap's window inside the buffer. Each output row carries wp - w junk columns,
-which are cropped.
+Convolution is a shifted-window GEMM. Each row of the input is given p junk
+columns on its right, wp = w + p, and the rows are set p + 1 rows down in a
+zero buffer of h + 2p + 2 rows, flattened to (c, (h+2p+2)*wp) with the data at
+column 0. Output pixel (i, j) then sits at flat index i*wp + j, and tap
+(u, v) reads the contiguous window of h*wp entries that starts at
+(u*d + 1)*wp + v*d - p, so each tap is one BLAS call on a view, with no patch
+copy. A tap that runs off a row's right edge reads that row's junk zeros, and
+one that runs off its left edge reads the previous row's, so p junk columns
+serve both sides; the spare rows above and below keep the first and last
+taps' windows inside the buffer. The p junk columns of each output row are
+cropped. A kernel slice of one column (one input channel in the forward, one
+output channel in the input gradient) is a one-term product, so it is taken
+as a broadcast multiply, which rounds each entry as the one-term GEMM does.
 
 The input gradient runs the same loop. A stride-1 transposed convolution is
 the correlation with the flipped kernel (Dumoulin & Visin 2016), so the
 gradient is padded and flattened as the input is, and tap (u, v) multiplies
 its window by K[:, :, k-1-u, k-1-v].T into one contiguous accumulator. The
 taps run in reverse order, so each input cell sums its kernel taps in u, v
-order, as the tensordot reference in the tests does. The kernel gradient
-reads the unpadded gradient as a window of that same buffer, whose zero
-padding fills the junk columns. Kernel taps go to BLAS as strided views, as
-tensordot passes them, so that forward and grad_input round exactly as the
-tensordot reference.
+order, as the scatter-add adjoint in the tests does, and it has that
+adjoint's bits. The kernel gradient reads the unpadded gradient as a window
+of that same buffer, whose zero padding fills the junk columns, against the
+input written once, channels last, into a zero buffer of the same layout.
+Kernel taps go to BLAS as strided views, as tensordot passes them. Forward
+and grad_input equal the tensordot reference in the tests bitwise at the
+sizes it is run at (8x13, 13x8 and 32x32); at other sizes, 9x9 for one,
+BLAS blocks the sums otherwise and the two differ in their last ulps.
 """
 
 from __future__ import annotations
@@ -92,23 +101,30 @@ def _check_input(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
 
 
 def _flat_windows(x: np.ndarray, layer: ConvLayer):
-    """The flat padded input (c, (h+2p+1)*wp), wp, and (u, v, window start) per
-    tap in u, v order."""
+    """The flat padded input (c, (h+2p+2)*wp), wp = w + p, and (u, v, window
+    start) per tap in u, v order. Row i of x sits at column 0 of buffer row
+    p + 1 + i; every other entry is zero."""
     c, h, w = x.shape
     k, d, p = layer.kernel.shape[2], layer.dilation, layer.padding
-    wp = w + 2 * p
-    xf = np.zeros((c, h + 2 * p + 1, wp))
-    xf[:, p : p + h, p : p + w] = x
-    taps = [(u, v, u * d * wp + v * d) for u in range(k) for v in range(k)]
+    wp = w + p
+    xf = np.zeros((c, h + 2 * p + 2, wp))
+    xf[:, p + 1 : p + 1 + h, :w] = x
+    taps = [(u, v, (u * d + 1) * wp + v * d - p) for u in range(k) for v in range(k)]
     return xf.reshape(c, -1), wp, taps
 
 
 def _correlate(acc: np.ndarray, flat: np.ndarray, kernel: np.ndarray, taps) -> np.ndarray:
     """acc += kernel[:, :, u, v] @ (the window of flat that starts at s), tap by
-    tap in the order given; acc is (rows, h*wp) and flat a `_flat_windows` buffer."""
+    tap in the order given; acc is (rows, h*wp) and flat a `_flat_windows` buffer.
+
+    A one-column kernel slice is broadcast against its one-row window. Each
+    entry is then one product, rounded as the one-term GEMM rounds it; only a
+    zero product's sign can differ (GEMM's is +0), which changes no sum unless
+    acc holds -0."""
     n = acc.shape[1]
+    product = np.multiply if kernel.shape[1] == 1 else np.matmul
     for u, v, s in taps:
-        acc += kernel[:, :, u, v] @ flat[:, s : s + n]
+        acc += product(kernel[:, :, u, v], flat[:, s : s + n])
     return acc
 
 
@@ -135,11 +151,16 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     flipped, since p - u*d = (k-1-u)*d - p: grad_input is the forward's loop
     over gf's tap windows with K[:, :, k-1-u, k-1-v].T at tap (u, v), then
     cropped. The taps run in reverse u, v order, so each input cell adds its
-    kernel taps in u, v order, as the scatter into the padded input and the
-    tensordot reference do, and rounds as they do. grad_kernel[:, :, u, v] =
-    gp @ window, each window read from one channels-last copy of the flat
-    padded input, where gp is gf's window at p*wp + p: it holds grad_out at
-    i*wp + j and, in its junk columns, gf's zero padding.
+    kernel taps in u, v order, as the scatter into the padded input does, and
+    rounds as it does. The heads' one output channel makes the flipped slice
+    one column, which `_correlate` takes as a broadcast.
+
+    grad_kernel[:, :, u, v] = gp @ window. gp is gf's window at (p + 1)*wp: it
+    holds grad_out at i*wp + j and, in its junk columns, gf's zero padding.
+    The windows are read from xt, the input written channels last,
+    x.transpose(1, 2, 0), straight into a zero ((h+2p+2)*wp, c) buffer laid out
+    as `_flat_windows` lays out rows, so each window is a contiguous block of
+    rows.
 
     grad_channels is how many leading input channels the caller reads the
     gradient of (None: all of them). Only those rows of the flipped kernel's
@@ -157,11 +178,12 @@ def conv2d_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray,
     kept = c if grad_channels is None else int(grad_channels)
     if not 0 <= kept <= c:
         raise ConfigError(f"grad_channels must be in 0..{c}, got {grad_channels}")
-    xf, wp, taps = _flat_windows(x, layer)
-    gf = _flat_windows(grad_out, layer)[0]
+    gf, wp, taps = _flat_windows(grad_out, layer)
     n = h * wp
-    xt = np.ascontiguousarray(xf.T)
-    gp = gf[:, p * wp + p : p * wp + p + n]
+    xt = np.zeros((h + 2 * p + 2, wp, c))
+    xt[p + 1 : p + 1 + h, :w] = x.transpose(1, 2, 0)
+    xt = xt.reshape(-1, c)
+    gp = gf[:, (p + 1) * wp : (p + 1) * wp + n]
     grad_taps = np.empty(layer.kernel.shape[2:] + (o, c))
     for u, v, s in taps:
         np.matmul(gp, xt[s : s + n], out=grad_taps[u, v])
