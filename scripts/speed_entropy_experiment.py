@@ -12,12 +12,13 @@ import argparse
 
 import numpy as np
 
-from meirl.cli import forecast, load_model
+from meirl.cli import forecast
 from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
 from meirl.maps import save_map_csv, save_map_pgm
 from meirl.mdp import ACTION_DELTAS, cells_to_xy, neighbors, state_distribution
 from meirl.metrics import terminal_entropy
+from meirl.reward_net import load_net
 from meirl.synthetic import Scene, WorldSpec, generate_world, junction_cells, trail_mask
 
 
@@ -85,7 +86,7 @@ def straight_past(start, heading, speed, resolution):
 def main():
     args = parse_args()
     try:
-        net = load_model(args.checkpoint, "ours")
+        net = load_net(args.checkpoint, "two_stage")[0]
         world = generate_world(WorldSpec(seed=args.world_seed, rows=args.rows,
                                          cols=args.cols, layout="tee"))
         start, heading, regions = scenario(world, args.approach)

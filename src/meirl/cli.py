@@ -24,7 +24,6 @@ import numpy as np
 
 from . import config as configio
 from .baselines import bc_policy, ekf_forecast_cells
-from .checkpoint import load_checkpoint
 from .dataset import GenerateConfig, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, ConvergenceError
 from .maps import save_map_csv, save_map_pgm
@@ -32,10 +31,9 @@ from .mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories, stat
                   uniform_policy, value_iteration)
 from .metrics import (export_csv, export_json, hausdorff, mean_sampled_hd, nll, table_row,
                       terminal_entropy)
-from .reward_net import forward, net_from_store
+from .reward_net import forward, load_net
 from .synthetic import TAGS
-from .trainer import (BC_REPORT_COLUMNS, REPORT_COLUMNS, BcConfig, TrainConfig, bc_train,
-                      train, write_report, write_timings)
+from .trainer import BcConfig, TrainConfig, bc_train, train
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +41,7 @@ from .trainer import (BC_REPORT_COLUMNS, REPORT_COLUMNS, BcConfig, TrainConfig, 
 
 # every method, in the order of the table's rows
 METHOD_ORDER = ("ekf", "bc", "random", "irl_nokin", "ours")
-# the net each trainable method fits; train builds it, load_model requires it
+# the net each trainable method fits; train builds it, load_net requires it
 METHOD_KIND = {"ours": "two_stage", "irl_nokin": "env_only", "bc": "action_head"}
 # the eval flag that names each trainable method's checkpoint
 _CKPT_ARG = {"ours": "checkpoint", "irl_nokin": "checkpoint_nokin",
@@ -138,22 +136,18 @@ def cmd_train(args) -> None:
     train_demos, _, _ = load_dataset(args.dataset)
     out = Path(args.out)
     if args.method == "bc":
-        _, reports, timings, (kept, best) = bc_train(train_demos, cfg, out_dir=out)
-        columns = BC_REPORT_COLUMNS
+        _, reports, _, (kept, best) = bc_train(train_demos, cfg, out_dir=out)
         summary = (f"behavior cloning ran {len(reports)} epochs, kept epoch {kept}, "
                    f"best validation loss {best:.4f}")
     else:
         # train loads --resume before it creates the output directory
-        _, _, reports, timings = train(train_demos, cfg, out_dir=out, resume=args.resume,
-                                       kind=METHOD_KIND[args.method])
-        columns = REPORT_COLUMNS
+        _, _, reports, _ = train(train_demos, cfg, out_dir=out, resume=args.resume,
+                                 kind=METHOD_KIND[args.method])
         summary = (f"trained iterations {reports[0]['iteration']}..."
                    f"{reports[-1]['iteration']}, final training NLL "
                    f"{reports[-1]['nll']:.4f}, final SVF L1 gap "
                    f"{reports[-1]['svf_l1']:.4f}" if reports else
                    "no iterations requested; checkpoint holds the initialization")
-    write_report(reports, out / "report.csv", columns)
-    write_timings(timings, out / "timings.csv", counter=columns[0])
     _write_resolved(out, "train", {"method": args.method,
                                    "dataset": str(args.dataset), "out": str(out),
                                    "resume": args.resume and str(args.resume),
@@ -197,15 +191,6 @@ def _constant_env_world(world: GridWorld) -> GridWorld:
                      resolution=world.resolution, env=env)
 
 
-def load_model(path, method: str):
-    """The net a checkpoint holds, which must be the one `method` fits."""
-    store, meta, _ = load_checkpoint(path)
-    try:
-        return net_from_store(meta, store.params, METHOD_KIND[method])
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from e
-
-
 def forecast(net, scenes):
     """Forecast policies for a list of scenes (or demonstrations), planned in
     one value_iteration call on the net's reward maps, as training plans them,
@@ -242,7 +227,7 @@ def cmd_predict(args) -> None:
     if cfg.method in METHOD_KIND:
         if args.checkpoint is None:
             raise ConfigError(f"--checkpoint is required for method {cfg.method!r}")
-        net = load_model(args.checkpoint, cfg.method)
+        net = load_net(args.checkpoint, METHOD_KIND[cfg.method])[0]
 
     start, horizon = demo.start, demo.horizon
     # every output is computed before --out is made, so a failed forecast leaves none
@@ -359,7 +344,7 @@ def cmd_eval(args) -> None:
     if not test_demos:
         raise ConfigError("the dataset has no test demonstrations to evaluate")
 
-    nets = {method: load_model(path, method) for method, path in paths.items()}
+    nets = {method: load_net(path, METHOD_KIND[method])[0] for method, path in paths.items()}
 
     rows = [_eval_method(m, test_demos, cfg, nets) for m in METHOD_ORDER if m in cfg.methods]
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import load_checkpoint
 from .errors import ConfigError
 from .kinematics import N_FEATURE_CHANNELS, N_STACK_CHANNELS, build_input_stack, kinematic_context
 from .mdp import ENV_CHANNEL_NAMES
@@ -83,31 +84,39 @@ def build_net(kind: str = "two_stage", seed: int = 0) -> RewardNet:
     return net
 
 
-def net_from_store(meta: dict, params: dict, kind: str) -> RewardNet:
-    """The net a checkpoint holds, which must be of the `kind` the caller
-    expects: that kind's architecture, equal to the stored record, with the
-    stored arrays swapped in after a shape check."""
+def load_net(path, kind: str) -> tuple:
+    """(net, store, iteration) of the checkpoint at `path`, whose net must be
+    of the `kind` the caller expects: that kind's architecture, equal to the
+    stored record, with the stored arrays swapped in after a shape check, and
+    every parameter and Adam moment finite. Each refusal is a ConfigError
+    naming the path."""
+    store, meta, iteration = load_checkpoint(path)
     arch = meta.get("arch")
     stored = arch.get("kind") if isinstance(arch, dict) else None
     if stored not in KINDS:
-        raise ConfigError("checkpoint carries no usable architecture record")
+        raise ConfigError(f"{path}: checkpoint carries no usable architecture record")
     if stored != kind:
-        raise ConfigError(f"checkpoint holds a {stored!r} net but the run asks for {kind!r}")
+        raise ConfigError(f"{path}: checkpoint holds a {stored!r} net but the run asks for {kind!r}")
     net = build_net(kind)
     if arch != net.arch_meta():
-        raise ConfigError(f"checkpoint architecture {arch} is not that of a {kind!r} net")
+        raise ConfigError(f"{path}: checkpoint architecture {arch} is not that of a {kind!r} net")
+    params = store.params
     for prefix, layers in (("s1", net.stage1), ("s2", net.stage2)):
         for i, layer in enumerate(layers):
             kname, bname = f"{prefix}.{i}.kernel", f"{prefix}.{i}.bias"
             if kname not in params or bname not in params:
-                raise ConfigError(f"checkpoint missing {kname} / {bname}")
+                raise ConfigError(f"{path}: checkpoint missing {kname} / {bname}")
             kernel, bias = params[kname], params[bname]
             if kernel.shape != layer.kernel.shape or bias.shape != layer.bias.shape:
                 raise ConfigError(
-                    f"checkpoint shape mismatch for {kname}: got {kernel.shape}, "
+                    f"{path}: checkpoint shape mismatch for {kname}: got {kernel.shape}, "
                     f"the net has {layer.kernel.shape}")
             layers[i] = ConvLayer(kernel=kernel, bias=bias, dilation=layer.dilation)
-    return net
+    for what, arrays in (("", params), ("Adam m of ", store.m), ("Adam v of ", store.v)):
+        bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+        if bad:
+            raise ConfigError(f"{path}: checkpoint holds non-finite {what}{', '.join(bad)}")
+    return net, store, iteration
 
 
 # ---------------------------------------------------------------------------

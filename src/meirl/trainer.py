@@ -25,12 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import config as configio
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import save_checkpoint
 from .errors import ConfigError, ConvergenceError
 from .mdp import compute_svf, softmax, value_iteration
 from .metrics import nll
 from .nn import ParameterStore, update_parameters
-from .reward_net import backward, build_net, forward, net_from_store
+from .reward_net import backward, build_net, forward, load_net
 from .synthetic import Demonstration, augment_rotations
 
 REPORT_COLUMNS = ("iteration", "nll", "grad_norm", "vi_sweeps", "svf_l1")
@@ -176,8 +176,8 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None,
     timing rows).
 
     With an output directory, checkpoints land there every checkpoint_every
-    iterations and at the end. Resuming continues the iteration counter from
-    the stored iteration + 1.
+    iterations and at the end, followed by `report.csv` and `timings.csv`.
+    Resuming continues the iteration counter from the stored iteration + 1.
     """
     demos = list(demos)
     if not demos:
@@ -186,8 +186,7 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None,
         demos = [rot for demo in demos for rot in augment_rotations(demo)]
 
     if resume is not None:
-        store, meta, stored_iter = load_checkpoint(resume)
-        net = net_from_store(meta, store.params, kind)
+        net, store, stored_iter = load_net(resume, kind)
         store.learning_rate = config.learning_rate
         start_iter = stored_iter + 1
     else:
@@ -217,6 +216,8 @@ def train(demos, config: TrainConfig, out_dir=None, resume=None,
     if out_dir is not None:
         _save(out_dir, "checkpoint.ckpt", store, net, config,
               start_iter + config.iterations - 1)
+        write_report(reports, Path(out_dir) / "report.csv")
+        write_timings(timings, Path(out_dir) / "timings.csv")
     return net, store, reports, timings
 
 
@@ -254,7 +255,8 @@ def bc_train(demos, config: BcConfig, out_dir=None):
 
     Returns (net, report rows, timing rows, (kept epoch, its validation loss)).
     The net holds the weights of the kept epoch, the best on validation (epoch
-    0 is the initialization), and so does `checkpoint.ckpt` in `out_dir`."""
+    0 is the initialization), and so does `checkpoint.ckpt` in `out_dir`, which
+    then gets `report.csv` and `timings.csv` too."""
     demos = list(demos)
     if not demos:
         raise ConfigError("cannot clone from an empty dataset")
@@ -300,6 +302,8 @@ def bc_train(demos, config: BcConfig, out_dir=None):
         params[name][...] = best[name]
     if out_dir is not None:
         _save(out_dir, "checkpoint.ckpt", store, net, config, kept)
+        write_report(rows, Path(out_dir) / "report.csv", BC_REPORT_COLUMNS)
+        write_timings(timings, Path(out_dir) / "timings.csv", counter="epoch")
     return net, rows, timings, (kept, best_val)
 
 

@@ -22,13 +22,12 @@ import numpy as np
 import pytest
 
 from conftest import enumerate_trajectory_distribution
-from meirl.checkpoint import load_checkpoint
 from meirl.cli import forecast, main as cli
 from meirl.kinematics import PastTrack
 from meirl.mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories,
                        state_distribution, uniform_policy, value_iteration, ACTION_DELTAS)
 from meirl.metrics import hausdorff, nll, terminal_entropy
-from meirl.reward_net import backward, build_net, forward, net_from_store
+from meirl.reward_net import backward, build_net, forward, load_net
 from meirl.synthetic import (DEMO_BETA, Demonstration, Scene, WorldSpec, generate_world,
                              ground_truth_reward, trail_mask)
 from meirl.baselines import ekf_forecast_cells
@@ -255,9 +254,7 @@ def test_6_benchmark_table_ordering(benchmark_run):
 
 
 def test_7_speed_conditioned_junction_forecast(benchmark_run):
-    store, meta, _ = load_checkpoint(
-        benchmark_run["root"] / "ours" / "checkpoint.ckpt")
-    net = net_from_store(meta, store.params, "two_stage")
+    net = load_net(benchmark_run["root"] / "ours" / "checkpoint.ckpt", "two_stage")[0]
     # this seed yields a tee with its junction at (9, 8), bar arms left and
     # right along row 9 and the stem rising from the junction
     world = generate_world(WorldSpec(seed=0, rows=16, cols=16, layout="tee"))

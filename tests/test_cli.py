@@ -20,7 +20,7 @@ from meirl.errors import ConfigError
 from meirl.kinematics import PastTrack
 from meirl.mdp import (compute_svf, sample_trajectories, state_distribution, uniform_policy,
                        value_iteration)
-from meirl.reward_net import build_net, forward, net_from_store
+from meirl.reward_net import build_net, forward, load_net
 from meirl.synthetic import DEMO_BETA, Scene
 from meirl.trainer import TrainConfig
 
@@ -399,8 +399,9 @@ def test_train_bc_rejects_irl_only_flags(dataset_dir, tmp_path, capsys):
 
 def test_train_non_finite_reward_exits_3_with_iteration_and_demo(
         dataset_dir, ours_ckpt, tmp_path, capsys):
+    # finite weights whose reward map overflows: a non-finite one is refused at load
     store, meta, iteration = load_checkpoint(ours_ckpt)
-    store.params["s2.2.bias"] = np.full_like(store.params["s2.2.bias"], np.nan)
+    store.params["s2.2.kernel"][...] = np.finfo(np.float64).max
     diverged = tmp_path / "diverged.ckpt"
     save_checkpoint(diverged, store, meta=meta, iteration=iteration)
     rc = run("train", "--dataset", dataset_dir, "--out", tmp_path / "d",
@@ -636,8 +637,7 @@ def test_predict_forecasts_each_trained_net_under_its_own_method(
     # the same forecast, planned here straight from the stored net
     _, test_demos, _ = load_dataset(dataset_dir)
     demo = test_demos[1]
-    store, meta, _ = load_checkpoint(ckpt)
-    net = net_from_store(meta, store.params, METHOD_KIND[method])
+    net = load_net(ckpt, METHOD_KIND[method])[0]
     if method == "bc":
         policy = bc_policy(net, demo)
         assert not (out / "reward.csv").exists()
@@ -809,6 +809,22 @@ def test_checkpoint_repeating_a_parameter_name_exits_2(dataset_dir, ours_ckpt, t
         assert run(*command, "--dataset", dataset_dir, "--out", tmp_path / "out") == 2, command
         assert capsys.readouterr().err == \
             f"error: {ckpt}: duplicate parameter 's1.0.kernel' in checkpoint\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("predict", "--checkpoint"), ("predict", "--method", "bc", "--checkpoint"),
+    ("eval", "--methods", "ours", "--checkpoint"), ("train", "--iterations", "1", "--resume")],
+    ids=["predict_ours", "predict_bc", "eval", "train_resume"])
+def test_non_finite_checkpoint_exits_2_naming_it_and_the_parameter(
+        dataset_dir, ours_ckpt, bc_ckpt, tmp_path, capsys, command):
+    store, meta, iteration = load_checkpoint(bc_ckpt if "bc" in command else ours_ckpt)
+    store.params["s1.0.kernel"][0, 0, 0, 0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, store, meta=meta, iteration=iteration)
+    capsys.readouterr()
+    assert run(*command, ckpt, "--dataset", dataset_dir, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: checkpoint holds non-finite s1.0.kernel\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -117,6 +117,23 @@ def test_a_write_that_fails_before_its_rename_keeps_the_previous_file(
     assert (tmp_path / name).read_bytes() != before
 
 
+def test_a_constant_map_writes_all_zero_pgm_samples(tmp_path):
+    save_map_pgm(tmp_path / "flat.pgm", np.full((3, 4), 2.5))
+    assert (tmp_path / "flat.pgm").read_bytes() == b"P5\n4 3\n65535\n" + bytes(2 * 12)
+
+
+@pytest.mark.parametrize("writer, grid, message", [
+    (save_map_csv, np.zeros(4), "map must be 2-d, got shape (4,)"),
+    (save_map_pgm, np.zeros((1, 2, 2)), "map must be 2-d, got shape (1, 2, 2)"),
+    (save_map_pgm, np.array([[0.0, np.nan]]), "map contains non-finite values"),
+], ids=["csv_1d", "pgm_3d", "pgm_nan"])
+def test_map_writers_refuse_a_malformed_map(tmp_path, writer, grid, message):
+    with pytest.raises(ConfigError) as e:
+        writer(tmp_path / "map", grid)
+    assert str(e.value) == message
+    assert not (tmp_path / "map").exists()
+
+
 def test_write_file_puts_every_byte_in_place(tmp_path):
     write_file(tmp_path / "f", b"old")
     write_file(tmp_path / "f", bytes(range(256)) * 3)

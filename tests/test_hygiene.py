@@ -6,12 +6,15 @@ must be read somewhere in that module (code or annotations) or be listed in
 its `__all__`. A top-level def, class or UPPER_CASE constant in `src/meirl` must be read, by
 name or as an attribute, somewhere in `src/meirl` or `scripts` outside its own
 definition, or be wrapped by the benchmark's traced run (`TRACED` in
-`perfbench/spans.py`). And one module fits nets: within `src/meirl`, only
-`trainer` reads `update_parameters` (the Adam step) or `save_checkpoint`, so
-a second training loop cannot come back unnoticed. Likewise one module writes
-files: within `src/meirl`, only `config` opens a file for writing or calls
-`write_text`, `write_bytes`, `savetxt` or `tofile`, apart from the listed
-`dataset.save_demo`, so every output keeps its rename into place. And no
+`perfbench/spans.py`). And each file of a training run has one owner: within
+`src/meirl`, only `trainer` reads `update_parameters` (the Adam step),
+`save_checkpoint`, `write_report` or `write_timings`, and only `reward_net`
+reads `load_checkpoint`, so a second training loop, a second way from a
+checkpoint back to a net, or a run file written elsewhere cannot come back
+unnoticed. Likewise one module writes files: within `src/meirl`, only
+`config` opens a file for writing or calls `write_text`, `write_bytes`,
+`savetxt` or `tofile`, apart from the listed `dataset.save_demo`, so every
+output keeps its rename into place. And no
 module in `src/meirl` or `scripts` holds an `assert` statement, which
 `python -O` strips: a check the program relies on raises an error of its own.
 """
@@ -29,8 +32,12 @@ SOURCES = LIBRARY + SCRIPTS
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 SPANS = ROOT / "perfbench" / "spans.py"
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
-# the one module allowed to step a net's parameters or write a checkpoint
-SOLE_READER = {"update_parameters": "trainer", "save_checkpoint": "trainer"}
+# the one module allowed to read each name: the trainer steps a net's
+# parameters and writes every file of a run, and reward_net alone turns a
+# checkpoint back into a net
+SOLE_READER = {"update_parameters": "trainer", "save_checkpoint": "trainer",
+               "write_report": "trainer", "write_timings": "trainer",
+               "load_checkpoint": "reward_net"}
 # the one module that writes files, and the one write outside it: a dataset
 # record, which loads only once its manifest is renamed into place after it
 FILE_WRITER = "config"
@@ -150,7 +157,7 @@ def readers(library: dict, name: str) -> list:
 
 
 @pytest.mark.parametrize("name", sorted(SOLE_READER))
-def test_only_the_trainer_fits_nets(name):
+def test_one_module_reads_each_owned_name(name):
     assert readers({p.stem: p.read_text() for p in LIBRARY}, name) == [SOLE_READER[name]]
 
 

@@ -242,6 +242,13 @@ def test_positional_channels_translation_shift():
     assert np.array_equal(a[1], b[1])
 
 
+@pytest.mark.parametrize("cell", [(-1, 0), (12, 0), (0, 9)])
+def test_positional_channels_refuse_a_vehicle_off_the_grid(cell):
+    with pytest.raises(ConfigError) as e:
+        positional_channels(make_world(rows=12, cols=9), cell)
+    assert str(e.value) == f"vehicle cell {cell} outside 12x9 grid"
+
+
 def test_positional_channels_zero_at_vehicle():
     world = make_world(rows=12, cols=9)
     pos = positional_channels(world, (7, 3))

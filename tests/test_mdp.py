@@ -169,6 +169,34 @@ def test_policy_rows_must_sum_to_one():
         Policy(probs=neg)
 
 
+def env_with_inf():
+    env = np.zeros((5, 8, 8))
+    env[2, 3, 3] = np.inf
+    return env
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GridWorld(rows=8, cols=8, resolution=1.0, env=env_with_inf()),
+     "env channels contain non-finite values"),
+    (lambda: Policy(probs=np.full((3, 4, 4), 1 / 3)),
+     "policy probs must be (4, rows, cols), got (3, 4, 4)"),
+    (lambda: Policy(probs=np.full((4, 4), 0.25)), "policy probs must be (4, rows, cols), got (4, 4)"),
+    (lambda: sample_trajectories(uniform_policy(8, 8), (2, 2), 0, 3, np.random.default_rng(0)),
+     "horizon must be >= 1, got 0"),
+    (lambda: sample_trajectories(uniform_policy(8, 8), (2, 2), 5, 0, np.random.default_rng(0)),
+     "sample count must be >= 1, got 0"),
+    (lambda: sample_trajectories(uniform_policy(8, 8), (8, 2), 5, 3, np.random.default_rng(0)),
+     "cell (8, 2) outside 8x8 grid"),
+    (lambda: actions_from_cells(np.array([1, 2, 3]), 8, 8), "cell path must be (n, 2), got (3,)"),
+    (lambda: actions_from_cells(np.zeros((2, 3)), 8, 8), "cell path must be (n, 2), got (2, 3)"),
+], ids=["world_inf_env", "policy_3_actions", "policy_2d", "sample_horizon_0", "sample_n_0",
+        "sample_start_off_grid", "path_1d", "path_3_columns"])
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ConfigError) as e:
+        call()
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # softmax
 

@@ -482,6 +482,19 @@ def test_leaky_relu_gradient_away_from_kink(rng):
     assert np.max(np.abs(leaky_relu_grad(x, g_out) - fd)) < 1e-6
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ConvLayer(kernel=np.zeros((1, 3, 3)), bias=np.zeros(1)),
+     "kernel must be (out,in,k,k), got shape (1, 3, 3)"),
+    (lambda: update_parameters(ParameterStore.create({"w": np.ones(2)}, learning_rate=0.1),
+                               {"w": np.zeros(3)}),
+     "gradient shape (3,) != parameter shape (2,) for 'w'"),
+], ids=["conv_3d_kernel", "adam_gradient_shape"])
+def test_malformed_layer_or_gradient_is_refused(call, message):
+    with pytest.raises(ConfigError) as e:
+        call()
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Adam
 

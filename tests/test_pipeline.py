@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 
 import meirl
-from meirl.cli import forecast, load_model, main
+from meirl.cli import forecast, main
 from meirl.mdp import state_distribution
+from meirl.reward_net import load_net
 from meirl.synthetic import Scene, WorldSpec, generate_world
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -52,7 +53,7 @@ def test_speed_entropy_experiment_matches_the_cli_forecast(tmp_path):
         "speed_entropy_experiment", SCRIPTS / "speed_entropy_experiment.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    net = load_model(ckpt, "ours")
+    net = load_net(ckpt, "two_stage")[0]
     world = generate_world(WorldSpec(seed=0, rows=16, cols=16, layout="tee"))
     start, heading, _ = script.scenario(world, 3)
     scene = Scene(world, script.straight_past(start, heading, 2.0, 1.0), start)

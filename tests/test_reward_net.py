@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import make_world, rand_env
-from meirl.checkpoint import load_checkpoint, save_checkpoint
+from meirl.checkpoint import save_checkpoint
 from meirl.errors import ConfigError
 from meirl.kinematics import (KAPPA_MAX, SPEED_NORM, KinematicContext, PastTrack,
                               build_input_stack, kinematic_context)
 from meirl.mdp import GridWorld, cells_to_xy
 from meirl.nn import ParameterStore, leaky_relu
 from meirl.reward_net import (KINDS, STAGE1_DILATIONS, STAGE1_WIDTHS, action_logits, backward,
-                              build_net, forward, net_from_store, reward_forward,
+                              build_net, forward, load_net, reward_forward,
                               reward_from_env, stage1_forward)
 from meirl.synthetic import Scene
 
@@ -285,35 +285,53 @@ def test_grad_shape_mismatch_raises():
 # ---------------------------------------------------------------------------
 # checkpoint round trip
 
-def test_net_from_store_roundtrip(tmp_path):
+def saved(path, params, meta):
+    """`path`, now a checkpoint of `params` (fresh Adam moments) and `meta`."""
+    save_checkpoint(path, ParameterStore.create(params, learning_rate=0.001), meta=meta)
+    return path
+
+
+def test_load_net_roundtrip(tmp_path):
     world = make_world(rows=10, cols=10, seed=8)
     net = build_net("two_stage", seed=18)
-    store = ParameterStore.create(net.parameters(), learning_rate=0.001)
-    path = tmp_path / "net.ckpt"
-    save_checkpoint(path, store, meta={"arch": net.arch_meta()}, iteration=0)
-    loaded_store, meta, _ = load_checkpoint(path)
-    rebuilt = net_from_store(meta, loaded_store.params, "two_stage")
-    assert rebuilt.kind == "two_stage"
+    path = saved(tmp_path / "net.ckpt", net.parameters(), {"arch": net.arch_meta()})
+    rebuilt, store, iteration = load_net(path, "two_stage")
+    assert rebuilt.kind == "two_stage" and iteration == 0
+    assert rebuilt.parameters().keys() == store.params.keys()
+    assert all(a is store.params[name] for name, a in rebuilt.parameters().items())
     r0 = two_stage_reward(net, world, (5, 5), CTX0)
     r1 = two_stage_reward(rebuilt, world, (5, 5), CTX0)
     assert np.array_equal(r0, r1)
 
 
-def test_net_from_store_rejects_bad_shapes(tmp_path):
+def test_load_net_rejects_bad_shapes(tmp_path):
     net = build_net("env_only", seed=19)
-    store = ParameterStore.create(net.parameters(), learning_rate=0.001)
+    params, path = net.parameters(), tmp_path / "net.ckpt"
     meta = {"arch": net.arch_meta()}
     meta["arch"]["stage1"][0][0] = 99  # lie about the head width
     with pytest.raises(ConfigError):
-        net_from_store(meta, store.params, "env_only")
+        load_net(saved(path, params, meta), "env_only")
     with pytest.raises(ConfigError):
-        net_from_store({"arch": {"kind": "nope"}}, store.params, "env_only")
+        load_net(saved(path, params, {"arch": {"kind": "nope"}}), "env_only")
     for arch in ([1], {"kind": ["env_only"]}, dict(net.arch_meta(), stage1="x")):
         with pytest.raises(ConfigError, match="architecture"):
-            net_from_store({"arch": arch}, store.params, "env_only")
-    short = dict(store.params, **{"s1.0.bias": np.zeros(3)})
+            load_net(saved(path, params, {"arch": arch}), "env_only")
+    short = dict(params, **{"s1.0.bias": np.zeros(3)})
     with pytest.raises(ConfigError, match="shape mismatch"):
-        net_from_store({"arch": net.arch_meta()}, short, "env_only")
-    missing = {k: v for k, v in store.params.items() if k != "s1.3.kernel"}
+        load_net(saved(path, short, {"arch": net.arch_meta()}), "env_only")
+    missing = {k: v for k, v in params.items() if k != "s1.3.kernel"}
     with pytest.raises(ConfigError, match="missing"):
-        net_from_store({"arch": net.arch_meta()}, missing, "env_only")
+        load_net(saved(path, missing, {"arch": net.arch_meta()}), "env_only")
+
+
+@pytest.mark.parametrize("held, label", [("params", ""), ("m", "Adam m of "), ("v", "Adam v of ")])
+def test_load_net_refuses_a_non_finite_parameter_or_moment(tmp_path, held, label):
+    net = build_net("env_only", seed=19)
+    store = ParameterStore.create(net.parameters(), learning_rate=0.001)
+    for name, value in (("s1.1.bias", np.inf), ("s1.3.kernel", np.nan)):
+        getattr(store, held)[name].flat[0] = value
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, store, meta={"arch": net.arch_meta()})
+    with pytest.raises(ConfigError) as e:
+        load_net(path, "env_only")
+    assert str(e.value) == f"{path}: checkpoint holds non-finite {label}s1.1.bias, s1.3.kernel"

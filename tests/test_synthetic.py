@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,22 @@ def test_start_off_trail_rejected():
         generate_demonstration(world, speed=2.0, seed=0, start=(0, 0))
 
 
+def isolated_start_mask():
+    """The straight trail plus one trail cell with no trail neighbour."""
+    mask = straight_mask()
+    mask[3, 3] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask, start, message", [
+    (np.zeros((16, 16), dtype=bool), None, "world has no usable trail cells to start from"),
+    (isolated_start_mask(), (3, 3), "no room to synthesize a past track from (3, 3)")],
+    ids=["no_trail", "isolated_start"])
+def test_expert_refuses_a_world_it_cannot_start_on(mask, start, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        generate_demonstration(world_from_mask(mask), speed=2.0, seed=0, start=start)
+
+
 def test_demo_speed_recoverable():
     world = world_from_mask(straight_mask())
     demo = generate_demonstration(world, speed=8.0, seed=3, start=(8, 10),
@@ -354,6 +371,13 @@ def test_demo_refuses_a_future_without_a_transition(cells):
     with pytest.raises(ConfigError, match=f"^demo future needs at least two cells, got {cells}$"):
         Demonstration(world=world, past=demo.past, future=demo.future[:cells],
                       expert_speed=2.0, seed=0, tag=demo.tag)
+
+
+def test_demo_refuses_an_unknown_tag():
+    world = world_from_mask(straight_mask())
+    demo = generate_demonstration(world, speed=2.0, seed=0, start=(8, 6))
+    with pytest.raises(ConfigError, match="^unknown scenario tag 'zigzag'$"):
+        dataclasses.replace(demo, tag="zigzag")
 
 
 def test_a_demo_is_frozen_so_its_actions_follow_its_future():

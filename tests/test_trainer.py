@@ -17,8 +17,8 @@ from meirl.reward_net import backward, build_net, forward
 from meirl.synthetic import (Demonstration, Scene, WorldSpec, generate_demonstrations,
                              generate_world)
 from meirl.cli import forecast
-from meirl.trainer import (REPORT_COLUMNS, BcConfig, TrainConfig, bc_train, demo_svf, train,
-                           train_step, write_report, write_timings)
+from meirl.trainer import (BC_REPORT_COLUMNS, REPORT_COLUMNS, BcConfig, TrainConfig, bc_train,
+                           demo_svf, train, train_step, write_report, write_timings)
 
 
 def grid(rows=10, cols=10, seed=3):
@@ -327,6 +327,34 @@ def test_bc_non_finite_logits_name_the_epoch_and_demo(monkeypatch, call, where):
         bc_train(small_dataset(), BcConfig(epochs=2, val_split=0.0))
 
 
+def test_bc_too_small_to_split_validates_on_its_training_demos():
+    # 2 demos at val_split 0.8 would leave none to fit, so none is held out
+    # and the run is that of val_split 0
+    demos = small_dataset()[:2]
+    held, rows, _, kept = bc_train(demos, BcConfig(epochs=2, val_split=0.8))
+    whole, rows_whole, _, kept_whole = bc_train(demos, BcConfig(epochs=2, val_split=0.0))
+    assert len(rows) == 2 and rows == rows_whole and kept == kept_whole
+    for name, p in held.parameters().items():
+        assert p.tobytes() == whole.parameters()[name].tobytes()
+
+
+@pytest.mark.parametrize("fit, first", [("irl", "iteration"), ("bc", "epoch")])
+def test_a_run_writes_its_report_and_timings(tmp_path, fit, first):
+    if fit == "irl":
+        _, _, rows, timings = train(small_dataset(), quick_config(iterations=2),
+                                    out_dir=tmp_path)
+        columns = REPORT_COLUMNS
+    else:
+        _, rows, timings, _ = bc_train(small_dataset(), BcConfig(epochs=2), out_dir=tmp_path)
+        columns = BC_REPORT_COLUMNS
+    write_report(rows, tmp_path / "want_report.csv", columns)
+    write_timings(timings, tmp_path / "want_timings.csv", counter=first)
+    for name in ("report", "timings"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"want_{name}.csv").read_bytes()
+    assert (tmp_path / "timings.csv").read_text().splitlines()[0] == f"{first},seconds"
+
+
 def test_bc_checkpoint_holds_the_kept_epoch(tmp_path):
     demos = small_dataset()
     net, rows, timings, (kept, best) = bc_train(
@@ -517,9 +545,10 @@ def test_bc_training_is_pinned():
 
 def test_resume_kind_mismatch_rejected(tmp_path):
     train(small_dataset(), quick_config(iterations=1), out_dir=tmp_path)
-    with pytest.raises(ConfigError, match="'two_stage' net but the run asks for 'env_only'"):
-        train(small_dataset(), quick_config(iterations=1),
-              resume=tmp_path / "checkpoint.ckpt", kind="env_only")
+    ckpt = tmp_path / "checkpoint.ckpt"
+    with pytest.raises(ConfigError, match="'two_stage' net but the run asks for 'env_only'") as e:
+        train(small_dataset(), quick_config(iterations=1), resume=ckpt, kind="env_only")
+    assert str(e.value).startswith(f"{ckpt}: ")
 
 
 def test_augmented_training_runs():
