@@ -19,7 +19,7 @@ from meirl.maps import save_map_csv, save_map_pgm
 from meirl.mdp import ACTION_DELTAS, cells_to_xy, neighbors, state_distribution
 from meirl.metrics import terminal_entropy
 from meirl.reward_net import load_net
-from meirl.synthetic import Scene, WorldSpec, generate_world, junction_cells, trail_mask
+from meirl.synthetic import Scene, generate_world, junction_cells, trail_mask
 
 
 def parse_args():
@@ -87,8 +87,8 @@ def main():
     args = parse_args()
     try:
         net = load_net(args.checkpoint, "two_stage")[0]
-        world = generate_world(WorldSpec(seed=args.world_seed, rows=args.rows,
-                                         cols=args.cols, layout="tee"))
+        world = generate_world(seed=args.world_seed, rows=args.rows, cols=args.cols,
+                               layout="tee")
         start, heading, regions = scenario(world, args.approach)
     except ConfigError as e:
         raise SystemExit(f"error: {e}")

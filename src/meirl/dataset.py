@@ -29,8 +29,8 @@ from . import config as configio
 from .errors import ConfigError
 from .kinematics import PastTrack
 from .mdp import ENV_CHANNEL_NAMES, GridWorld
-from .synthetic import (LAYOUTS, TAG_CODES, TAGS, Demonstration, WorldSpec, balance_dataset,
-                        balance_fractions, generate_demonstrations, generate_world)
+from .synthetic import (HORIZON_MAX, HORIZON_MIN, LAYOUTS, TAG_CODES, TAGS, Demonstration,
+                        balance_dataset, balance_fractions, generate_demonstrations, generate_world)
 
 FORMAT_NAME = "meirl-demos-v1"
 EXPERT_CHUNK = 16  # experts planned per value_iteration call during generation
@@ -47,7 +47,7 @@ class GenerateConfig:
     layouts: tuple = ("straight", "curve", "tee", "cross")
     trail_width: int = 1
     speeds: tuple = (2.0, 8.0)
-    horizon_min: int = 15
+    horizon_min: int = HORIZON_MIN
     horizon_max: int = 25
     balance: Optional[dict] = None
 
@@ -63,8 +63,9 @@ class GenerateConfig:
         bad = sorted(set(self.layouts) - set(LAYOUTS))
         if bad:
             raise ConfigError(f"unknown layouts: {bad}")
-        if not (15 <= self.horizon_min <= self.horizon_max <= 40):
-            raise ConfigError("horizon range must satisfy 15 <= min <= max <= 40")
+        if not (HORIZON_MIN <= self.horizon_min <= self.horizon_max <= HORIZON_MAX):
+            raise ConfigError(f"horizon range must satisfy "
+                              f"{HORIZON_MIN} <= min <= max <= {HORIZON_MAX}")
         if not self.speeds or not all(isinstance(s, (int, float)) and not isinstance(s, bool)
                                       and 0 < s < math.inf for s in self.speeds):
             raise ConfigError(f"speeds must be a nonempty list of finite positive numbers, "
@@ -85,9 +86,9 @@ def _expert_request(config: GenerateConfig, index: int) -> dict:
     horizon = int(rng.integers(config.horizon_min, config.horizon_max + 1))
     world_seed = int(rng.integers(2**31 - 1))
     demo_seed = int(rng.integers(2**31 - 1))
-    world = generate_world(WorldSpec(seed=world_seed, rows=config.rows, cols=config.cols,
-                                     resolution=config.resolution, layout=layout,
-                                     trail_width=config.trail_width))
+    world = generate_world(seed=world_seed, rows=config.rows, cols=config.cols,
+                           resolution=config.resolution, layout=layout,
+                           trail_width=config.trail_width)
     return dict(world=world, speed=speed, seed=demo_seed, horizon=horizon)
 
 

@@ -249,17 +249,22 @@ class ParameterStore:
 
 
 def update_parameters(store: ParameterStore, grads: dict) -> None:
-    """One Adam step, in place, in fixed (insertion) parameter order."""
+    """One Adam step, in place, in fixed (insertion) parameter order. Every
+    gradient is checked before any state moves, so a refused update leaves
+    the store as it was."""
     missing = [n for n in store.params if n not in grads]
     if missing:
         raise ConfigError("missing gradients for: " + ", ".join(sorted(missing)))
+    grads = {name: np.asarray(grads[name], dtype=np.float64) for name in store.params}
+    for name, p in store.params.items():
+        if grads[name].shape != p.shape:
+            raise ConfigError(f"gradient shape {grads[name].shape} != parameter shape "
+                              f"{p.shape} for {name!r}")
     store.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** store.step
     bc2 = 1.0 - ADAM_BETA2 ** store.step
     for name, p in store.params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
+        g = grads[name]
         m, v = store.m[name], store.v[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g

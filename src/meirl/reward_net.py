@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint
 from .errors import ConfigError
 from .kinematics import N_FEATURE_CHANNELS, N_STACK_CHANNELS, build_input_stack, kinematic_context
 from .mdp import ENV_CHANNEL_NAMES
-from .nn import ConvLayer, conv2d_backward, conv2d_forward, kaiming_conv, leaky_relu, leaky_relu_grad
+from .nn import conv2d_backward, conv2d_forward, kaiming_conv, leaky_relu, leaky_relu_grad
 
 STAGE1_WIDTHS = (16, 24, 24, N_FEATURE_CHANNELS)
 STAGE1_DILATIONS = (1, 2, 3, 4)
@@ -87,8 +87,8 @@ def build_net(kind: str = "two_stage", seed: int = 0) -> RewardNet:
 def load_net(path, kind: str) -> tuple:
     """(net, store, iteration) of the checkpoint at `path`, whose net must be
     of the `kind` the caller expects: that kind's architecture, equal to the
-    stored record, with the stored arrays swapped in after a shape check, and
-    every parameter and Adam moment finite. Each refusal is a ConfigError
+    stored record, holding exactly the net's parameter names at the net's
+    shapes, and every parameter and Adam moment finite. Each refusal is a ConfigError
     naming the path."""
     store, meta, iteration = load_checkpoint(path)
     arch = meta.get("arch")
@@ -100,18 +100,20 @@ def load_net(path, kind: str) -> tuple:
     net = build_net(kind)
     if arch != net.arch_meta():
         raise ConfigError(f"{path}: checkpoint architecture {arch} is not that of a {kind!r} net")
-    params = store.params
-    for prefix, layers in (("s1", net.stage1), ("s2", net.stage2)):
-        for i, layer in enumerate(layers):
-            kname, bname = f"{prefix}.{i}.kernel", f"{prefix}.{i}.bias"
-            if kname not in params or bname not in params:
-                raise ConfigError(f"{path}: checkpoint missing {kname} / {bname}")
-            kernel, bias = params[kname], params[bname]
-            if kernel.shape != layer.kernel.shape or bias.shape != layer.bias.shape:
-                raise ConfigError(
-                    f"{path}: checkpoint shape mismatch for {kname}: got {kernel.shape}, "
-                    f"the net has {layer.kernel.shape}")
-            layers[i] = ConvLayer(kernel=kernel, bias=bias, dilation=layer.dilation)
+    params = net.parameters()
+    missing = [name for name in params if name not in store.params]
+    if missing:
+        raise ConfigError(f"{path}: checkpoint missing {', '.join(missing)}")
+    unknown = [name for name in store.params if name not in params]
+    if unknown:
+        raise ConfigError(f"{path}: checkpoint holds parameters a {kind!r} net does not have: "
+                          f"{', '.join(unknown)}")
+    for name, arr in params.items():
+        if store.params[name].shape != arr.shape:
+            raise ConfigError(f"{path}: checkpoint shape mismatch for {name}: got "
+                              f"{store.params[name].shape}, the net has {arr.shape}")
+        arr[...] = store.params[name]
+    store.params = params  # the store steps the net's own arrays, now holding the stored values
     for what, arrays in (("", params), ("Adam m of ", store.m), ("Adam v of ", store.v)):
         bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
         if bad:

@@ -34,6 +34,7 @@ OFF_TRAIL_PENALTY = -2.0
 RAY_RATE = 0.25          # per-cell increment of the straight-ahead ramp
 MARGIN = 2               # trail inset from the border, keeps boundary clipping out of play
 DEMO_BETA = 2.5          # the expert's reward scale: it plans on DEMO_BETA * ground truth
+HORIZON_MIN, HORIZON_MAX = 15, 40  # the supported range of a demo's future length
 
 # terrain palette: (low, high) bands drawn per cell; the two variance bands must
 # not straddle VAR_THRESHOLD, so the trail stays recoverable by thresholding
@@ -48,30 +49,6 @@ RGB_JITTER = 0.04
 TAGS = ("straight", "curve", "intersection")
 TAG_CODES = {t: i for i, t in enumerate(TAGS)}
 LAYOUTS = ("straight", "curve", "tee", "cross", "random")
-
-
-@dataclass
-class WorldSpec:
-    """Knobs for one generated world."""
-
-    seed: int = 0
-    rows: int = 32
-    cols: int = 32
-    resolution: float = 1.0
-    layout: str = "random"
-    trail_width: int = 1
-
-    def __post_init__(self):
-        if self.layout not in LAYOUTS:
-            raise ConfigError(f"unknown layout {self.layout!r}, expected one of {LAYOUTS}")
-        if self.trail_width < 1 or self.trail_width % 2 == 0:
-            raise ConfigError("trail width must be odd and >= 1")
-        interior = min(self.rows, self.cols) - 2 * MARGIN
-        if self.trail_width + 1 > interior:
-            raise ConfigError(
-                f"a trail of width {self.trail_width} does not fit a "
-                f"{self.rows}x{self.cols} grid"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +103,22 @@ def _dilate(mask, radius):
     return mask
 
 
-def generate_world(spec: WorldSpec) -> GridWorld:
+def generate_world(*, seed: int = 0, rows: int = 32, cols: int = 32, resolution: float = 1.0,
+                   layout: str = "random", trail_width: int = 1) -> GridWorld:
     """Deterministic per seed; trail cells recoverable by thresholding channel 1."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    rows, cols = spec.rows, spec.cols
-    layout = spec.layout
+    if layout not in LAYOUTS:
+        raise ConfigError(f"unknown layout {layout!r}, expected one of {LAYOUTS}")
+    if trail_width < 1 or trail_width % 2 == 0:
+        raise ConfigError("trail width must be odd and >= 1")
+    if trail_width + 1 > min(rows, cols) - 2 * MARGIN:
+        raise ConfigError(f"a trail of width {trail_width} does not fit a {rows}x{cols} grid")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     if layout == "random":
         layout = ("straight", "curve")[rng.integers(2)]
     mask = np.zeros((rows, cols), dtype=bool)
     {"straight": _draw_straight, "curve": _draw_curve, "tee": _draw_tee,
      "cross": _draw_cross}[layout](rng, mask)
-    mask = _dilate(mask, (spec.trail_width - 1) // 2)
+    mask = _dilate(mask, (trail_width - 1) // 2)
 
     size = (rows, cols)
     env = np.empty((len(ENV_CHANNEL_NAMES), rows, cols))
@@ -150,7 +132,7 @@ def generate_world(spec: WorldSpec) -> GridWorld:
         noise = rng.normal(scale=RGB_JITTER, size=size)
         env[2 + i] = np.where(mask, TRAIL_RGB[i], OFF_RGB[i]) + noise
     np.clip(env, 0.0, 1.0, out=env)
-    return GridWorld(rows=rows, cols=cols, resolution=spec.resolution, env=env)
+    return GridWorld(rows=rows, cols=cols, resolution=resolution, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +345,9 @@ def _expert_setup(world: GridWorld, speed: float, seed: int, start=None,
     reward = ground_truth_reward(world, start, context)
     if horizon is None:
         horizon = int(rng.integers(15, 26))
-    if not 15 <= horizon <= 40:
-        raise ConfigError(f"horizon {horizon} outside the supported 15..40 range")
+    if not HORIZON_MIN <= horizon <= HORIZON_MAX:
+        raise ConfigError(f"horizon {horizon} outside the supported "
+                          f"{HORIZON_MIN}..{HORIZON_MAX} range")
     return rng, start, past, horizon, reward
 
 

@@ -28,7 +28,7 @@ from meirl.mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories,
                        state_distribution, uniform_policy, value_iteration, ACTION_DELTAS)
 from meirl.metrics import hausdorff, nll, terminal_entropy
 from meirl.reward_net import backward, build_net, forward, load_net
-from meirl.synthetic import (DEMO_BETA, Demonstration, Scene, WorldSpec, generate_world,
+from meirl.synthetic import (DEMO_BETA, Demonstration, Scene, generate_world,
                              ground_truth_reward, trail_mask)
 from meirl.baselines import ekf_forecast_cells
 from meirl.kinematics import kinematic_context
@@ -257,7 +257,7 @@ def test_7_speed_conditioned_junction_forecast(benchmark_run):
     net = load_net(benchmark_run["root"] / "ours" / "checkpoint.ckpt", "two_stage")[0]
     # this seed yields a tee with its junction at (9, 8), bar arms left and
     # right along row 9 and the stem rising from the junction
-    world = generate_world(WorldSpec(seed=0, rows=16, cols=16, layout="tee"))
+    world = generate_world(seed=0, rows=16, cols=16, layout="tee")
     start, heading, horizon = (9, 5), (0, 1), 15
     straight_arm = [(9, c) for c in range(9, 14)]
     assert trail_mask(world)[tuple(zip(*straight_arm))].all()

@@ -828,6 +828,48 @@ def test_non_finite_checkpoint_exits_2_naming_it_and_the_parameter(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("predict", "--method", "irl_nokin", "--checkpoint"),
+    ("train", "--method", "irl_nokin", "--iterations", "1", "--resume")],
+    ids=["predict", "train_resume"])
+def test_checkpoint_with_a_parameter_the_net_lacks_exits_2_naming_it(
+        dataset_dir, nokin_ckpt, tmp_path, capsys, command):
+    store, meta, iteration = load_checkpoint(nokin_ckpt)
+    for arrays in (store.params, store.m, store.v):
+        arrays["junk"] = np.zeros(3)
+    ckpt = tmp_path / "junk.ckpt"
+    save_checkpoint(ckpt, store, meta=meta, iteration=iteration)
+    capsys.readouterr()
+    assert run(*command, ckpt, "--dataset", dataset_dir, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == \
+        f"error: {ckpt}: checkpoint holds parameters a 'env_only' net does not have: junk\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_predict_scores_average_to_the_eval_row(dataset_dir, ours_ckpt, nokin_ckpt, bc_ckpt,
+                                               tmp_path):
+    ckpts = {"ours": ours_ckpt, "irl_nokin": nokin_ckpt, "bc": bc_ckpt}
+    assert run("eval", "--dataset", dataset_dir, "--out", tmp_path / "ev",
+               "--checkpoint", ours_ckpt, "--checkpoint-nokin", nokin_ckpt,
+               "--checkpoint-bc", bc_ckpt, "--samples", "5") == 0
+    rows = json.loads((tmp_path / "ev" / "table.json").read_text())["methods"]
+    n_test = len(load_dataset(dataset_dir)[1])
+    assert n_test == 2 and [row["method"] for row in rows] == list(METHOD_ORDER)
+    for row in rows:
+        method = row["method"]
+        given = ["--checkpoint", ckpts[method]] if method in ckpts else []
+        summaries = []
+        for i in range(n_test):
+            out = tmp_path / f"{method}_{i}"
+            assert run("predict", "--dataset", dataset_dir, "--out", out, "--method", method,
+                       "--demo", i, "--samples", "0", *given) == 0
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        columns = ({"hd": "hd"} if method == "ekf" else
+                   {"demo_nll": "nll", "terminal_entropy": "terminal_entropy"})
+        for key, column in columns.items():
+            assert float(np.mean([s[key] for s in summaries])) == row[column], (method, key)
+
+
 def test_eval_and_predict_accept_checkpoint_with_retired_config_keys(
         dataset_dir, ours_ckpt, tmp_path):
     # Older checkpoints carry the planner settings that are constants now

@@ -14,7 +14,7 @@ from meirl.config import from_dict
 from meirl.dataset import (GenerateConfig, generate_dataset, load_dataset, load_demo,
                            save_dataset, save_demo, split_counts)
 from meirl.errors import ConfigError
-from meirl.synthetic import WorldSpec, generate_demonstration, generate_world
+from meirl.synthetic import generate_demonstration, generate_world
 
 TINY = dict(n_demos=6, split=0.5, rows=16, cols=16, seed=3,
             layouts=("straight", "tee"), speeds=(2.0, 8.0))
@@ -25,7 +25,7 @@ def tiny_config(**overrides):
 
 
 def one_demo(seed=0):
-    world = generate_world(WorldSpec(seed=seed, rows=16, cols=16, layout="straight"))
+    world = generate_world(seed=seed, rows=16, cols=16, layout="straight")
     return generate_demonstration(world, speed=8.0, seed=seed)
 
 

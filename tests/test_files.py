@@ -27,7 +27,7 @@ from meirl.errors import ConfigError
 from meirl.maps import save_map_csv, save_map_pgm
 from meirl.metrics import export_csv, export_json, table_row
 from meirl.nn import ParameterStore
-from meirl.synthetic import WorldSpec, generate_demonstration, generate_world
+from meirl.synthetic import generate_demonstration, generate_world
 from meirl.trainer import write_report, write_timings
 
 
@@ -191,7 +191,7 @@ def test_a_truncated_checkpoint_raises_config_error(size):
 
 def demo_record() -> bytes:
     # expert speed 1.0, whose f64 flips to inf at bit 6 of its high byte
-    world = generate_world(WorldSpec(seed=1, rows=8, cols=8, layout="straight"))
+    world = generate_world(seed=1, rows=8, cols=8, layout="straight")
     return saved(save_demo, generate_demonstration(world, speed=1.0, seed=2))
 
 

@@ -531,6 +531,21 @@ def test_adam_missing_gradient_names_error():
         update_parameters(store, {})
 
 
+def test_refused_update_leaves_the_store_as_it_was():
+    store = ParameterStore.create({"a": np.ones(2), "b": np.ones(2)}, learning_rate=0.1)
+    update_parameters(store, {"a": np.array([0.5, -1.0]), "b": np.array([2.0, 0.25])})
+    before = [{n: a.copy() for n, a in d.items()} for d in (store.params, store.m, store.v)]
+    # "a" comes first, so a check made while stepping would move it before refusing "b"
+    with pytest.raises(ConfigError, match=re.escape("gradient shape (3,) != parameter shape (2,) "
+                                                    "for 'b'")):
+        update_parameters(store, {"a": np.ones(2), "b": np.ones(3)})
+    assert store.step == 1
+    for saved, now in zip(before, (store.params, store.m, store.v)):
+        assert saved.keys() == now.keys()
+        for name in saved:
+            assert saved[name].tobytes() == now[name].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # layer validation and init
 

@@ -12,7 +12,7 @@ import meirl
 from meirl.cli import forecast, main
 from meirl.mdp import state_distribution
 from meirl.reward_net import load_net
-from meirl.synthetic import Scene, WorldSpec, generate_world
+from meirl.synthetic import Scene, generate_world
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -54,7 +54,7 @@ def test_speed_entropy_experiment_matches_the_cli_forecast(tmp_path):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     net = load_net(ckpt, "two_stage")[0]
-    world = generate_world(WorldSpec(seed=0, rows=16, cols=16, layout="tee"))
+    world = generate_world(seed=0, rows=16, cols=16, layout="tee")
     start, heading, _ = script.scenario(world, 3)
     scene = Scene(world, script.straight_past(start, heading, 2.0, 1.0), start)
     (policy,), _ = forecast(net, [scene])

@@ -16,7 +16,7 @@ from meirl.dataset import GenerateConfig, generate_dataset, load_demo, save_demo
 from meirl.errors import ConfigError
 from meirl.kinematics import KinematicContext, PastTrack, extract_velocity
 from meirl.mdp import ACTION_DELTAS, GridWorld, actions_from_cells, cells_to_xy
-from meirl.synthetic import (MARGIN, VAR_THRESHOLD, Demonstration, Scene, WorldSpec,
+from meirl.synthetic import (MARGIN, VAR_THRESHOLD, Demonstration, Scene,
                              augment_rotations, balance_dataset, bend_cells,
                              classify_tag, generate_demonstration, generate_world,
                              ground_truth_reward, junction_cells, trail_mask)
@@ -26,7 +26,7 @@ CTX_FAST = KinematicContext(dx=0.8, dy=0.0, kappa=0.0)
 
 
 def world_for(layout, seed=0, rows=16, cols=16, **kw):
-    return generate_world(WorldSpec(seed=seed, rows=rows, cols=cols, layout=layout, **kw))
+    return generate_world(seed=seed, rows=rows, cols=cols, layout=layout, **kw)
 
 
 def world_from_mask(mask, resolution=1.0):
@@ -189,6 +189,22 @@ def test_trail_geometry_is_pinned():
     assert digest.hexdigest() == PINNED_TRAIL_DIGEST
 
 
+# sha256 of every world's channels as little-endian float64, over the worlds
+# of the trail digest: a slip in the terrain draws (heights, variances, RGB
+# noise) changes it
+PINNED_TERRAIN_DIGEST = "cbbe68e701893872d5fb77bcbcea64ac3612fda13f856b970392a21f77dc3d10"
+
+
+def test_terrain_is_pinned():
+    digest = hashlib.sha256()
+    for layout, (rows, cols), width, seed in itertools.product(
+            ("straight", "curve", "tee", "cross"), ((16, 16), (20, 12), (12, 20)),
+            (1, 3), range(40)):
+        world = world_for(layout, seed=seed, rows=rows, cols=cols, trail_width=width)
+        digest.update(np.ascontiguousarray(world.env, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_TERRAIN_DIGEST
+
+
 # sha256 of the futures of every demo of the datasets below: a sampled action
 # that flips, through the planner, the expert's reward or its sampler,
 # changes it
@@ -208,12 +224,12 @@ def test_expert_futures_are_pinned():
 
 
 def test_unsatisfiable_spec():
-    with pytest.raises(ConfigError):
-        WorldSpec(rows=8, cols=8, trail_width=5)
-    with pytest.raises(ConfigError):
-        WorldSpec(layout="spiral")
-    with pytest.raises(ConfigError):
-        WorldSpec(trail_width=2)
+    with pytest.raises(ConfigError, match="a trail of width 5 does not fit a 8x8 grid"):
+        generate_world(rows=8, cols=8, trail_width=5)
+    with pytest.raises(ConfigError, match="unknown layout 'spiral'"):
+        generate_world(layout="spiral")
+    with pytest.raises(ConfigError, match="trail width must be odd"):
+        generate_world(trail_width=2)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_conv_hooks_count_the_calls_the_net_makes(monkeypatch, kind):
     # they must count 2 (forward) and 4 (backward) flops per multiply-add
     from meirl import reward_net
     from meirl.nn import ConvLayer
-    from meirl.synthetic import WorldSpec, generate_demonstrations, generate_world
+    from meirl.synthetic import generate_demonstrations, generate_world
 
     spans = {"__name__": "perfbench_spans"}
     exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans)
@@ -69,7 +69,7 @@ def test_conv_hooks_count_the_calls_the_net_makes(monkeypatch, kind):
         fn_name = name.split(".")[1]
         monkeypatch.setattr(reward_net, fn_name, captured(name, getattr(reward_net, fn_name)))
     rows, cols = 12, 16
-    world = generate_world(WorldSpec(seed=2, rows=rows, cols=cols, layout="curve"))
+    world = generate_world(seed=2, rows=rows, cols=cols, layout="curve")
     demo = generate_demonstrations([dict(world=world, speed=3.0, seed=2)])[0]
     net = reward_net.build_net(kind, seed=0)
     out, acts = reward_net.forward(net, demo)

@@ -14,7 +14,7 @@ from meirl.kinematics import PastTrack
 from meirl.mdp import ACTION_DELTAS, GridWorld, value_iteration
 from meirl.metrics import nll
 from meirl.reward_net import backward, build_net, forward
-from meirl.synthetic import (Demonstration, Scene, WorldSpec, generate_demonstrations,
+from meirl.synthetic import (Demonstration, Scene, generate_demonstrations,
                              generate_world)
 from meirl.cli import forecast
 from meirl.trainer import (BC_REPORT_COLUMNS, REPORT_COLUMNS, BcConfig, TrainConfig, bc_train,
@@ -525,7 +525,7 @@ PINNED_BC_DIGEST = "9bc398615f0edc370a14a2cc7ed2d805302471855f689cd0d01617bebdeb
 
 
 def test_bc_training_is_pinned():
-    requests = [dict(world=generate_world(WorldSpec(seed=s, rows=16, cols=16, layout=layout)),
+    requests = [dict(world=generate_world(seed=s, rows=16, cols=16, layout=layout),
                      speed=speed, seed=s)
                 for s, (layout, speed) in enumerate([("straight", 2.0), ("curve", 5.0),
                                                      ("tee", 3.0), ("cross", 6.0),
