@@ -9,6 +9,7 @@ speed-aware model should commit to the straight-through branch when
 approaching fast and hedge across both branches when approaching slowly.
 """
 import argparse
+from pathlib import Path
 
 import numpy as np
 
@@ -76,6 +77,8 @@ def scenario(world, approach):
 
 
 def straight_past(start, heading, speed, resolution):
+    """Eleven 10 Hz samples of a constant-speed straight approach along
+    `heading` that ends at the centre of cell `start`."""
     cx, cy = cells_to_xy([start], resolution)[0]
     t = np.arange(11) * 0.1
     back = (t - t[-1]) * speed
@@ -98,8 +101,8 @@ def main():
     speeds = {"slow": args.slow, "fast": args.fast}
     scenes = [Scene(world, straight_past(start, heading, speed, world.resolution), start)
               for speed in speeds.values()]
-    starts, steps = [start] * len(speeds), [args.horizon - 1] * len(speeds)
-    dists = state_distribution(forecast(net, scenes)[0], starts, steps)
+    starts, horizons = [start] * len(speeds), [args.horizon] * len(speeds)
+    dists = state_distribution(forecast(net, scenes)[0], starts, horizons)
     entropies = {}
     for (label, speed), dist in zip(speeds.items(), dists):
         entropies[label] = terminal_entropy(dist)
@@ -108,7 +111,6 @@ def main():
         print(f"{label:5s} (v={speed:g}): terminal entropy {entropies[label]:.4f}  "
               + "  ".join(f"{k} {v:.3f}" for k, v in masses.items()))
         if args.out:
-            from pathlib import Path
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             save_map_csv(out / f"terminal_{label}.csv", dist)

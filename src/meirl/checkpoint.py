@@ -90,12 +90,17 @@ def _decode(reader: Reader):
     if not isinstance(meta, dict):
         raise ConfigError(f"checkpoint meta block must be an object, got {type(meta).__name__}")
     iteration, adam = meta.get("iteration", 0), meta.get("adam", {})
-    if not _is_int(iteration):
-        raise ConfigError(f"checkpoint meta block's iteration must be an int, got {iteration!r}")
+    if not (_is_int(iteration) and iteration >= 0):
+        raise ConfigError(f"checkpoint meta block's iteration must be a nonnegative int, "
+                          f"got {iteration!r}")
     if not (isinstance(adam, dict)
             and all(_is_int(v) or isinstance(v, float) for v in adam.values())):
         raise ConfigError(f"checkpoint meta block's adam entry must be a JSON object of numbers, "
                           f"got {adam!r}")
+    step = adam.get("step", 0)
+    if not (_is_int(step) and step >= 0):  # Adam's bias correction needs a count
+        raise ConfigError(f"checkpoint meta block's adam step must be a nonnegative int, "
+                          f"got {step!r}")
     (n_params,) = reader.unpack("<I")
     params = {}
     for _ in range(n_params):
@@ -106,7 +111,7 @@ def _decode(reader: Reader):
     # Adam's beta1, beta2 and eps are nn constants; older checkpoints that
     # carry them in this entry load with the constants
     store = ParameterStore.create(params, adam.get("learning_rate", 1e-3))
-    store.step = int(adam.get("step", 0))
+    store.step = step
     if reader.unpack("<B") != (1,):
         raise ConfigError("checkpoint optimizer-state marker must be 1")
     for name in params:

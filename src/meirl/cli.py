@@ -256,7 +256,7 @@ def cmd_predict(args) -> None:
             table = np.column_stack([*np.divmod(np.arange(cells.size), horizon),
                                      *np.divmod(cells, demo.world.cols)])
             tables["samples.csv"] = (("sample", "step", "row", "col"), table.tolist())
-        entropy = terminal_entropy(state_distribution([policy], [start], [horizon - 1])[0])
+        entropy = terminal_entropy(state_distribution([policy], [start], [horizon])[0])
         summary.update(svf_mass=float(svf.sum()), terminal_entropy=entropy,
                        demo_nll=nll(policy, demo), zero_lidar=cfg.zero_lidar)
         message = f"prediction written; terminal entropy {entropy:.3f} nats"
@@ -317,7 +317,7 @@ def _eval_method(method, demos, cfg: EvalConfig, nets):
 
     policies = forecast(nets.get(method), demos)[0]
     last = state_distribution(policies, [demo.start for demo in demos],
-                              [demo.horizon - 1 for demo in demos])
+                              [demo.horizon for demo in demos])
     hds = [mean_sampled_hd(policy, demo, n_samples=cfg.samples, seed=_demo_seed(cfg.seed, i))
            for i, (demo, policy) in enumerate(zip(demos, policies))]
     nlls = [nll(policy, demo) for demo, policy in zip(demos, policies)]

@@ -29,8 +29,9 @@ from . import config as configio
 from .errors import ConfigError
 from .kinematics import PastTrack
 from .mdp import ENV_CHANNEL_NAMES, GridWorld
-from .synthetic import (HORIZON_MAX, HORIZON_MIN, LAYOUTS, TAG_CODES, TAGS, Demonstration,
-                        balance_dataset, balance_fractions, generate_demonstrations, generate_world)
+from .synthetic import (DEFAULT_HORIZON_MAX, HORIZON_MAX, HORIZON_MIN, LAYOUTS, TAG_CODES, TAGS,
+                        Demonstration, balance_dataset, balance_fractions, generate_demonstrations,
+                        generate_world)
 
 FORMAT_NAME = "meirl-demos-v1"
 EXPERT_CHUNK = 16  # experts planned per value_iteration call during generation
@@ -48,7 +49,7 @@ class GenerateConfig:
     trail_width: int = 1
     speeds: tuple = (2.0, 8.0)
     horizon_min: int = HORIZON_MIN
-    horizon_max: int = 25
+    horizon_max: int = DEFAULT_HORIZON_MAX
     balance: Optional[dict] = None
 
     def __post_init__(self):
@@ -157,8 +158,11 @@ def save_dataset(root, train, test, config: GenerateConfig, overwrite: bool = Fa
     if manifest_path.exists() and not overwrite:
         raise ConfigError(f"dataset already exists at {root} (manifest.json present)")
     # without a manifest, a write that stops partway leaves no loadable mix of
-    # new and old records behind; dump_json renames the manifest into place last
+    # new and old records behind; dump_json renames the manifest into place last.
+    # Old records go before any new one is written, so none outlives its manifest.
     manifest_path.unlink(missing_ok=True)
+    for stale in [*root.glob("train/demo_*.bin"), *root.glob("test/demo_*.bin")]:
+        stale.unlink()
     for split_name, demos in (("train", train), ("test", test)):
         sub = root / split_name
         sub.mkdir(parents=True, exist_ok=True)

@@ -279,14 +279,12 @@ def _check_cell(cell, rows: int, cols: int):
     return r, c
 
 
-def _forward_pass(policies, starts, lengths, names, least: int):
+def _forward_pass(policies, starts, horizons):
     """The forward visitation pass of max-ent IRL (Ziebart et al. 2008,
     Algorithm 1) over a batch. Position b starts as a point mass on starts[b]
-    and follows policies[b] until its last step, t = lengths[b] - least:
-    `compute_svf` counts the horizon's cells t = 0 .. horizon - 1 and
-    `state_distribution` ends `steps` moves out. Returns, each (B, rows, cols),
-    the sum of b's distributions over its steps and its distribution at the
-    last one. `names` (the argument, one value) name the lengths in errors.
+    and follows policies[b] for the horizon's cells t = 0 .. horizons[b] - 1.
+    Returns, each (B, rows, cols), the sum of b's distributions over those
+    cells and its distribution at the last one.
 
     A step is one bincount per action over all B*rows*cols cells, each
     position's successors offset into its own block, so a block sums only its
@@ -294,13 +292,13 @@ def _forward_pass(policies, starts, lengths, names, least: int):
     zeroed once it ends, which adds exactly nothing to its visit counts."""
     probs = _stack([p.probs for p in policies], "policies", 4)
     n, _, rows, cols = probs.shape
-    lengths = np.asarray(lengths)
-    if len(starts) != n or lengths.shape != (n,):
-        raise ConfigError(f"{n} policies need {n} start cells and {names[0]}, got "
-                          f"{len(starts)} and {lengths.shape}")
-    short = np.flatnonzero(lengths < least)
+    horizons = np.asarray(horizons)
+    if len(starts) != n or horizons.shape != (n,):
+        raise ConfigError(f"{n} policies need {n} start cells and horizons, got "
+                          f"{len(starts)} and {horizons.shape}")
+    short = np.flatnonzero(horizons < 1)
     if short.size:
-        raise ConfigError(f"{names[1]} must be >= {least}, got {lengths[short].tolist()} "
+        raise ConfigError(f"horizon must be >= 1, got {horizons[short].tolist()} "
                           f"at batch positions {short.tolist()}")
     size = n * rows * cols
     mu = np.zeros((n, rows * cols))
@@ -312,7 +310,7 @@ def _forward_pass(policies, starts, lengths, names, least: int):
     targets = [(flat_next[None, :] + offsets).reshape(-1)
                for flat_next in flat_transition_table(rows, cols)]
     total, last = np.zeros((n, rows * cols)), np.empty((n, rows * cols))
-    ends = lengths - least
+    ends = horizons - 1
     final, end_steps = int(ends.max()), set(ends.tolist())
     for t in range(final + 1):
         total += mu
@@ -331,15 +329,15 @@ def _forward_pass(policies, starts, lengths, names, least: int):
 
 def compute_svf(policies, starts, horizons) -> np.ndarray:
     """Expected state-visitation counts, (B, rows, cols): position b follows
-    policies[b] from starts[b] for horizons[b] steps, so its total mass equals
+    policies[b] from starts[b] for horizons[b] cells, so its total mass equals
     horizons[b]."""
-    return _forward_pass(policies, starts, horizons, ("horizons", "horizon"), 1)[0]
+    return _forward_pass(policies, starts, horizons)[0]
 
 
-def state_distribution(policies, starts, steps) -> np.ndarray:
-    """Exact state distributions, (B, rows, cols): position b's after steps[b]
-    transitions under policies[b] from a point mass on starts[b]."""
-    return _forward_pass(policies, starts, steps, ("steps", "steps"), 0)[1]
+def state_distribution(policies, starts, horizons) -> np.ndarray:
+    """Exact state distributions, (B, rows, cols): position b's at the last of
+    its horizons[b] cells, horizons[b] - 1 moves under policies[b] from starts[b]."""
+    return _forward_pass(policies, starts, horizons)[1]
 
 
 def sample_trajectories(policy: Policy, start, horizon: int, n: int,

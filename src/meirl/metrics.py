@@ -7,8 +7,8 @@ and the results table built from them.
 NLL is normalized per transition, so the uniform policy scores exactly ln 4 on
 every demonstration. Hausdorff distances are symmetric and measured in meters
 on cell centers. Terminal entropy is that of the forecast's last cell, whose
-state distribution (`horizon - 1` moves from the start cell) the caller
-propagates exactly with `mdp.state_distribution`, not by sampling.
+state distribution the caller propagates exactly, not by sampling, with
+`mdp.state_distribution` at the forecast's horizon.
 
 Sampled HD scores all rollouts of a demo at once, on integer cells. A table
 holds the squared cell distance from every grid cell to every future cell

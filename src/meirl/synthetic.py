@@ -35,6 +35,7 @@ RAY_RATE = 0.25          # per-cell increment of the straight-ahead ramp
 MARGIN = 2               # trail inset from the border, keeps boundary clipping out of play
 DEMO_BETA = 2.5          # the expert's reward scale: it plans on DEMO_BETA * ground truth
 HORIZON_MIN, HORIZON_MAX = 15, 40  # the supported range of a demo's future length
+DEFAULT_HORIZON_MAX = 25  # a horizon left unset is drawn from HORIZON_MIN..DEFAULT_HORIZON_MAX
 
 # terrain palette: (low, high) bands drawn per cell; the two variance bands must
 # not straddle VAR_THRESHOLD, so the trail stays recoverable by thresholding
@@ -344,7 +345,7 @@ def _expert_setup(world: GridWorld, speed: float, seed: int, start=None,
 
     reward = ground_truth_reward(world, start, context)
     if horizon is None:
-        horizon = int(rng.integers(15, 26))
+        horizon = int(rng.integers(HORIZON_MIN, DEFAULT_HORIZON_MAX + 1))
     if not HORIZON_MIN <= horizon <= HORIZON_MAX:
         raise ConfigError(f"horizon {horizon} outside the supported "
                           f"{HORIZON_MIN}..{HORIZON_MAX} range")

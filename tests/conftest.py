@@ -1,4 +1,6 @@
+import importlib.util
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,25 @@ MAX_ENUMERATED_PATHS = 4096
 
 # checkpoint meta blocks that must be refused: bytes that are not UTF-8, text
 # that is not JSON, JSON that is not an object, and entries of the wrong type
+# or sign
 CORRUPT_META = {"not_utf8": b'{"iteration": "\xff"}', "not_json": b'{"iteration": 1',
                 "not_object": b"[]", "adam_not_object": b'{"adam": []}',
                 "adam_not_number": b'{"adam": {"learning_rate": "x"}}',
-                "iteration_not_int": b'{"iteration": []}'}
+                "iteration_not_int": b'{"iteration": []}',
+                "iteration_negative": b'{"iteration": -1}',
+                "adam_step_negative": b'{"adam": {"step": -3}}',
+                "adam_step_fractional": b'{"adam": {"step": 2.7}}'}
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    """The module of `scripts/<name>.py`, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def with_meta_block(raw: bytes, meta: bytes) -> bytes:

@@ -21,9 +21,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import enumerate_trajectory_distribution
+from conftest import enumerate_trajectory_distribution, load_script
 from meirl.cli import forecast, main as cli
-from meirl.kinematics import PastTrack
 from meirl.mdp import (GridWorld, cells_to_xy, compute_svf, sample_trajectories,
                        state_distribution, uniform_policy, value_iteration, ACTION_DELTAS)
 from meirl.metrics import hausdorff, nll, terminal_entropy
@@ -38,14 +37,8 @@ def run(*argv):
     assert cli([str(a) for a in argv]) == 0
 
 
-def straight_past(start, heading, speed, resolution=1.0):
-    """Eleven 10 Hz samples of a constant-speed straight approach."""
-    cx = (start[1] + 0.5) * resolution
-    cy = (start[0] + 0.5) * resolution
-    t = np.arange(11) * 0.1
-    back = (t - t[-1]) * speed
-    xy = np.stack([cx + back * heading[1], cy + back * heading[0]], axis=1)
-    return PastTrack(t=t, xy=xy)
+# the speed experiment's straight approach, shared so gate 7 scores its scenes
+straight_past = load_script("speed_entropy_experiment").straight_past
 
 
 def point_scene(world, start, heading, speed):
@@ -196,7 +189,7 @@ def test_4_branch_frequencies_match_enumeration():
         env[1, r, c] = 0.01
     world = GridWorld(rows=rows, cols=cols, resolution=1.0, env=env)
 
-    context = kinematic_context(straight_past(junction, (-1, 0), 2.0))
+    context = kinematic_context(straight_past(junction, (-1, 0), 2.0, 1.0))
     reward = ground_truth_reward(world, junction, context)
 
     n_actions = 6
@@ -262,12 +255,12 @@ def test_7_speed_conditioned_junction_forecast(benchmark_run):
     straight_arm = [(9, c) for c in range(9, 14)]
     assert trail_mask(world)[tuple(zip(*straight_arm))].all()
 
-    # planned as eval and predict plan; the forecast's last cell is horizon - 1
-    # moves from the start, where eval and predict take the terminal entropy
+    # planned as eval and predict plan, and scored at the forecast's last cell,
+    # where eval and predict take the terminal entropy
     speeds = {"slow": 2.0, "fast": 8.0}
     policies, _ = forecast(net, [point_scene(world, start, heading, speed)
                                  for speed in speeds.values()])
-    dists = state_distribution(policies, [start] * len(speeds), [horizon - 1] * len(speeds))
+    dists = state_distribution(policies, [start] * len(speeds), [horizon] * len(speeds))
     results = {}
     for label, dist in zip(speeds, dists):
         straight_mass = float(sum(dist[rc] for rc in straight_arm))
@@ -286,7 +279,7 @@ def test_8_baseline_sanity():
     env = np.full((5, 8, 26), 0.5) + rng.normal(scale=0.01, size=(5, 8, 26))
     world = GridWorld(rows=8, cols=26, resolution=1.0, env=env.clip(0.0, 1.0))
     future = np.array([(4, 2 + k) for k in range(21)])  # 20 prediction steps
-    demo = Demonstration(world=world, past=straight_past((4, 2), (0, 1), 3.0),
+    demo = Demonstration(world=world, past=straight_past((4, 2), (0, 1), 3.0, 1.0),
                          future=future, expert_speed=3.0, seed=0,
                          tag="straight")
 

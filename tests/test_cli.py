@@ -570,9 +570,9 @@ def test_predict_terminal_entropy_is_that_of_the_last_forecast_cell(dataset_dir,
                "--method", "random", "--demo", "1", "--samples", "0") == 0
     _, test_demos, _ = load_dataset(dataset_dir)
     demo = test_demos[1]
-    # a forecast of `horizon` cells, the start included, makes horizon - 1 moves
+    # a forecast of `horizon` cells, the start included, ends at its last cell
     last = state_distribution([uniform_policy(demo.world.rows, demo.world.cols)],
-                              [demo.start], [demo.horizon - 1])[0]
+                              [demo.start], [demo.horizon])[0]
     p = last[last > 0.0]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["terminal_entropy"] == pytest.approx(float(-(p * np.log(p)).sum()),

@@ -146,6 +146,15 @@ def test_save_refuses_overwrite(tmp_path):
     save_dataset(tmp_path / "ds", train, test, tiny_config(), overwrite=True)
 
 
+def test_overwrite_with_fewer_demos_leaves_only_the_new_records(tmp_path):
+    save_dataset(tmp_path / "ds", *generate_dataset(tiny_config()), tiny_config())
+    fewer = tiny_config(n_demos=2, split=1.0)
+    manifest = save_dataset(tmp_path / "ds", *generate_dataset(fewer), fewer, overwrite=True)
+    for split_name in ("train", "test"):
+        held = sorted(p.name for p in (tmp_path / "ds" / split_name).iterdir())
+        assert held == [f"demo_{i:05d}.bin" for i in range(manifest[f"n_{split_name}"])]
+
+
 def test_overwrite_that_stops_partway_leaves_no_loadable_dataset(tmp_path, monkeypatch):
     train, test = generate_dataset(tiny_config())
     save_dataset(tmp_path / "ds", train, test, tiny_config())

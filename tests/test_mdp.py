@@ -13,7 +13,7 @@ from conftest import (BOOL_MASKS, enumerate_trajectory_distribution, make_world,
                       reference_sample_trajectories)
 from meirl.errors import ConfigError, ConvergenceError
 from meirl import mdp
-from meirl.mdp import (ACTION_DELTAS, GridWorld, Policy,
+from meirl.mdp import (ACTION_DELTAS, N_ACTIONS, GridWorld, Policy,
                        actions_from_cells, compute_svf, flat_transition_table,
                        neighbors, sample_trajectories, softmax, state_distribution,
                        uniform_policy, value_iteration)
@@ -325,8 +325,8 @@ def test_batched_planner_equals_each_single_demo_slice(batch):
     rewards, starts, horizons, gamma, s = batch
     plans = value_iteration(s * rewards, gamma=gamma)
     svf = compute_svf(plans, starts, horizons)
-    steps = [0] + horizons[1:]  # mixed, one of them 0
-    last = state_distribution(plans, starts, steps)
+    ends = [1] + [h + 1 for h in horizons[1:]]  # mixed, one of them the start cell alone
+    last = state_distribution(plans, starts, ends)
     assert len(plans) == len(rewards) and svf.shape == last.shape == rewards.shape
     for b in range(len(rewards)):
         (alone,) = value_iteration(s * rewards[b:b + 1], gamma=gamma)
@@ -335,7 +335,7 @@ def test_batched_planner_equals_each_single_demo_slice(batch):
         assert plans[b].sweeps == alone.sweeps >= 1
         assert np.array_equal(svf[b], compute_svf([alone], starts[b:b + 1], horizons[b:b + 1])[0])
         assert np.array_equal(last[b], state_distribution([alone], starts[b:b + 1],
-                                                          steps[b:b + 1])[0])
+                                                          ends[b:b + 1])[0])
         assert last[b].sum() == pytest.approx(1.0, abs=1e-12)
         # V is a Bellman fixed point, and both V and the policy equal the
         # long-run sweep reference's: planning on s * r is planning on r at
@@ -404,13 +404,13 @@ def test_svf_batch_arguments_must_line_up():
         compute_svf(pols, [(0, 0), (1, 1)], [2, 0])
 
 
-def test_state_distribution_names_its_steps_in_errors():
+def test_state_distribution_names_its_horizons_in_errors():
     pols = [uniform_policy(6, 6)] * 2
-    with pytest.raises(ConfigError, match="2 start cells and steps"):
+    with pytest.raises(ConfigError, match="2 start cells and horizons"):
         state_distribution(pols, [(0, 0)], [2, 2])
     with pytest.raises(ConfigError, match=re.escape(
-            "steps must be >= 0, got [-1] at batch positions [1]")):
-        state_distribution(pols, [(0, 0), (1, 1)], [0, -1])
+            "horizon must be >= 1, got [0] at batch positions [1]")):
+        state_distribution(pols, [(0, 0), (1, 1)], [1, 0])
 
 
 # a fixed batch of softmax plans, pinned bitwise: every position's visit
@@ -425,7 +425,7 @@ def test_visit_counts_and_terminal_distributions_are_pinned():
     horizons = [1, 25, 7, 16, 3, 40]
     digest = hashlib.sha256()
     digest.update(compute_svf(plans, starts, horizons).tobytes())
-    digest.update(state_distribution(plans, starts, [h - 1 for h in horizons]).tobytes())
+    digest.update(state_distribution(plans, starts, horizons).tobytes())
     assert digest.hexdigest() == PINNED_FORWARD_PASS_DIGEST
 
 
@@ -464,9 +464,26 @@ def test_svf_matches_naive_monte_carlo(rng):
     assert np.abs(dp - mc).sum() < 0.02
 
 
+@pytest.mark.parametrize("start", [(0, 0), (2, 3), (4, 1)])
+def test_state_distribution_of_a_deterministic_policy_is_its_rollouts_last_cell(start):
+    rng = np.random.default_rng(6)
+    probs = np.zeros((N_ACTIONS, 5, 7))
+    np.put_along_axis(probs, rng.integers(N_ACTIONS, size=(1, 5, 7)), 1.0, axis=0)
+    pol = Policy(probs=probs)
+    lasts = []
+    for h in range(1, 7):
+        lasts.append(sample_trajectories(pol, start, h, 1, rng)[0, -1])
+        want = np.zeros(35)
+        want[lasts[-1]] = 1.0
+        assert np.array_equal(state_distribution([pol], [start], [h])[0], want.reshape(5, 7))
+    # horizon 1 is the start cell, and no two horizons end alike, so a length
+    # off by one cannot pass
+    assert lasts[0] == start[0] * 7 + start[1] and len(set(lasts)) == 6
+
+
 def test_state_distribution_uniform_interior():
     pol = uniform_policy(8, 8)
-    (mu,) = state_distribution([pol], [(4, 4)], steps=[1])
+    (mu,) = state_distribution([pol], [(4, 4)], horizons=[2])
     for dr, dc in ACTION_DELTAS:
         assert mu[4 + dr, 4 + dc] == pytest.approx(0.25)
     assert mu.sum() == pytest.approx(1.0, abs=1e-12)

@@ -303,18 +303,18 @@ def test_sampled_hausdorff_memory_is_bounded_per_chunk():
 
 def test_terminal_entropy_deterministic_zero():
     policy = deterministic_policy(8, 8, 3)
-    assert terminal_entropy(state_distribution([policy], [(3, 1)], [4])[0]) == 0.0
+    assert terminal_entropy(state_distribution([policy], [(3, 1)], [5])[0]) == 0.0
 
 
 def test_terminal_entropy_uniform_one_step():
     # four equally likely neighbors from an interior cell
     policy = uniform_policy(9, 9)
-    assert terminal_entropy(state_distribution([policy], [(4, 4)], [1])[0]) == LN4
+    assert terminal_entropy(state_distribution([policy], [(4, 4)], [2])[0]) == LN4
 
 
 def test_terminal_entropy_spreads_with_horizon():
     policy = uniform_policy(17, 17)
-    e1, e5 = map(terminal_entropy, state_distribution([policy] * 2, [(8, 8)] * 2, [1, 5]))
+    e1, e5 = map(terminal_entropy, state_distribution([policy] * 2, [(8, 8)] * 2, [2, 6]))
     assert e5 > e1
 
 

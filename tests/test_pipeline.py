@@ -1,6 +1,5 @@
 """Smoke runs of the scripts, so a stale flag or import in one fails here."""
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -9,12 +8,11 @@ from pathlib import Path
 import numpy as np
 
 import meirl
+from conftest import SCRIPTS, load_script
 from meirl.cli import forecast, main
 from meirl.mdp import state_distribution
 from meirl.reward_net import load_net
 from meirl.synthetic import Scene, generate_world
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def script_env():
@@ -49,16 +47,13 @@ def test_speed_entropy_experiment_matches_the_cli_forecast(tmp_path):
 
     # the slow-approach terminal map, recomputed through the forecast that
     # predict and eval run
-    spec = importlib.util.spec_from_file_location(
-        "speed_entropy_experiment", SCRIPTS / "speed_entropy_experiment.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("speed_entropy_experiment")
     net = load_net(ckpt, "two_stage")[0]
     world = generate_world(seed=0, rows=16, cols=16, layout="tee")
     start, heading, _ = script.scenario(world, 3)
     scene = Scene(world, script.straight_past(start, heading, 2.0, 1.0), start)
     (policy,), _ = forecast(net, [scene])
-    expected = state_distribution([policy], [start], [14])[0]
+    expected = state_distribution([policy], [start], [15])[0]
     written = np.loadtxt(maps / "terminal_slow.csv", delimiter=",")
     assert np.array_equal(written, expected)
 
