@@ -204,12 +204,13 @@ def forecast(net, scenes):
     return list(value_iteration(rewards)), rewards
 
 
-def _ekf_cells(demo, where: str) -> np.ndarray:
-    """`ekf_forecast_cells`, its failure naming the method and `where` the demo is."""
+def _ekf_cells(demos, names) -> list:
+    """`ekf_forecast_cells` over the demos, a failure naming the method and the
+    failing demo, `names[position]`."""
     try:
-        return ekf_forecast_cells(demo)
+        return ekf_forecast_cells(demos)
     except (ValueError, ConvergenceError) as e:
-        raise type(e)(f"ekf, {where}: {e}") from e
+        raise type(e)(f"ekf, {names[e.position]}: {e}") from e
 
 
 def cmd_predict(args) -> None:
@@ -234,7 +235,7 @@ def cmd_predict(args) -> None:
     maps, tables = {}, {}
     summary = {"method": cfg.method, "horizon": horizon, "start": list(start)}
     if cfg.method == "ekf":
-        cells = _ekf_cells(demo, f"{cfg.which} demo {cfg.demo}")
+        (cells,) = _ekf_cells([demo], [f"{cfg.which} demo {cfg.demo}"])
         xy = cells_to_xy(cells, demo.world.resolution)
         tables["trajectory.csv"] = (("step", "row", "col", "x", "y"), [
             (k, r, c, f"{x:.17g}", f"{y:.17g}")
@@ -308,12 +309,11 @@ def _demo_seed(base: int, index: int) -> int:
 def _eval_method(method, demos, cfg: EvalConfig, nets):
     """The method's table row over the demos, scored in order."""
     if method == "ekf":
-        hds = []
-        for i, demo in enumerate(demos):
-            res = demo.world.resolution
-            hds.append(hausdorff(cells_to_xy(_ekf_cells(demo, f"test demo {i}"), res),
-                                 cells_to_xy(demo.future, res)))
-        return table_row("ekf", hds)
+        forecasts = _ekf_cells(demos, [f"test demo {i}" for i in range(len(demos))])
+        return table_row("ekf", [
+            hausdorff(cells_to_xy(cells, demo.world.resolution),
+                      cells_to_xy(demo.future, demo.world.resolution))
+            for cells, demo in zip(forecasts, demos)])
 
     policies = forecast(nets.get(method), demos)[0]
     last = state_distribution(policies, [demo.start for demo in demos],

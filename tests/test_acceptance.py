@@ -283,7 +283,7 @@ def test_8_baseline_sanity():
                          future=future, expert_speed=3.0, seed=0,
                          tag="straight")
 
-    cells = ekf_forecast_cells(demo)
+    (cells,) = ekf_forecast_cells([demo])
     hd_cells = hausdorff(cells_to_xy(cells, 1.0), cells_to_xy(future, 1.0))
     assert hd_cells <= 1.0 + 1e-9
 

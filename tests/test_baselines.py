@@ -73,17 +73,17 @@ def test_wrap_angle():
 
 def test_state_wraps_heading_and_checks_cov(monkeypatch):
     # 20 s at 0.2 rad/s: the true heading ends at 3.98 rad, past pi
-    state, _ = ekf_run(circle_track(radius=10.0, speed=2.0, dt=0.1, n=200))
+    (state,), _ = ekf_run([circle_track(radius=10.0, speed=2.0, dt=0.1, n=200)])
     assert -math.pi < state[2] <= math.pi
     assert abs(wrap_angle(state[2] - 0.2 * 19.9)) < 0.05
     monkeypatch.setattr(baselines, "INITIAL_VAR", (0.1, 0.1, 0.5, -1.0, 0.1))
     with pytest.raises(ConvergenceError, match="not positive semi-definite"):
-        ekf_run(line_track())
+        ekf_run([line_track()])
 
 
-def degenerate_track(first_step):
+def degenerate_track(first_step, heading=0.0):
     """line_track with its first step replaced by `first_step` seconds."""
-    track = line_track()
+    track = line_track(heading=heading)
     t = track.t.copy()
     t[1] = t[0] + first_step
     return PastTrack(t=t, xy=track.xy)
@@ -96,12 +96,12 @@ def test_degenerate_track_raises_without_warnings(first_step, why):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match=why):
-            ekf_run(degenerate_track(first_step))
+            ekf_run([degenerate_track(first_step)])
 
 
 def test_ekf_init_needs_three_points():
     with pytest.raises(ConfigError):
-        ekf_run(PastTrack(t=np.array([0.0, 0.1]), xy=np.zeros((2, 2))))
+        ekf_run([PastTrack(t=np.array([0.0, 0.1]), xy=np.zeros((2, 2)))])
 
 
 # sha256 of ekf_run's state and covariance and of ekf_forecast_cells' cells
@@ -110,44 +110,101 @@ def test_ekf_init_needs_three_points():
 PINNED_EKF_DIGEST = "4c23d7b3541fbda5dff6b49191ec42674571cef4b89cd90cd7850431d5ccfc5d"
 
 
-def test_ekf_is_pinned():
-    demos = sum(generate_dataset(GenerateConfig(
+@pytest.fixture(scope="module")
+def pinned_demos():
+    """The 64 demos of the benchmark's eval_table dataset, past tracks of 3 to 51 samples."""
+    return sum(generate_dataset(GenerateConfig(
         n_demos=64, split=0.5, seed=1, rows=16, cols=16, layouts=("straight", "curve", "tee"))), [])
+
+
+def ekf_digest(states, covs, cells):
     digest = hashlib.sha256()
-    for demo in demos:
-        for arr in ekf_run(demo.past):
+    for state, cov, forecast in zip(states, covs, cells):
+        for arr in (state, cov):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        digest.update(np.ascontiguousarray(ekf_forecast_cells(demo), dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(forecast, dtype="<i8").tobytes())
         digest.update(b"|")
-    assert digest.hexdigest() == PINNED_EKF_DIGEST
+    return digest.hexdigest()
+
+
+def test_ekf_is_pinned(pinned_demos):
+    alone = [ekf_run([demo.past]) for demo in pinned_demos]
+    assert ekf_digest([state for state, _ in alone], [cov for _, cov in alone],
+                      [ekf_forecast_cells([demo])[0] for demo in pinned_demos]) == PINNED_EKF_DIGEST
+    states, covs = ekf_run([demo.past for demo in pinned_demos])
+    assert ekf_digest(states, covs, ekf_forecast_cells(pinned_demos)) == PINNED_EKF_DIGEST
+
+
+@pytest.mark.parametrize("at, failing", [
+    (None, None),
+    (0, degenerate_track(1e-17)),  # not PSD at its first predict
+    (32, degenerate_track(1e-153, heading=0.3)),  # a singular gain: LAPACK refuses the stack
+    (32, PastTrack(t=np.array([0.0, 0.1]), xy=np.zeros((2, 2))))])
+def test_a_batch_filters_each_track_as_if_alone(pinned_demos, at, failing):
+    tracks = [demo.past for demo in pinned_demos]
+    assert (min(map(len, tracks)), max(map(len, tracks))) == (3, 51)
+    if at is None:
+        states, covs = ekf_run(tracks)
+        cells = ekf_forecast_cells(pinned_demos)
+        others = range(len(tracks))
+    else:
+        tracks.insert(at, failing)
+        with pytest.raises((ValueError, ConvergenceError)) as caught:
+            ekf_run(tracks)
+        assert caught.value.position == at
+        states, covs, failures = baselines._filter(tracks)
+        assert list(failures) == [at]
+        others = [b for b in range(len(tracks)) if b != at]
+        cells = [baselines._forecast(states[b], demo) for b, demo in zip(others, pinned_demos)]
+    for b, demo, forecast in zip(others, pinned_demos, cells):
+        (state,), (cov,) = ekf_run([demo.past])
+        assert states[b].tobytes() == state.tobytes() and covs[b].tobytes() == cov.tobytes()
+        assert forecast.tobytes() == ekf_forecast_cells([demo])[0].tobytes()
+
+
+@pytest.mark.parametrize("later", [
+    degenerate_track(1e-17),  # fails at its first predict
+    PastTrack(t=np.array([0.0, 0.1]), xy=np.zeros((2, 2)))])  # fails before any
+def test_a_batch_raises_the_lowest_failing_position(later):
+    # position 0 fails only at its last step, a gap of 1e300 s, after position
+    # 2 has failed; the error raised is position 0's
+    t = line_track().t.copy()
+    t[-1] = 1e300
+    tracks = [PastTrack(t=t, xy=line_track().xy), line_track(), later]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="EKF state or covariance is not finite") as caught:
+            ekf_run(tracks)
+    assert caught.value.position == 0
+    assert sorted(baselines._filter(tracks)[2]) == [0, 2]
 
 
 # ---------------------------------------------------------------------------
 # filtering
 
 def test_straight_track_recovers_speed_and_zero_steering(quiet):
-    state, _ = ekf_run(line_track(speed=3.0))
+    (state,), _ = ekf_run([line_track(speed=3.0)])
     assert state[3] == pytest.approx(3.0, abs=1e-3)
     assert abs(state[4]) < 1e-6
     assert state[2] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_angled_track_recovers_heading(quiet):
-    state, _ = ekf_run(line_track(speed=2.0, heading=math.pi / 3))
+    (state,), _ = ekf_run([line_track(speed=2.0, heading=math.pi / 3)])
     assert state[2] == pytest.approx(math.pi / 3, abs=1e-4)
     assert state[3] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_stationary_track_speed_to_zero():
     t = np.arange(30) * 0.1
-    state, _ = ekf_run(PastTrack(t=t, xy=np.zeros((30, 2))))
+    (state,), _ = ekf_run([PastTrack(t=t, xy=np.zeros((30, 2)))])
     assert abs(state[3]) < 1e-6
 
 
 def test_circle_recovers_turn_rate_within_5_percent():
     # radius 10 at speed 2: true tan(delta)/L = 1/R = 0.1
     track = circle_track(radius=10.0, speed=2.0, dt=0.1, n=52)
-    state, _ = ekf_run(track)  # 50 corrections
+    (state,), _ = ekf_run([track])  # 50 corrections
     est = math.tan(state[4]) / WHEELBASE
     assert abs(est - 0.1) / 0.1 < 0.05
     assert state[3] == pytest.approx(2.0, rel=0.05)
@@ -158,7 +215,7 @@ def test_covariance_stays_psd_under_noisy_measurements():
     # ekf_run checks every predicted and corrected covariance on the way
     rng = np.random.default_rng(5)
     xy = np.vstack([line_track(n=2).xy, rng.normal(scale=3.0, size=(100, 2))])
-    _, cov = ekf_run(PastTrack(t=np.arange(102) * 0.1, xy=xy))
+    _, (cov,) = ekf_run([PastTrack(t=np.arange(102) * 0.1, xy=xy)])
     assert float(np.linalg.eigvalsh(cov).min()) >= -1e-8
 
 
@@ -204,10 +261,26 @@ def test_rasterize_clips_to_grid():
 def test_ekf_forecast_on_straight_demo_within_one_cell(quiet):
     w = flat_world(rows=12, cols=16)
     demo = right_demo(w, row=5, c0=2, n=10, speed=3.0)
-    cells = ekf_forecast_cells(demo)
+    (cells,) = ekf_forecast_cells([demo])
     assert cells.shape == (10, 2)
     hd = hausdorff(cells_to_xy(cells, 1.0), cells_to_xy(demo.future, 1.0))
     assert hd <= 1.0 + 1e-9  # one cell at resolution 1
+
+
+def test_ekf_forecast_of_a_reversing_track_steps_about_one_cell():
+    # 3 m/s along +x for 0.5 s, then back: the filter explains the turn by a
+    # negative speed, and each dead-reckoned step still spans about one cell
+    t = np.arange(21) * 0.1
+    x = 18.8 - 3.0 * np.abs(t - 0.5)
+    past = PastTrack(t=t, xy=np.stack([x, np.full_like(x, 5.5)], axis=1))
+    demo = Demonstration(world=flat_world(rows=12, cols=24), past=past,
+                         future=np.array([(5, 14 - k) for k in range(8)]),
+                         expert_speed=3.0, seed=0, tag="straight")
+    (state,), _ = ekf_run([past])
+    assert state[3] == pytest.approx(-3.0, abs=0.1)
+    (cells,) = ekf_forecast_cells([demo])
+    assert np.abs(np.diff(cells, axis=0)).max() == 1
+    assert cells[0].tolist() == [5, 14] and cells[-1, 1] < 14
 
 
 # ---------------------------------------------------------------------------

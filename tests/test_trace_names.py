@@ -86,3 +86,23 @@ def test_conv_hooks_count_the_calls_the_net_makes(monkeypatch, kind):
     assert tracer.counters[("nn.conv2d_forward", "flop")] == 2.0 * macs
     assert tracer.counters[("nn.conv2d_backward", "flop")] == 4.0 * macs
     assert len(tracer.seen_conv_inputs) == len(layers)
+
+
+def test_eval_filters_every_test_demo_in_one_ekf_call(tmp_path):
+    # the traced run's baselines.ekf_forecast_cells.self_s is meant to be the
+    # cost of eval's one batched EKF pass over all test demos
+    from meirl.cli import main
+    from meirl.dataset import load_dataset
+
+    spans = {"__name__": "perfbench_spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans)
+    data = tmp_path / "ds"
+    assert main(["generate", "--out", str(data), "--demos", "8", "--rows", "16", "--cols", "16",
+                 "--seed", "1", "--split", "0.5"]) == 0
+    assert len(load_dataset(data)[1]) > 1
+    tracer = spans["Tracer"]()
+    with tracer.installed():
+        assert main(["eval", "--dataset", str(data), "--out", str(tmp_path / "ev"),
+                     "--methods", "ekf,random", "--samples", "5"]) == 0
+    ekf = tracer.names.index("baselines.ekf_forecast_cells")
+    assert list(tracer.name_of).count(ekf) == 1
