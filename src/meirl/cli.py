@@ -253,7 +253,7 @@ def cmd_predict(args) -> None:
         maps["svf"] = svf
         if cfg.samples > 0:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-            cells = sample_trajectories(policy, start, horizon, cfg.samples, rng).ravel()
+            cells = sample_trajectories([policy], start, horizon, cfg.samples, rng).ravel()
             table = np.column_stack([*np.divmod(np.arange(cells.size), horizon),
                                      *np.divmod(cells, demo.world.cols)])
             tables["samples.csv"] = (("sample", "step", "row", "col"), table.tolist())
@@ -306,22 +306,32 @@ def _demo_seed(base: int, index: int) -> int:
                                       spawn_key=(index,)).generate_state(1)[0])
 
 
-def _eval_method(method, demos, cfg: EvalConfig, nets):
-    """The method's table row over the demos, scored in order."""
-    if method == "ekf":
-        forecasts = _ekf_cells(demos, [f"test demo {i}" for i in range(len(demos))])
-        return table_row("ekf", [
-            hausdorff(cells_to_xy(cells, demo.world.resolution),
-                      cells_to_xy(demo.future, demo.world.resolution))
-            for cells, demo in zip(forecasts, demos)])
+def _ekf_row(demos):
+    """The EKF's table row: the HD of each demo's filtered forecast."""
+    forecasts = _ekf_cells(demos, [f"test demo {i}" for i in range(len(demos))])
+    return table_row("ekf", [
+        hausdorff(cells_to_xy(cells, demo.world.resolution),
+                  cells_to_xy(demo.future, demo.world.resolution))
+        for cells, demo in zip(forecasts, demos)])
 
-    policies = forecast(nets.get(method), demos)[0]
-    last = state_distribution(policies, [demo.start for demo in demos],
-                              [demo.horizon for demo in demos])
-    hds = [mean_sampled_hd(policy, demo, n_samples=cfg.samples, seed=_demo_seed(cfg.seed, i))
-           for i, (demo, policy) in enumerate(zip(demos, policies))]
-    nlls = [nll(policy, demo) for demo, policy in zip(demos, policies)]
-    return table_row(method, hds, nlls, [terminal_entropy(dist) for dist in last])
+
+def _planned_rows(methods, demos, cfg: EvalConfig, nets) -> list:
+    """The table rows of the planned `methods` over the demos. Every method
+    draws demo i's rollouts from the same seeded uniforms, so one
+    mean_sampled_hd call per demo samples and scores all of them, and one
+    state_distribution call propagates every method's forecasts."""
+    policies = [forecast(nets.get(method), demos)[0] for method in methods]
+    last = state_distribution([p for ps in policies for p in ps],
+                              [demo.start for demo in demos] * len(methods),
+                              [demo.horizon for demo in demos] * len(methods))
+    hds = [mean_sampled_hd([ps[i] for ps in policies], demo, n_samples=cfg.samples,
+                           seed=_demo_seed(cfg.seed, i))
+           for i, demo in enumerate(demos)]
+    n = len(demos)
+    return [table_row(method, [hd[k] for hd in hds],
+                      [nll(policy, demo) for demo, policy in zip(demos, policies[k])],
+                      [terminal_entropy(dist) for dist in last[k * n:(k + 1) * n]])
+            for k, method in enumerate(methods)]
 
 
 def cmd_eval(args) -> None:
@@ -346,7 +356,11 @@ def cmd_eval(args) -> None:
 
     nets = {method: load_net(path, METHOD_KIND[method])[0] for method, path in paths.items()}
 
-    rows = [_eval_method(m, test_demos, cfg, nets) for m in METHOD_ORDER if m in cfg.methods]
+    rows = {"ekf": _ekf_row(test_demos)} if "ekf" in cfg.methods else {}
+    planned = [m for m in METHOD_ORDER if m in cfg.methods and m != "ekf"]
+    if planned:
+        rows.update(zip(planned, _planned_rows(planned, test_demos, cfg, nets)))
+    rows = [rows[m] for m in METHOD_ORDER if m in rows]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

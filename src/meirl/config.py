@@ -55,10 +55,14 @@ def from_dict(cls, data: dict):
 
 
 def _jsonify(value):
+    """`value` with tuples as lists and non-finite floats as None, which
+    strict JSON can hold."""
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -78,8 +82,10 @@ def load_json(path):
 
 
 def dump_json(path, obj) -> None:
-    """`obj` as sorted, indented JSON, through `write_file`."""
-    write_file(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+    """`obj` as sorted, indented, strict JSON, through `write_file`: a
+    non-finite float is written as null."""
+    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2, allow_nan=False)
+    write_file(path, (text + "\n").encode())
 
 
 def write_file(path, data: bytes) -> None:

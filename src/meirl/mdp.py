@@ -15,7 +15,8 @@ its own last step, so a single demo is just B = 1 and the result does not
 depend on what else is in the batch, to the bit. The visit counts and the
 terminal distributions come from one forward pass. `sample_trajectories`
 stays per demo, because each demo's rollouts draw from its own seeded
-generator.
+generator; its batch is the policies of one demo's methods instead, which
+walk from the same start cell on the same uniforms, each as if alone.
 
 `value_iteration` keeps its historical name but runs Howard policy
 iteration: each round evaluates a deterministic policy exactly by pointer
@@ -340,36 +341,55 @@ def state_distribution(policies, starts, horizons) -> np.ndarray:
     return _forward_pass(policies, starts, horizons)[1]
 
 
-def sample_trajectories(policy: Policy, start, horizon: int, n: int,
+def sample_trajectories(policies, start, horizon: int, n: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """n rollouts of `horizon` cells each, as flat cell indices `row * cols + col`;
-    returns int64 (n, horizon), the transpose of a step-major buffer.
+    """n rollouts of `horizon` cells under each of the m `policies`, which
+    share one grid, as flat cell indices `row * cols + col`; returns int64
+    (m, n, horizon), a view of a step-major buffer.
 
     One block draw of (horizon - 1, n) uniforms takes the same numbers from
-    `rng`, and leaves it in the same state, as one draw of n per step. A step's
-    action is the count of its cell's first three action-CDF bounds below its
-    uniform: the CDF never decreases, so that is the count of all four capped
-    at the last action, even where the last bound rounds just below 1."""
-    rows, cols = policy.shape
+    `rng`, and leaves it in the same state, as one draw of n per step, and
+    all m policies read that one block, so each policy's rollouts are those
+    it would draw alone from the same generator. A step's action is the
+    count of its cell's first three action-CDF bounds below its uniform: the
+    CDF never decreases, so that is the count of all four capped at the last
+    action, even where the last bound rounds just below 1. A step is one set
+    of array ops over all m * n rollouts: policy k's cells are offset by
+    k * rows*cols into the stacked bound and successor tables."""
+    if not policies:
+        raise ConfigError("need at least one policy to sample")
+    shapes = sorted({p.shape for p in policies})
+    if len(shapes) > 1:
+        raise ConfigError(f"policies sampled together must share one grid shape, got {shapes}")
+    rows, cols = shapes[0]
     r, c = _check_cell(start, rows, cols)
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
-    n_cells = rows * cols
-    # successor of cell s under action a at a * n_cells + s
-    next_flat = flat_transition_table(rows, cols).ravel()
-    cdf = np.cumsum(policy.probs.reshape(N_ACTIONS, n_cells), axis=0)
-    first, second, third = cdf[:N_ACTIONS - 1]
-    uniforms = rng.random((horizon - 1, n))
-    cells = np.empty((horizon, n), dtype=np.int64)
-    cells[0] = r * cols + c
+    m, n_cells = len(policies), rows * cols
+    size = m * n_cells
+    offsets = np.arange(0, size, n_cells)[:, None]
+    # policy k's successor of cell s under action a at a * size + k * n_cells + s
+    next_flat = (flat_transition_table(rows, cols)[:, None] + offsets).ravel()
+    # policy k's first three action-CDF bounds of cell s at k * n_cells + s,
+    # summed in np.cumsum's order
+    bounds = np.empty((N_ACTIONS - 1, size))
+    for k, policy in enumerate(policies):
+        bounds[:, k * n_cells:(k + 1) * n_cells] = policy.probs.reshape(N_ACTIONS, n_cells)[:-1]
+    bounds[1] += bounds[0]
+    bounds[2] += bounds[1]
+    uniforms = rng.random((horizon - 1, 1, n))  # a step's (1, n) row serves all m policies
+    cells = np.empty((horizon, m, n), dtype=np.int64)
+    cells[0] = offsets + (r * cols + c)
     for t, u in enumerate(uniforms):
         cur = cells[t]
-        a = np.add(u > first[cur], u > second[cur], dtype=np.int64)
-        a += u > third[cur]
-        cells[t + 1] = next_flat[cur + n_cells * a]
-    return cells.T
+        below = u > bounds.take(cur, axis=1)
+        a = np.add(below[0], below[1], dtype=np.int64)
+        a += below[2]
+        cells[t + 1] = next_flat[cur + size * a]
+    cells -= offsets
+    return cells.transpose(1, 2, 0)
 
 
 def actions_from_cells(cells: np.ndarray, rows: int, cols: int) -> np.ndarray:

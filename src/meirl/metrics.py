@@ -10,20 +10,23 @@ on cell centers. Terminal entropy is that of the forecast's last cell, whose
 state distribution the caller propagates exactly, not by sampling, with
 `mdp.state_distribution` at the forecast's horizon.
 
-Sampled HD scores all rollouts of a demo at once, on integer cells. A table
-holds the squared cell distance from every grid cell to every future cell
-(int32, rows*cols by H). Walking the rollouts' flat cell indices step by step,
-as the sampler returns them, a running max of each step's row minimum gives
-the rollout-to-future term and a running min of the gathered rows, a
-(chunk, H) block, gives the future-to-rollout term: integer min/max only, no
-reduction over the steps. One square root times the resolution gives each
-distance, and the mean sums them left to right with np.cumsum. Rollouts go
+Sampled HD scores all rollouts of a demo at once, on integer cells, those of
+every policy `mean_sampled_hd` is given: the policies share the demo's
+seeded uniforms, its start cell and its future, so one sampler call and one
+table serve them all. A table holds the squared cell distance from every
+grid cell to every future cell (int32, rows*cols by H). Walking the
+rollouts' flat cell indices step by step, as the sampler returns them, a
+running max of each step's row minimum gives the rollout-to-future term and
+a running min of the gathered rows, a (chunk, H) block, gives the
+future-to-rollout term: integer min/max only, no reduction over the steps.
+One square root times the resolution gives each distance, and each policy's
+mean sums its own distances left to right with np.cumsum. Rollouts go
 through in chunks whose two (chunk, H) blocks (the running min and one
 step's gathered rows) stay near HD_CHUNK_BYTES, so the working memory beyond
-the rollouts and their n distances does not grow with the sample count.
-At resolution 1.0 (or any power of two) each distance equals `hausdorff` on
-the cell centres bitwise. At other resolutions it is within one ulp of the
-exact distance, while `hausdorff` rounds each scaled coordinate before it
+the rollouts and their distances does not grow with the sample count. At
+resolution 1.0 (or any power of two) each distance equals `hausdorff` on the
+cell centres bitwise. At other resolutions it is within one ulp of the exact
+distance, while `hausdorff` rounds each scaled coordinate before it
 subtracts, so the two can differ in the last few ulp.
 """
 
@@ -66,15 +69,19 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def mean_sampled_hd(policy: Policy, demo: Demonstration,
-                    n_samples: int = 1000, seed: int = 0) -> float:
-    """Mean symmetric HD between the demo future and policy rollouts of the
-    same horizon from the demo's start cell."""
+def mean_sampled_hd(policies, demo: Demonstration, n_samples: int = 1000,
+                    seed: int = 0) -> list:
+    """For each of `policies`, the mean symmetric HD between the demo future
+    and n_samples rollouts of the same horizon from the demo's start cell.
+    The policies share the seeded uniforms, so each mean is the one its
+    policy scores alone."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rollouts = sample_trajectories(policy, demo.start, demo.horizon, n_samples, rng)
-    dists = sampled_hausdorff(rollouts, demo.future, demo.world.shape, demo.world.resolution)
+    rollouts = sample_trajectories(policies, demo.start, demo.horizon, n_samples, rng)
+    dists = sampled_hausdorff(rollouts.reshape(-1, demo.horizon), demo.future,
+                              demo.world.shape, demo.world.resolution)
     # cumsum adds left to right; np.sum's pairwise order would move the last bits
-    return float(np.cumsum(dists)[-1]) / n_samples
+    return (np.cumsum(dists.reshape(len(policies), n_samples), axis=1)[:, -1]
+            / n_samples).tolist()
 
 
 def sampled_hausdorff(rollouts, future, shape, resolution: float) -> np.ndarray:

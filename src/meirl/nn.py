@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,13 @@ def _check_input(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=128)
+def _taps(k: int, d: int, p: int, wp: int) -> tuple:
+    """(u, v, window start) per tap in u, v order, for a `_flat_windows`
+    buffer of row width wp."""
+    return tuple((u, v, (u * d + 1) * wp + v * d - p) for u in range(k) for v in range(k))
+
+
 def _flat_windows(x: np.ndarray, layer: ConvLayer):
     """The flat padded input (c, (h+2p+2)*wp), wp = w + p, and (u, v, window
     start) per tap in u, v order. Row i of x sits at column 0 of buffer row
@@ -109,8 +117,7 @@ def _flat_windows(x: np.ndarray, layer: ConvLayer):
     wp = w + p
     xf = np.zeros((c, h + 2 * p + 2, wp))
     xf[:, p + 1 : p + 1 + h, :w] = x
-    taps = [(u, v, (u * d + 1) * wp + v * d - p) for u in range(k) for v in range(k)]
-    return xf.reshape(c, -1), wp, taps
+    return xf.reshape(c, -1), wp, _taps(k, d, p, wp)
 
 
 def _correlate(acc: np.ndarray, flat: np.ndarray, kernel: np.ndarray, taps) -> np.ndarray:

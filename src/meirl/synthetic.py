@@ -363,7 +363,7 @@ def generate_demonstrations(requests) -> list:
     demos = []
     for request, (rng, start, past, horizon, _), policy in zip(requests, setups, plans):
         world = request["world"]
-        flat = sample_trajectories(policy, start, horizon, 1, rng)[0]
+        flat = sample_trajectories([policy], start, horizon, 1, rng)[0, 0]
         future = np.stack(np.divmod(flat, world.cols), axis=1)
         demos.append(Demonstration(world=world, past=past, future=future,
                                    expert_speed=float(request["speed"]),

@@ -166,7 +166,7 @@ def test_3_dp_visitation_matches_monte_carlo():
         policy = value_iteration([3.0 * reward], gamma=0.9)[0]
         start = tuple(rng.integers(0, 5, size=2))
         dp = compute_svf([policy], [start], [horizon])[0]
-        rolls = sample_trajectories(policy, start, horizon, n, rng)
+        rolls = sample_trajectories([policy], start, horizon, n, rng)[0]
         counts = np.bincount(rolls.ravel(), minlength=25).reshape(5, 5)
         worst = max(worst, float(np.abs(counts / n - dp).sum()))
     elapsed = time.perf_counter() - t0
@@ -203,7 +203,7 @@ def test_4_branch_frequencies_match_enumeration():
 
     policy = value_iteration([DEMO_BETA * reward], gamma=0.95)[0]
     rng = np.random.default_rng(np.random.SeedSequence(2))
-    futures = sample_trajectories(policy, junction, n_actions + 1, 1000, rng)
+    futures = sample_trajectories([policy], junction, n_actions + 1, 1000, rng)[0]
     first = np.stack(np.divmod(futures[:, 1], cols), axis=1) - junction
     freq = np.array([np.mean((first[:, 0] == d[0]) & (first[:, 1] == d[1]))
                      for d in ACTION_DELTAS])

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import shutil
@@ -648,8 +649,8 @@ def test_predict_forecasts_each_trained_net_under_its_own_method(
     start = demo.start
     svf = compute_svf([policy], [start], [demo.horizon])[0]
     assert np.array_equal(load_map_csv(out / "svf.csv"), svf)
-    cells = sample_trajectories(policy, start, demo.horizon, 7,
-                                np.random.default_rng(np.random.SeedSequence(4))).ravel()
+    cells = sample_trajectories([policy], start, demo.horizon, 7,
+                                np.random.default_rng(np.random.SeedSequence(4)))[0].ravel()
     samples = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, dtype=np.int64)
     assert np.array_equal(samples[:, :2], np.stack(np.divmod(np.arange(cells.size),
                                                              demo.horizon), axis=1))
@@ -785,6 +786,48 @@ def test_eval_writes_rows_in_table_order(dataset_dir, tmp_path, capsys):
     assert [row["method"] for row in data["methods"]] == ["ekf", "random"]
     printed = capsys.readouterr().out.splitlines()
     assert [ln.split(":")[0].strip() for ln in printed[:2]] == ["ekf", "random"]
+
+
+EVAL_ARGS = ("--samples", "50", "--seed", "7")
+
+# sha256 of table.csv then table.json from the five-method eval below: a
+# rollout, a distance, a score or a digit of the export that moves changes it
+PINNED_EVAL_TABLE_DIGEST = "52f7d3e5d9e803fee3e98a5d421d87a3dd5a7bea3024641a2319294537794786"
+
+
+@pytest.fixture(scope="module")
+def full_eval(tmp_path_factory, dataset_dir, ours_ckpt, nokin_ckpt, bc_ckpt):
+    out = tmp_path_factory.mktemp("eval") / "full"
+    assert run("eval", "--dataset", dataset_dir, "--out", out, "--checkpoint", ours_ckpt,
+               "--checkpoint-nokin", nokin_ckpt, "--checkpoint-bc", bc_ckpt, *EVAL_ARGS) == 0
+    return out
+
+
+def test_eval_table_is_pinned(full_eval):
+    digest = hashlib.sha256()
+    for name in ("table.csv", "table.json"):
+        digest.update((full_eval / name).read_bytes())
+    assert digest.hexdigest() == PINNED_EVAL_TABLE_DIGEST
+
+
+@pytest.mark.parametrize("methods", ["ours", "random,ours"])
+def test_eval_rows_do_not_depend_on_the_other_methods(dataset_dir, ours_ckpt, full_eval,
+                                                      tmp_path, methods):
+    # the methods of a demo share its uniforms and its scoring pass; each row
+    # must still be the one its method scores alone
+    out = tmp_path / "ev"
+    assert run("eval", "--dataset", dataset_dir, "--out", out, "--checkpoint", ours_ckpt,
+               "--methods", methods, *EVAL_ARGS) == 0
+    full_csv = {ln.split(",")[0]: ln for ln in
+                (full_eval / "table.csv").read_text().splitlines()[1:]}
+    full_json = {row["method"]: row for row in
+                 json.loads((full_eval / "table.json").read_text())["methods"]}
+    lines = (out / "table.csv").read_text().splitlines()[1:]
+    rows = json.loads((out / "table.json").read_text())["methods"]
+    assert [row["method"] for row in rows] == methods.split(",")
+    for line, row in zip(lines, rows):
+        assert line == full_csv[row["method"]]
+        assert row == full_json[row["method"]]
 
 
 def test_eval_tables_byte_identical_across_runs(dataset_dir, ours_ckpt, tmp_path):

@@ -7,6 +7,7 @@ checkpoint or a demo record either loads or raises ConfigError: never another
 exception, a warning, or an allocation sized by a corrupt header.
 """
 
+import json
 import math
 import os
 import tempfile
@@ -132,6 +133,13 @@ def test_map_writers_refuse_a_malformed_map(tmp_path, writer, grid, message):
         writer(tmp_path / "map", grid)
     assert str(e.value) == message
     assert not (tmp_path / "map").exists()
+
+
+def test_dump_json_writes_strict_json(tmp_path):
+    path = tmp_path / "out.json"
+    config.dump_json(path, {"a": [math.inf, -math.inf, math.nan, 1.5], "b": {"c": (math.nan, 2)}})
+    assert "Infinity" not in path.read_text() and "NaN" not in path.read_text()
+    assert json.loads(path.read_text()) == {"a": [None, None, None, 1.5], "b": {"c": [None, 2]}}
 
 
 def test_write_file_puts_every_byte_in_place(tmp_path):

@@ -181,16 +181,22 @@ def env_with_inf():
     (lambda: Policy(probs=np.full((3, 4, 4), 1 / 3)),
      "policy probs must be (4, rows, cols), got (3, 4, 4)"),
     (lambda: Policy(probs=np.full((4, 4), 0.25)), "policy probs must be (4, rows, cols), got (4, 4)"),
-    (lambda: sample_trajectories(uniform_policy(8, 8), (2, 2), 0, 3, np.random.default_rng(0)),
+    (lambda: sample_trajectories([uniform_policy(8, 8)], (2, 2), 0, 3, np.random.default_rng(0)),
      "horizon must be >= 1, got 0"),
-    (lambda: sample_trajectories(uniform_policy(8, 8), (2, 2), 5, 0, np.random.default_rng(0)),
+    (lambda: sample_trajectories([uniform_policy(8, 8)], (2, 2), 5, 0, np.random.default_rng(0)),
      "sample count must be >= 1, got 0"),
-    (lambda: sample_trajectories(uniform_policy(8, 8), (8, 2), 5, 3, np.random.default_rng(0)),
+    (lambda: sample_trajectories([uniform_policy(8, 8)], (8, 2), 5, 3, np.random.default_rng(0)),
      "cell (8, 2) outside 8x8 grid"),
+    (lambda: sample_trajectories([uniform_policy(8, 8), uniform_policy(9, 8), uniform_policy(8, 8)],
+                                 (2, 2), 5, 3, np.random.default_rng(0)),
+     "policies sampled together must share one grid shape, got [(8, 8), (9, 8)]"),
+    (lambda: sample_trajectories([], (2, 2), 5, 3, np.random.default_rng(0)),
+     "need at least one policy to sample"),
     (lambda: actions_from_cells(np.array([1, 2, 3]), 8, 8), "cell path must be (n, 2), got (3,)"),
     (lambda: actions_from_cells(np.zeros((2, 3)), 8, 8), "cell path must be (n, 2), got (2, 3)"),
 ], ids=["world_inf_env", "policy_3_actions", "policy_2d", "sample_horizon_0", "sample_n_0",
-        "sample_start_off_grid", "path_1d", "path_3_columns"])
+        "sample_start_off_grid", "sample_mixed_grids", "sample_no_policies", "path_1d",
+        "path_3_columns"])
 def test_malformed_input_is_refused(call, message):
     with pytest.raises(ConfigError) as e:
         call()
@@ -472,7 +478,7 @@ def test_state_distribution_of_a_deterministic_policy_is_its_rollouts_last_cell(
     pol = Policy(probs=probs)
     lasts = []
     for h in range(1, 7):
-        lasts.append(sample_trajectories(pol, start, h, 1, rng)[0, -1])
+        lasts.append(sample_trajectories([pol], start, h, 1, rng)[0, 0, -1])
         want = np.zeros(35)
         want[lasts[-1]] = 1.0
         assert np.array_equal(state_distribution([pol], [start], [h])[0], want.reshape(5, 7))
@@ -494,9 +500,9 @@ def test_state_distribution_uniform_interior():
 
 def test_sample_trajectory_seeded_deterministic(rng):
     pol = Policy(probs=random_policy_probs(rng, 6, 6))
-    a = sample_trajectories(pol, (3, 3), 10, 1, np.random.default_rng(5))[0]
-    b = sample_trajectories(pol, (3, 3), 10, 1, np.random.default_rng(5))[0]
-    c = sample_trajectories(pol, (3, 3), 10, 1, np.random.default_rng(6))[0]
+    a = sample_trajectories([pol], (3, 3), 10, 1, np.random.default_rng(5))[0, 0]
+    b = sample_trajectories([pol], (3, 3), 10, 1, np.random.default_rng(5))[0, 0]
+    c = sample_trajectories([pol], (3, 3), 10, 1, np.random.default_rng(6))[0, 0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -531,7 +537,7 @@ def test_sampler_equals_the_per_step_reference_bitwise(kind, rows, cols, start_o
     elif start_on == "border":
         r = (0, rows - 1)[r % 2]
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sample_trajectories(policy, (r, c), horizon, n, got_rng)
+    got = sample_trajectories([policy], (r, c), horizon, n, got_rng)[0]
     want = reference_sample_trajectories(policy, (r, c), horizon, n, want_rng)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape == (n, horizon)
@@ -539,9 +545,30 @@ def test_sampler_equals_the_per_step_reference_bitwise(kind, rows, cols, start_o
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("n, horizon", [(1, 1), (1, 17), (1000, 1), (1000, 17)])
+def test_policies_sampled_together_each_draw_their_solo_rollouts(m, n, horizon):
+    # every policy reads the one block of uniforms, so each gets bitwise the
+    # rollouts it draws alone, and the generator ends where a solo call leaves it
+    kinds = ("one_hot", "dirichlet", "sparse", "dirichlet")[:m]
+    policies = [sampler_policy(kind, 7, 9, seed=10 * m + k) for k, kind in enumerate(kinds)]
+    start = (0, 4)
+    got_rng = np.random.default_rng(31)
+    got = sample_trajectories(policies, start, horizon, n, got_rng)
+    assert got.dtype == np.int64 and got.shape == (m, n, horizon)
+    for policy, rollouts in zip(policies, got):
+        solo_rng, want_rng = np.random.default_rng(31), np.random.default_rng(31)
+        solo = sample_trajectories([policy], start, horizon, n, solo_rng)[0]
+        want = reference_sample_trajectories(policy, start, horizon, n, want_rng)
+        assert np.array_equal(solo, want)
+        assert np.array_equal(rollouts, want)
+        assert got_rng.bit_generator.state == solo_rng.bit_generator.state
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_sample_first_step_frequencies_uniform():
     pol = uniform_policy(9, 9)
-    trajs = sample_trajectories(pol, (4, 4), 2, 100_000, np.random.default_rng(11))
+    trajs = sample_trajectories([pol], (4, 4), 2, 100_000, np.random.default_rng(11))[0]
     assert np.all(trajs[:, 0] == 4 * 9 + 4)
     steps = np.stack(np.divmod(trajs[:, 1], 9), axis=1) - (4, 4)
     for dr, dc in ACTION_DELTAS:
@@ -552,7 +579,7 @@ def test_sample_first_step_frequencies_uniform():
 def test_sampled_visits_match_dp_svf(rng):
     probs = random_policy_probs(rng, 5, 5)
     pol = Policy(probs=probs)
-    trajs = sample_trajectories(pol, (1, 1), 6, 200_000, np.random.default_rng(21))
+    trajs = sample_trajectories([pol], (1, 1), 6, 200_000, np.random.default_rng(21))[0]
     counts = np.bincount(trajs.ravel(), minlength=25).reshape(5, 5) / len(trajs)
     dp = compute_svf([pol], [(1, 1)], [6])[0]
     assert np.abs(dp - counts).sum() < 0.02
@@ -680,9 +707,13 @@ def test_training_generation_and_eval_plan_once_per_batch(monkeypatch, tmp_path)
     n_test = len(load_dataset(data)[1])
     forecasts = _count_calls(monkeypatch, cli, "value_iteration")
     terminal = _count_calls(monkeypatch, cli, "state_distribution")
+    scored = _count_calls(monkeypatch, cli, "mean_sampled_hd")
     assert cli.main(["eval", "--dataset", str(data), "--out", str(tmp_path / "eval"),
                      "--methods", "random,irl_nokin,ours", "--samples", "2",
                      "--checkpoint", str(tmp_path / "ours" / "checkpoint.ckpt"),
                      "--checkpoint-nokin", str(tmp_path / "irl_nokin" / "checkpoint.ckpt")]) == 0
     assert forecasts == [n_test, n_test]
-    assert terminal == [n_test] * 3  # one per policy method: random, irl_nokin, ours
+    # one propagation of every method's forecasts (random, irl_nokin, ours),
+    # and one sampling pass per test demo over the three methods
+    assert terminal == [3 * n_test]
+    assert scored == [3] * n_test

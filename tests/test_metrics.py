@@ -175,16 +175,16 @@ def test_mean_sampled_hd_deterministic_policy_zero():
     w = grid()
     demo = demo_from_future(w, straight_future(3, 1, 5))
     policy = deterministic_policy(8, 8, 3)
-    assert mean_sampled_hd(policy, demo, n_samples=20) == 0.0
+    assert mean_sampled_hd([policy], demo, n_samples=20)[0] == 0.0
 
 
 def test_mean_sampled_hd_seeded():
     w = grid()
     demo = demo_from_future(w, straight_future(3, 1, 5))
     policy = uniform_policy(8, 8)
-    a = mean_sampled_hd(policy, demo, n_samples=50, seed=3)
-    b = mean_sampled_hd(policy, demo, n_samples=50, seed=3)
-    c = mean_sampled_hd(policy, demo, n_samples=50, seed=4)
+    a = mean_sampled_hd([policy], demo, n_samples=50, seed=3)[0]
+    b = mean_sampled_hd([policy], demo, n_samples=50, seed=3)[0]
+    c = mean_sampled_hd([policy], demo, n_samples=50, seed=4)[0]
     assert a == b
     assert a > 0.0
     assert a != c
@@ -194,8 +194,8 @@ def per_sample_mean_hd(policy, demo, n_samples, seed=0):
     """The reference sampled HD: one float `hausdorff` call per rollout on the
     cell centres, summed in sample order."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rollouts = sample_trajectories(policy, demo.start, demo.horizon,
-                                   n_samples, rng)
+    rollouts = sample_trajectories([policy], demo.start, demo.horizon,
+                                   n_samples, rng)[0]
     demo_xy = cells_to_xy(demo.future, demo.world.resolution)
     total = 0.0
     for k in range(n_samples):
@@ -256,12 +256,12 @@ def test_mean_sampled_hd_equals_the_per_sample_loop_bitwise(rows, cols, horizon,
     rng = np.random.default_rng(seed)
     w = grid(rows=rows, cols=cols, seed=seed % 1000)
     start = (int(rng.integers(rows)), int(rng.integers(cols)))
-    walk = np.stack(np.divmod(sample_trajectories(uniform_policy(rows, cols), start, horizon,
-                                                  1, rng)[0], cols), axis=1)
+    walk = np.stack(np.divmod(sample_trajectories([uniform_policy(rows, cols)], start, horizon,
+                                                  1, rng)[0, 0], cols), axis=1)
     demo = demo_from_future(w, walk)
     policy = Policy(probs=rng.dirichlet(np.ones(4), size=(rows, cols)).transpose(2, 0, 1))
     with mock.patch.object(metrics, "HD_CHUNK_BYTES", chunk_bytes):
-        got = mean_sampled_hd(policy, demo, n_samples=n, seed=seed % 97)
+        got = mean_sampled_hd([policy], demo, n_samples=n, seed=seed % 97)[0]
     assert got == per_sample_mean_hd(policy, demo, n, seed=seed % 97)
 
 
@@ -281,7 +281,7 @@ def test_sampled_hd_is_pinned():
     digest = hashlib.sha256()
     for policy in policies:
         for k, demo in enumerate(test):
-            hd = mean_sampled_hd(policy, demo, n_samples=200, seed=k)
+            hd = mean_sampled_hd([policy], demo, n_samples=200, seed=k)[0]
             digest.update(np.array(hd, dtype="<f8").tobytes())
     assert digest.hexdigest() == PINNED_SAMPLED_HD_DIGEST
 
@@ -391,3 +391,22 @@ def test_export_json_round_trip(tmp_path):
     assert data["methods"][0]["nll"] is None
     assert data["methods"][4]["nll"] == pytest.approx(0.55)
     assert data["methods"] == table_rows()
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_scores_are_null_in_json_and_kept_in_csv(tmp_path):
+    # strict JSON has no Infinity or NaN; n_infinite_nll says why nll is missing
+    rows = [table_row("bc", [1.0, 1.0], [0.5, math.inf])]
+    export_json(rows, tmp_path / "table.json")
+    export_csv(rows, tmp_path / "table.csv")
+    (row,) = strict_json((tmp_path / "table.json").read_text())["methods"]
+    assert row["nll"] is None and row["nll_se"] is None
+    assert row["n_infinite_nll"] == 1 and row["hd"] == 1.0
+    line = (tmp_path / "table.csv").read_text().splitlines()[1].split(",")
+    assert dict(zip(TABLE_COLUMNS, line))["nll"] == "inf"
+    assert dict(zip(TABLE_COLUMNS, line))["nll_se"] == "nan"
